@@ -6,7 +6,11 @@ matrix V = [[q1, q2], [q2, -q1]], q = -q2 + i q1, J = [[0, 1], [-1, 0]].
 With M(x, z) the fundamental matrix (M(0) = I), the z = 0 solution
 r = M(., 0) generates the canonical-system Hamiltonian H = r^T r, a
 positive unit-determinant matrix equal to I at 0 and constant beyond the
-support.  The reverse direction needs only derivatives of the entries:
+support.  M is a product of exact per-segment propagators: on a segment
+where q = a e^{2ikx} the rotation T e^{ikx sigma3} T^{-1} removes the
+chirp, leaving the constant traceless coefficient -J((z - k) I - V(a))
+with a closed-form exponential, so det M = 1 holds to rounding.  The
+reverse direction needs only derivatives of the entries:
 
     p = a'/a,  w = (a b' - a' b)/a,  rho(x) = int_0^x w,
     q1 = -(w cos rho + p sin rho)/2,   q2 = (p cos rho - w sin rho)/2.
@@ -33,7 +37,7 @@ from .core import (
     ValidationError,
     make_grid,
 )
-from .forward import _expm_traceless, _segments
+from .forward import _check_im_cap, _expm_traceless, _segments
 
 __all__ = [
     "MatrixPotential",
@@ -146,65 +150,50 @@ def _v_matrix(qc) -> np.ndarray:
     return out
 
 
-def _canonical_rhs(qc, z, u):
-    """u' = -J (z u - V u) for the frame-changed system."""
-    V = _v_matrix(qc).astype(complex)
-    zu = z[..., None, None] * u if np.ndim(z) else z * u
-    return -_J @ (zu - V @ u)
+def _rotation(theta) -> np.ndarray:
+    """T e^{i theta sigma3} T^{-1}, the chirp gauge in the canonical frame."""
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.empty(np.shape(theta) + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    return out
+
+
+def _segment_steps(lo, hi, amp, k, z) -> np.ndarray:
+    """Exact propagators M(hi) M(lo)^{-1} across segments carrying
+    q = amp e^{2ikx}, batched over segments or over z."""
+    zk = np.asarray(z - k, dtype=complex)
+    step = _expm_traceless(-_J @ (zk[..., None, None] * np.eye(2) - _v_matrix(amp)), hi - lo)
+    if np.any(k != 0.0):
+        step = _rotation(k * hi) @ step @ _rotation(-k * lo)
+    return step
 
 
 def fundamental_matrix(q: Potential, z: complex, im_cap: float | None = None) -> FundamentalMatrix:
-    """Fourth-order forward integration of J u' + V u = z u from M(0) = I."""
-    cap = 50.0 / q.gamma if im_cap is None else im_cap
-    if abs(np.imag(z)) > cap:
-        raise NumericalError(f"|Im z| exceeds the growth cap {cap:.3g}")
+    """M(x, z) at the nodes: running product of the exact per-cell propagators
+    of J u' + V u = z u from M(0) = I."""
+    zz = complex(z)
+    _check_im_cap(q.gamma, zz, im_cap)
     amps, chirps = q.cell_values()
     nodes = q.grid.nodes()
-    h = q.grid.h
+    steps = _segment_steps(nodes[:-1], nodes[1:], amps, chirps, zz)
     out = np.empty((q.grid.n + 1, 2, 2), dtype=complex)
-    u = np.eye(2, dtype=complex)
-    out[0] = u
-    zz = complex(z)
+    out[0] = np.eye(2)
     for j in range(q.grid.n):
-        x0, x1 = nodes[j], nodes[j + 1]
-        xm = 0.5 * (x0 + x1)
-
-        def qc_at(x):
-            return amps[j] * np.exp(2j * chirps[j] * x)
-
-        k1 = _canonical_rhs(qc_at(x0), zz, u)
-        k2 = _canonical_rhs(qc_at(xm), zz, u + 0.5 * h * k1)
-        k3 = _canonical_rhs(qc_at(xm), zz, u + 0.5 * h * k2)
-        k4 = _canonical_rhs(qc_at(x1), zz, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[j + 1] = u
+        out[j + 1] = steps[j] @ out[j]
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalError("canonical propagation overflowed")
     return FundamentalMatrix(zz, q.grid, out)
 
 
 def canonical_values(q: Potential, z: np.ndarray) -> np.ndarray:
-    """M(gamma, z) batched over z via exact per-segment exponentials.
-
-    The coefficient -J(zI - V) is traceless with constant V per segment,
-    so each segment contributes one closed-form exponential.  Chirped
-    segments fall back to per-cell midpoint freezing (second order).
-    """
+    """M(gamma, z) batched over z: one exact exponential per segment (per
+    piece when the potential carries exact pieces, else per cell)."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     u = np.broadcast_to(np.eye(2, dtype=complex), zz.shape + (2, 2)).copy()
     for lo, hi, amp, k in _segments(q):
-        if k == 0.0:
-            V = _v_matrix(amp).astype(complex)
-            B = -_J @ (zz[:, None, None] * np.eye(2) - V)
-            u = _expm_traceless(B, hi - lo) @ u
-        else:
-            ncell = max(1, int(round((hi - lo) / q.grid.h)))
-            xs = np.linspace(lo, hi, ncell + 1)
-            for a, b in zip(xs[:-1], xs[1:]):
-                qc = amp * np.exp(2j * k * 0.5 * (a + b))
-                V = _v_matrix(qc).astype(complex)
-                B = -_J @ (zz[:, None, None] * np.eye(2) - V)
-                u = _expm_traceless(B, b - a) @ u
+        u = _segment_steps(lo, hi, amp, k, zz) @ u
     return u
 
 

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,7 +49,6 @@ class RunConfig:
     tol: float = 1e-9
     seed: int = 0
     out: str = "."
-    workers: int = 1
 
     def resolved_tmax(self) -> float:
         return 8.0 * self.gamma if self.tmax is None else self.tmax
@@ -80,21 +78,16 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _read_potential(path) -> Potential:
+def _read_input(path, decode):
+    """Decode a JSON input file; unreadable or malformed files are parse errors."""
     try:
-        return Potential.from_json(core.load_json(path))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"parse: cannot read potential file {path}: {exc}") from exc
+        return decode(core.load_json(path))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"parse: cannot read {path}: {exc}") from exc
 
 
-def _chunked_psi(q, alpha, zs, workers, method="exact"):
-    if workers <= 1 or zs.size < 256:
-        return forward.psi_values(q, alpha, zs.astype(complex), method=method)
-    chunks = np.array_split(zs.astype(complex), workers * 4)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(
-            lambda c: forward.psi_values(q, alpha, c, method=method), chunks))
-    return np.concatenate(parts)
+def _read_potential(path) -> Potential:
+    return _read_input(path, Potential.from_json)
 
 
 def cmd_forward(args) -> int:
@@ -103,7 +96,7 @@ def cmd_forward(args) -> int:
     alpha = BoundaryParam(cfg.alpha)
     os.makedirs(cfg.out, exist_ok=True)
     zs = np.linspace(-cfg.zwindow, cfg.zwindow, 4 * cfg.n + 1)
-    psi = _chunked_psi(q, alpha, zs, cfg.workers)
+    psi = forward.psi_values(q, alpha, zs.astype(complex))
     _write_csv(os.path.join(cfg.out, "psi.csv"),
                ["x", "z_re", "z_im", "value_re", "value_im"],
                [[0.0, z, 0.0, v.real, v.imag] for z, v in zip(zs, psi)])
@@ -122,7 +115,7 @@ def cmd_forward(args) -> int:
 def _resonances_of(q, alpha, cfg, region=None) -> ResonanceSet:
     ev = forward.make_psi_evaluator(q, alpha)
     if region is None:
-        depth = min(6.0, 0.9 * (50.0 / q.gamma if cfg.imcap is None else cfg.imcap))
+        depth = min(6.0, 0.9 * forward._growth_cap(q.gamma, cfg.imcap))
         region = spectral.SearchRegion(-cfg.rcut * 1.05, cfg.rcut * 1.05, -depth, 0.0)
     return spectral.find_resonances(ev, region, tol=cfg.tol)
 
@@ -163,19 +156,15 @@ def cmd_resonances(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = _load_config(args)
-    try:
-        obj = core.load_json(args.data)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"parse: cannot read {args.data}: {exc}") from exc
+    data = _read_input(args.data, lambda obj: (
+        ScatteringRep.from_json(obj) if "t_max" in obj else JostRep.from_json(obj)))
     os.makedirs(cfg.out, exist_ok=True)
-    if "t_max" in obj:
-        S = ScatteringRep.from_json(obj)
-        qhat, rec = inverse.recover_potential(S, with_report=True)
+    if isinstance(data, ScatteringRep):
+        S = data
     else:
-        rep = JostRep.from_json(obj)
-        wi = inverse.invert_wiener(rep, max(cfg.resolved_tmax(), 8.0 * rep.gamma))
-        S = inverse.scattering_kernel(rep, wi, cfg.resolved_tmax())
-        qhat, rec = inverse.recover_potential(S, with_report=True)
+        wi = inverse.invert_wiener(data, max(cfg.resolved_tmax(), 8.0 * data.gamma))
+        S = inverse.scattering_kernel(data, wi, cfg.resolved_tmax())
+    qhat, rec = inverse.recover_potential(S, with_report=True)
     core.dump_json(os.path.join(cfg.out, "potential.json"), qhat.to_json())
     _write_csv(os.path.join(cfg.out, "diagnostics.csv"),
                ["quantity", "value"],
@@ -233,10 +222,7 @@ def cmd_canonical(args) -> int:
         H = can.hamiltonian_from_potential(q)
         core.dump_json(os.path.join(cfg.out, "hamiltonian.json"), H.to_json())
     elif args.mode == "to-potential":
-        try:
-            H = can.Hamiltonian.from_json(core.load_json(args.data))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ValidationError(f"parse: cannot read {args.data}: {exc}") from exc
+        H = _read_input(args.data, can.Hamiltonian.from_json)
         q = can.potential_from_hamiltonian(H)
         core.dump_json(os.path.join(cfg.out, "potential.json"), q.to_json())
     elif args.mode == "hermite":
@@ -261,9 +247,7 @@ def cmd_check(args) -> int:
     S = inverse.scattering_kernel(rep, wi, cfg.resolved_tmax())
     lines = []
     ok = True
-    # the represented S is accurate to the sampled-kernel O(h^2 z) floor
-    h = q.grid.h
-    s_tol = max(1e-6, 3.0 * h * h * 40.0 * max(1.0, S.F.norm_l1() ** 2))
+    s_tol = inverse.unimodularity_tolerance(S)
     for obj, kw in ((q, {}), (rep, {}), (S, {"tol": s_tol})):
         report = core.validate_class(obj, **kw)
         ok = ok and report.passed
@@ -306,7 +290,7 @@ def _add_common(p):
     for name, typ in (("gamma", float), ("alpha", float), ("n", int),
                       ("zmax", float), ("zwindow", float), ("tmax", float),
                       ("rcut", float), ("imcap", float), ("tol", float),
-                      ("seed", int), ("workers", int)):
+                      ("seed", int)):
         p.add_argument(f"--{name}", type=typ, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None)

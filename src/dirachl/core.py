@@ -33,7 +33,6 @@ __all__ = [
     "ClassReport",
     "make_grid",
     "quadrature",
-    "cumulative_quadrature",
     "convolve_halfline",
     "fourier_eval",
     "support_supremum",
@@ -133,16 +132,6 @@ def quadrature(f: SampledComplexFunction) -> complex:
     if f.grid.n < 1:
         raise ValidationError("quadrature needs at least two nodes")
     return complex(np.dot(_trapezoid_weights(f.grid), f.values))
-
-
-def cumulative_quadrature(f: SampledComplexFunction) -> np.ndarray:
-    """Running trapezoid integral from the left endpoint, one value per node."""
-    v = f.values
-    steps = 0.5 * f.grid.h * (v[1:] + v[:-1])
-    out = np.empty(f.grid.n + 1, dtype=complex)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
 
 
 def convolve_halfline(a: SampledComplexFunction, b: SampledComplexFunction) -> SampledComplexFunction:
@@ -305,6 +294,23 @@ def support_infimum(f: SampledComplexFunction, floor_rel: float = SUPPORT_FLOOR_
     return float(f.grid.nodes()[idx[0]])
 
 
+def _samples_to_json(f: SampledComplexFunction) -> dict:
+    """The "n"/"samples" part of every file format: [re, im] per node."""
+    return {"n": f.grid.n, "samples": np.column_stack((f.values.real, f.values.imag)).tolist()}
+
+
+def _samples_from_json(obj: dict, left: float, right: float) -> SampledComplexFunction:
+    """Inverse of `_samples_to_json` on the grid [left, right]."""
+    try:
+        pairs = np.asarray(obj["samples"], dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("parse: samples must be a list of [re, im] number pairs")
+    return SampledComplexFunction(make_grid(left, right, int(obj["n"])),
+                                  np.ascontiguousarray(pairs).view(complex)[:, 0])
+
+
 # ---------------------------------------------------------------------------
 # domain objects
 # ---------------------------------------------------------------------------
@@ -388,11 +394,7 @@ class Potential:
         return self.samples.norm_l2()
 
     def to_json(self) -> dict:
-        out = {
-            "gamma": self.gamma,
-            "n": self.n,
-            "samples": [[float(v.real), float(v.imag)] for v in self.samples.values],
-        }
+        out = {"gamma": self.gamma, **_samples_to_json(self.samples)}
         if self.pieces is not None:
             out["pieces"] = [[p.lo, p.hi, p.amp.real, p.amp.imag, p.chirp]
                              for p in self.pieces]
@@ -401,14 +403,11 @@ class Potential:
     @staticmethod
     def from_json(obj: dict) -> "Potential":
         gamma = float(obj["gamma"])
-        n = int(obj["n"])
-        vals = np.array([complex(re, im) for re, im in obj["samples"]])
         pieces = None
         if obj.get("pieces"):
             pieces = tuple(Piece(float(lo), float(hi), complex(ar, ai), float(ch))
                            for lo, hi, ar, ai, ch in obj["pieces"])
-        return Potential(gamma, SampledComplexFunction(make_grid(0.0, gamma, n), vals),
-                         pieces)
+        return Potential(gamma, _samples_from_json(obj, 0.0, gamma), pieces)
 
 
 def potential_from_values(gamma: float, values: Sequence[complex] | np.ndarray,
@@ -448,20 +447,13 @@ class JostRep:
         return diff.norm_l2()
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha.alpha,
-            "gamma": self.gamma,
-            "n": self.g.grid.n,
-            "samples": [[float(v.real), float(v.imag)] for v in self.g.values],
-        }
+        return {"alpha": self.alpha.alpha, "gamma": self.gamma, **_samples_to_json(self.g)}
 
     @staticmethod
     def from_json(obj: dict) -> "JostRep":
         gamma = float(obj["gamma"])
-        n = int(obj["n"])
-        vals = np.array([complex(re, im) for re, im in obj["samples"]])
         return JostRep(BoundaryParam(float(obj["alpha"])), gamma,
-                       SampledComplexFunction(make_grid(0.0, gamma, n), vals))
+                       _samples_from_json(obj, 0.0, gamma))
 
 
 @dataclass(frozen=True)
@@ -499,22 +491,15 @@ class ScatteringRep:
                 + piecewise_fourier_eval(self.F, z, structural))
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha.alpha,
-            "gamma": self.gamma,
-            "t_max": self.t_max,
-            "n": self.F.grid.n,
-            "samples": [[float(v.real), float(v.imag)] for v in self.F.values],
-        }
+        return {"alpha": self.alpha.alpha, "gamma": self.gamma, "t_max": self.t_max,
+                **_samples_to_json(self.F)}
 
     @staticmethod
     def from_json(obj: dict) -> "ScatteringRep":
         gamma = float(obj["gamma"])
         t_max = float(obj["t_max"])
-        n = int(obj["n"])
-        vals = np.array([complex(re, im) for re, im in obj["samples"]])
         return ScatteringRep(BoundaryParam(float(obj["alpha"])), gamma, t_max,
-                             SampledComplexFunction(make_grid(-gamma, t_max, n), vals))
+                             _samples_from_json(obj, -gamma, t_max))
 
 
 @dataclass(frozen=True)

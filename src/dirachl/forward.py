@@ -6,13 +6,15 @@ x >= gamma.  The boundary combination psi(z) = e^{-i alpha} f11(0, z) -
 e^{i alpha} f21(0, z) is entire, has no zeros in the closed upper
 half-plane, and S(z) = conj(psi(z)) / psi(z) on the real axis.
 
-Two integrators coexist.  `integrate_jost` is a classical fourth-order
-one-step scheme on the potential grid (one step per cell, coefficients
-frozen per cell).  `psi_values` multiplies exact per-cell propagators:
-each cell's coefficient matrix is constant (or constant after a chirp
-gauge), so its exponential has a closed 2x2 form.  The exact product has
-no z*h stability ceiling, which matters when psi is sampled far out on
-the real axis for Fourier inversion of the kernel.
+`psi_values` multiplies exact per-segment propagators: each piece (or,
+for a bare sampled potential, each cell) has a constant coefficient matrix
+after a chirp gauge, so its exponential has a closed 2x2 form.  The exact
+product has no z*h stability ceiling, which matters when psi is sampled
+far out on the real axis for Fourier inversion of the kernel.  The
+classical fourth-order one-step scheme on the potential grid
+(`integrate_jost`, `jost_function`, `psi_values(method="rk4")`) is kept as
+the independently derived reference the acceptance suite pins against the
+closed-form oracle.
 
 The kernel g with psi(z) = e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds is
 produced two ways: `jost_kernel` inverts the real-axis Fourier
@@ -36,47 +38,22 @@ from .core import (
     Potential,
     SampledComplexFunction,
     ValidationError,
-    fourier_eval,
 )
 
 __all__ = [
-    "Matrix2C",
-    "JostBoundaryValue",
     "KernelBound",
     "integrate_jost",
     "jost_function",
     "psi_values",
     "make_psi_evaluator",
     "scattering_value",
-    "scattering_values",
     "jost_kernel",
     "jost_kernel_direct",
     "transformation_rows",
-    "eval_jost",
     "kernel_estimate",
 ]
 
 DEFAULT_IM_CAP_SCALE = 50.0
-
-
-@dataclass(frozen=True)
-class Matrix2C:
-    a11: complex
-    a12: complex
-    a21: complex
-    a22: complex
-
-    def det(self) -> complex:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
-
-@dataclass(frozen=True)
-class JostBoundaryValue:
-    z: complex
-    f0: Matrix2C
 
 
 @dataclass(frozen=True)
@@ -92,14 +69,18 @@ class KernelBound:
         return math.exp(self.eta) * (1.0 + self.zeta) - 1.0
 
 
-def _check_im_cap(q: Potential, z: np.ndarray, im_cap: float | None) -> float:
-    cap = DEFAULT_IM_CAP_SCALE / q.gamma if im_cap is None else im_cap
-    worst = float(np.max(np.abs(np.imag(z)))) if z.size else 0.0
+def _growth_cap(gamma: float, im_cap: float | None = None) -> float:
+    """Largest |Im z| at which solutions are evaluated (default 50/gamma)."""
+    return DEFAULT_IM_CAP_SCALE / gamma if im_cap is None else im_cap
+
+
+def _check_im_cap(gamma: float, z, im_cap: float | None = None) -> None:
+    cap = _growth_cap(gamma, im_cap)
+    worst = float(np.max(np.abs(np.imag(z)), initial=0.0))
     if worst > cap:
         raise NumericalError(
             f"|Im z| = {worst:.3g} exceeds the growth cap {cap:.3g} "
             f"(= {DEFAULT_IM_CAP_SCALE}/gamma by default); e^(2 gamma |Im z|) would overflow")
-    return cap
 
 
 def _coeff(amp, z):
@@ -113,11 +94,10 @@ def _coeff(amp, z):
     return out
 
 
-def _expm_traceless(B: np.ndarray, t: float) -> np.ndarray:
+def _expm_traceless(B: np.ndarray, t) -> np.ndarray:
     """exp(t*B) for traceless 2x2 stacks via cosh/sinh closed form."""
-    lam2 = B[..., 0, 1] * B[..., 1, 0] - B[..., 0, 0] * B[..., 1, 1]
-    lam2 = lam2 + B[..., 0, 0] ** 2 + B[..., 0, 0] * B[..., 1, 1]  # = -det(B)
     # for traceless B, -det(B) = B11^2 + B12*B21
+    lam2 = B[..., 0, 0] ** 2 + B[..., 0, 1] * B[..., 1, 0]
     lam = np.sqrt(lam2.astype(complex))
     tl = t * lam
     ch = np.cosh(tl)
@@ -210,12 +190,12 @@ def _propagate_rk4(q: Potential, z: np.ndarray) -> np.ndarray:
     return u
 
 
-def integrate_jost(q: Potential, z: complex, im_cap: float | None = None) -> JostBoundaryValue:
-    """f(0, z) by fourth-order backward integration from x = gamma."""
+def integrate_jost(q: Potential, z: complex, im_cap: float | None = None) -> np.ndarray:
+    """f(0, z) as a 2x2 array, by fourth-order backward integration from
+    x = gamma."""
     zz = np.array([complex(z)])
-    _check_im_cap(q, zz, im_cap)
-    f = _propagate_rk4(q, zz)[0]
-    return JostBoundaryValue(complex(z), Matrix2C(f[0, 0], f[0, 1], f[1, 0], f[1, 1]))
+    _check_im_cap(q.gamma, zz, im_cap)
+    return _propagate_rk4(q, zz)[0]
 
 
 def _psi_from_f(f: np.ndarray, alpha: BoundaryParam) -> np.ndarray:
@@ -223,71 +203,47 @@ def _psi_from_f(f: np.ndarray, alpha: BoundaryParam) -> np.ndarray:
     return ea * f[..., 0, 0] - np.conj(ea) * f[..., 1, 0]
 
 
+_PROPAGATORS = {"exact": _propagate_exact, "rk4": _propagate_rk4}
+
+
 def psi_values(q: Potential, alpha: BoundaryParam, z, method: str = "exact",
                im_cap: float | None = None) -> np.ndarray | complex:
-    """Vectorized Jost function.  method 'exact' multiplies closed-form cell
-    exponentials; 'rk4' uses the fourth-order scheme."""
+    """Vectorized Jost function.  method 'exact' multiplies closed-form
+    segment exponentials; 'rk4' is the fourth-order reference scheme."""
+    if method not in _PROPAGATORS:
+        raise ValidationError(f"unknown method {method!r}")
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_im_cap(q, zz, im_cap)
-    prop = _propagate_exact if method == "exact" else _propagate_rk4
-    vals = _psi_from_f(prop(q, zz), alpha)
+    _check_im_cap(q.gamma, zz, im_cap)
+    vals = _psi_from_f(_PROPAGATORS[method](q, zz), alpha)
     return complex(vals[0]) if scalar else vals
 
 
-def make_psi_evaluator(q: Potential, alpha: BoundaryParam, method: str = "exact",
-                       im_cap: float | None = None):
+def make_psi_evaluator(q: Potential, alpha: BoundaryParam):
     """Callable z -> psi(z) accepting scalars or arrays."""
     def ev(z):
-        return psi_values(q, alpha, z, method=method, im_cap=im_cap)
+        return psi_values(q, alpha, z)
     return ev
 
 
 def jost_function(q: Potential, alpha: BoundaryParam, z: complex,
                   im_cap: float | None = None) -> complex:
-    f = integrate_jost(q, z, im_cap=im_cap)
-    ea = np.exp(-1j * alpha.alpha)
-    return complex(ea * f.f0.a11 - np.conj(ea) * f.f0.a21)
+    return complex(_psi_from_f(integrate_jost(q, z, im_cap=im_cap), alpha))
 
 
-def scattering_value(q: Potential, alpha: BoundaryParam, z: float,
-                     method: str = "rk4") -> complex:
+def scattering_value(q: Potential, alpha: BoundaryParam, z: float) -> complex:
     """S(z) = conj(psi(z)) / psi(z) for real z; unimodular by construction."""
     if abs(np.imag(complex(z))) > 1e-12:
         raise ValidationError("scattering matrix is defined on the real axis")
-    psi = psi_values(q, alpha, float(np.real(z)), method=method)
+    psi = psi_values(q, alpha, float(np.real(z)))
     if abs(psi) < 1e-13:
         raise NumericalError("psi vanishes on the real axis: input violates the Jost class")
     return complex(np.conj(psi) / psi)
 
 
-def scattering_values(q: Potential, alpha: BoundaryParam, z: np.ndarray,
-                      method: str = "exact") -> np.ndarray:
-    zz = np.asarray(z, dtype=float)
-    psi = psi_values(q, alpha, zz.astype(complex), method=method)
-    if np.min(np.abs(psi)) < 1e-13:
-        raise NumericalError("psi vanishes on the real axis: input violates the Jost class")
-    return np.conj(psi) / psi
-
-
 # ---------------------------------------------------------------------------
 # Fourier kernel of psi
 # ---------------------------------------------------------------------------
-
-def eval_jost(rep: JostRep, z, im_cap: float | None = None) -> np.ndarray | complex:
-    """psi from its kernel: e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds.
-
-    The integral is exact for the piecewise-linear interpolant of g, which
-    keeps the phase error flat in z (plain trapezoid degrades like (zh)^2).
-    """
-    scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    cap = DEFAULT_IM_CAP_SCALE / rep.gamma if im_cap is None else im_cap
-    if np.max(np.abs(zz.imag)) > cap:
-        raise NumericalError(f"|Im z| exceeds the growth cap {cap:.3g}")
-    vals = np.exp(-1j * rep.alpha.alpha) + fourier_eval(rep.g, zz)
-    return complex(vals[0]) if scalar else vals
-
 
 def fourier_band(gamma: float, h: float, z_max: float, m: int) -> np.ndarray:
     """Real-axis sample points for kernel extraction: multiples of
@@ -339,7 +295,7 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     z_use = float(zs[-1])
     dz = math.pi / (2.0 * gamma)
     if psi_samples is None:
-        psi = psi_values(q, alpha, zs.astype(complex), method="exact")
+        psi = psi_values(q, alpha, zs.astype(complex))
     else:
         psi = np.asarray(psi_samples, dtype=complex)
         if psi.shape != zs.shape:
@@ -358,7 +314,7 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     # the band-limited estimate smears the support edges over ~pi/(2 z_max);
     # the interior is clean, so rebuild the few edge cells by extrapolation
     # and then correct the defect in the same piecewise-linear transform
-    # model that eval_jost uses.
+    # model that fourier_eval uses.
     smear = max(2, int(math.ceil(math.pi / (2.0 * z_use * q.grid.h))) + 1)
     if 4 * smear < q.grid.n:
         for sl_bad, sl_src in (
@@ -393,7 +349,7 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
 
     held = (np.arange(-120, 121) + 0.5) * (z_use / 241.0)
     if psi_samples is None:
-        direct = psi_values(q, alpha, held.astype(complex), method="exact")
+        direct = psi_values(q, alpha, held.astype(complex))
         resid = float(np.max(np.abs(rep.psi(held) - direct)))
         if resid > residual_tol:
             raise NumericalError(
@@ -420,7 +376,7 @@ def _node_values(q: Potential) -> np.ndarray:
     return vals
 
 
-def transformation_rows(q: Potential, keep_all: bool = False):
+def transformation_rows(q: Potential):
     """March the transformation-kernel pair (G11, G21) down to x = 0.
 
     The kernel G(x, s) of the Jost solution satisfies, on the triangle
@@ -431,8 +387,7 @@ def transformation_rows(q: Potential, keep_all: bool = False):
     with boundary value G21(x, 0) = -conj(q(x)) and zero diagonal data on
     x + s = gamma.  A trapezoid predictor-corrector along the x lines and
     the characteristics x + s = const is second order.  Returns (d1, o2) at
-    x = 0 on the full s grid, i.e. G11(0, .) and G21(0, .); with keep_all
-    the whole triangle is returned as lists per x line.
+    x = 0 on the full s grid, i.e. G11(0, .) and G21(0, .).
     """
     n = q.grid.n
     h = q.grid.h
@@ -444,7 +399,6 @@ def transformation_rows(q: Potential, keep_all: bool = False):
     # line at x = gamma: single node s = 0
     d1 = np.zeros(1, dtype=complex)
     o2 = np.array([-np.conj(node_vals[-1])], dtype=complex)
-    all_lines = [(d1.copy(), o2.copy())] if keep_all else None
 
     for i in range(n - 1, -1, -1):
         qc = cell_at[i]
@@ -472,12 +426,6 @@ def transformation_rows(q: Potential, keep_all: bool = False):
         o_new[m_new] = o2[m_new - 1] - c2 * (d1[m_new - 1] + d_new[m_new])
 
         d1, o2 = d_new, o_new
-        if keep_all:
-            all_lines.append((d1.copy(), o2.copy()))
-
-    if keep_all:
-        all_lines.reverse()  # index by x line, x = 0 first
-        return d1, o2, all_lines
     return d1, o2
 
 
@@ -503,7 +451,6 @@ def kernel_estimate(q: Potential, x: float) -> KernelBound:
         return KernelBound(x, 0.0, 0.0)
     nodes = q.grid.nodes()
     mags = np.abs(q.samples.values)
-    xs = np.clip(nodes, x, q.gamma)
     # piecewise-linear |q| integrated over [x, gamma]: re-sample at the clip
     m_at_x = float(np.interp(x, nodes, mags))
     keep = nodes > x

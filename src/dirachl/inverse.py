@@ -23,10 +23,11 @@ Recovery runs the Gelfand-Levitan-Marchenko equation
 with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  The 2x2
 system splits into two-component rows, and the second row is the
 conjugate of the first, so only (G11, G12) is ever solved for.  Per-x
-dense Nystrom solves are exact but O(n^3) each; `recover_potential`
-therefore solves the x = 0 line once and continues it upward with the
-same characteristics marching the forward transformation kernel uses,
-reading q(x) from the boundary as it goes.  Both paths agree to O(h^2).
+dense Nystrom solves (`solve_glm`) are exact but O(n^3) each, so
+`recover_potential` uses them only on small grids; otherwise it solves the
+x = 0 line once and continues it upward with the same characteristics
+marching the forward transformation kernel uses, reading q(x) from the
+boundary as it goes.  Both agree to O(h^2).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "RecoveryReport",
     "invert_wiener",
     "scattering_kernel",
+    "unimodularity_tolerance",
     "potential_to_scattering",
     "omega_kernel",
     "solve_glm",
@@ -227,6 +229,21 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     return sr
 
 
+def unimodularity_tolerance(S: ScatteringRep) -> float:
+    """Accuracy expected of |S| = 1 on the real axis for a computed kernel:
+    the O(h^2 z) floor of the sampled kernel plus the mass of F cut off at
+    t_max, estimated from the geometric decay of |F| over its last two
+    eighths.  Without decay there is no estimate and the floor stands alone."""
+    h = S.F.grid.h
+    floor = max(1e-6, 3.0 * h * h * 40.0 * max(1.0, S.F.norm_l1() ** 2))
+    mag = np.abs(S.F.values)
+    k = max(1, mag.size // 8)
+    end, before = float(mag[-k:].mean()), float(mag[-2 * k:-k].mean())
+    if not 0.0 < end < before:
+        return floor
+    return floor + end * k * h / math.log(before / end)
+
+
 def potential_to_scattering(q: Potential, alpha: BoundaryParam,
                             t_max: float | None = None) -> ScatteringRep:
     """Forward pipeline q -> g -> h -> F with the transformation-kernel route
@@ -392,14 +409,13 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
 
 
 def recover_potential(S: ScatteringRep, grid: Grid | None = None,
-                      method: str = "auto", residual_tol: float = 1e-10,
-                      with_report: bool = False):
+                      residual_tol: float = 1e-10, with_report: bool = False):
     """Recover q(x) = -G12(x, 0) on [0, gamma] from a scattering representation.
 
-    method 'march' (default for large grids) solves the GLM once at x = 0
-    and continues the kernel upward; 'dense' runs an independent Nystrom
-    solve at every node (O(n^3) each).  Values below the support floor at
-    the far end are clamped to zero and the clamp magnitude reported.
+    Grids with at most 192 cells run an independent Nystrom
+    solve at every node (O(n^3) each); larger grids solve the GLM once at
+    x = 0 and continue the kernel upward.  Values below the support floor
+    at the far end are clamped to zero and the clamp magnitude reported.
     """
     om = omega_kernel(S)
     n = om.k.grid.n
@@ -407,21 +423,16 @@ def recover_potential(S: ScatteringRep, grid: Grid | None = None,
     if grid is not None:
         if grid.n != n or abs(grid.h - h) > 1e-12 * h:
             raise ValidationError("target grid must match the kernel grid on [0, gamma]")
-    if method == "auto":
-        method = "dense" if n <= 192 else "march"
-
-    if method == "dense":
+    if n <= 192:
         qv = np.empty(n + 1, dtype=complex)
         resid = 0.0
         for j in range(n + 1):
             rows = solve_glm(om, j * h, residual_tol=residual_tol)
             qv[j] = -rows.g12[0]
             resid = max(resid, rows.residual)
-    elif method == "march":
+    else:
         a0, b0, resid = _solve_glm_line0(om, residual_tol)
         qv = _march_recovery(om, a0, b0)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
 
     sf = SampledComplexFunction(make_grid(0.0, S.gamma, n), qv)
     sup = support_supremum(sf)
@@ -440,11 +451,11 @@ def recover_potential(S: ScatteringRep, grid: Grid | None = None,
 
 
 def recover_from_jost(rep: JostRep, grid: Grid | None = None,
-                      t_max: float | None = None, method: str = "auto") -> Potential:
+                      t_max: float | None = None) -> Potential:
     """Compose Wiener inversion, the scattering kernel and GLM recovery."""
     wi = invert_wiener(rep, t_max if t_max is not None else 8.0 * rep.gamma)
     S = scattering_kernel(rep, wi, t_max)
-    return recover_potential(S, grid, method=method)
+    return recover_potential(S, grid)
 
 
 def support_identities(q: Potential, rep: JostRep, S: ScatteringRep) -> dict:

@@ -36,7 +36,9 @@ from .core import (
     NumericalError,
     ResonanceSet,
     ValidationError,
+    _winding_from_samples,
 )
+from .forward import _growth_cap
 
 __all__ = [
     "SearchRegion",
@@ -94,15 +96,12 @@ def winding_number(values: np.ndarray) -> int:
     vals = np.asarray(values, dtype=complex)
     if vals.size < 2:
         raise ValidationError("need at least two samples")
-    mags = np.abs(vals)
-    if np.any(mags < 1e-13):
+    if np.any(np.abs(vals) < 1e-13):
         raise ValidationError("samples must be nonzero")
-    steps = np.angle(vals[1:] / vals[:-1])
-    if np.max(np.abs(steps)) > np.pi * (1.0 - 1e-9):
+    wind, jump = _winding_from_samples(vals)
+    if jump > np.pi * (1.0 - 1e-9):
         raise NumericalError("phase jump >= pi between neighbors: grid too coarse")
-    total = float(steps.sum())
-    wind = -total / (2.0 * np.pi)
-    return int(round(wind))
+    return wind
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +262,13 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9,
                 f"could not place a split line off the zeros in box "
                 f"[{re0},{re1}]x[{im0},{im1}]")
 
-    merged: list[tuple[complex, int]] = []
-    for z, m in sorted(found, key=lambda t: abs(t[0])):
-        for i, (z0, m0) in enumerate(merged):
-            if abs(z - z0) <= max(r.merge_tol, 16 * tol):
-                merged[i] = (z0, m0 + m)
-                break
-        else:
-            merged.append((z, m))
-    total_mult = sum(m for _, m in merged)
+    total_mult = sum(m for _, m in found)
     if total_mult != total:
         raise NumericalError(
             f"located multiplicities ({total_mult}) disagree with the "
             f"argument-principle count ({total}) of the region")
-    keep = [(z, m) for z, m in merged if z.imag < 0]
-    return ResonanceSet(tuple(keep))
+    keep = tuple((z, m) for z, m in found if z.imag < 0)
+    return ResonanceSet(keep).merged(max(r.merge_tol, 16 * tol))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +484,7 @@ def cartwright_type(evaluator, gamma: float, im_cap: float | None = None,
     for a kernel supported on [0, gamma].  On overflow the ladder is
     shortened (with fewer than 4 usable points the call fails).
     """
-    cap = (50.0 / gamma if im_cap is None else im_cap) * 0.9
+    cap = 0.9 * _growth_cap(gamma, im_cap)
     ys = np.geomspace(max(2.0 / gamma, cap / 128.0), cap, n_ladder)
     taus = []
     for sign in (+1.0, -1.0):

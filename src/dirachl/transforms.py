@@ -25,7 +25,6 @@ identities hold exactly for the piecewise-exact potential descriptors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from .core import (
     ValidationError,
 )
 from .core import _phi_pair
-from .forward import jost_kernel, jost_kernel_direct
+from .forward import jost_kernel_direct, psi_values
 from .inverse import recover_from_jost
 
 __all__ = [
@@ -82,18 +81,16 @@ def _cumulative_filon(g: SampledComplexFunction, z0: complex) -> np.ndarray:
     return out
 
 
-def blaschke_modify(rep: JostRep, moves, *, source_tol: float | None = None,
-                    method: str = "volterra", z_max: float | None = None,
-                    m: int | None = None):
+def blaschke_modify(rep: JostRep, moves, *, source_tol: float | None = None):
     """Apply the rational factors and return (evaluator, new JostRep).
 
     Each move consumes one multiplicity unit of its source zero (a double
     zero moves entirely only with two identical moves).  Sources are
     verified against the representation by Newton polish; a source that is
     not a zero would introduce a pole and is rejected, as is a target in
-    the closed upper half-plane.  method 'volterra' updates the kernel in
-    closed form per move; 'fourier' re-extracts it from modified axis
-    samples (band-limited at the support edges).
+    the closed upper half-plane.  The kernel is updated in closed form per
+    move (the Volterra update above), exact for the piecewise-linear
+    interpolant of g.
     """
     from .spectral import _polish
 
@@ -122,26 +119,13 @@ def blaschke_modify(rep: JostRep, moves, *, source_tol: float | None = None,
             fac = fac * (z - z1) / (z - z0)
         return rep.psi(z) * fac
 
-    if method == "volterra":
-        g = rep.g
-        for z0, z1 in zip(sources, targets):
-            G = np.exp(-2j * z0 * g.grid.nodes()) * (
-                -2j * np.exp(-1j * rep.alpha.alpha)
-                - 2j * _cumulative_filon(g, z0))
-            g = SampledComplexFunction(g.grid, g.values + (z0 - z1) * G)
-        new_rep = JostRep(rep.alpha, rep.gamma, g)
-    elif method == "fourier":
-        from .forward import fourier_band
-
-        zm = 400.0 * math.pi / rep.gamma if z_max is None else z_max
-        zs = fourier_band(rep.gamma, rep.g.grid.h, zm, m if m is not None else 4096)
-        fake_q = Potential(rep.gamma, SampledComplexFunction(
-            rep.g.grid, np.zeros(rep.g.grid.n + 1, dtype=complex)))
-        new_rep = jost_kernel(fake_q, rep.alpha, z_max=zm, m=m,
-                              psi_samples=evaluator(zs))
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    return evaluator, new_rep
+    g = rep.g
+    for z0, z1 in zip(sources, targets):
+        G = np.exp(-2j * z0 * g.grid.nodes()) * (
+            -2j * np.exp(-1j * rep.alpha.alpha)
+            - 2j * _cumulative_filon(g, z0))
+        g = SampledComplexFunction(g.grid, g.values + (z0 - z1) * G)
+    return evaluator, JostRep(rep.alpha, rep.gamma, g)
 
 
 def move_resonances(q: Potential, alpha: BoundaryParam, moves,
@@ -178,8 +162,6 @@ def reflect_potential(q: Potential, alpha: BoundaryParam) -> Potential:
 def shift_identity_residual(q: Potential, alpha: BoundaryParam, k: float,
                             z: np.ndarray) -> float:
     """max |psi(z, e_k q) - psi(z - k, q)| over the samples."""
-    from .forward import psi_values
-
     qk = shift_potential(q, k)
     z = np.asarray(z, dtype=complex)
     return float(np.max(np.abs(psi_values(qk, alpha, z)
@@ -189,8 +171,6 @@ def shift_identity_residual(q: Potential, alpha: BoundaryParam, k: float,
 def reflect_identity_residual(q: Potential, alpha: BoundaryParam,
                               z: np.ndarray) -> float:
     """max |conj(psi(-conj z, q)) - e^{2i alpha} psi(z, q_o)|."""
-    from .forward import psi_values
-
     qo = reflect_potential(q, alpha)
     z = np.asarray(z, dtype=complex)
     lhs = np.conj(psi_values(q, alpha, -np.conj(z)))

@@ -12,10 +12,10 @@ from dirachl.canonical import (
     matrix_potential,
     potential_from_hamiltonian,
 )
-from dirachl.core import BoundaryParam, ValidationError, make_grid, potential_from_values
+from dirachl.core import BoundaryParam, Piece, ValidationError, make_grid, potential_from_values
 from dirachl.forward import make_psi_evaluator, psi_values
 from dirachl.spectral import SearchRegion, find_resonances
-from dirachl.synth import constant_potential
+from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
 
 
 T_FRAME = np.array([[1j, -1j], [1.0, 1.0]]) / np.sqrt(2.0)
@@ -25,6 +25,16 @@ def smooth_potential(n=2048, gamma=1.0):
     x = np.linspace(0.0, gamma, n + 1)
     vals = (0.8 + 0.3j) * np.exp(1j * x) * (1.0 + 0.5 * x ** 2)
     return potential_from_values(gamma, vals)
+
+
+def cell_sampled_potential(n=512):
+    # node samples only: the integrators see one constant value per cell
+    return potential_from_values(1.0, random_piecewise_potential(5, n=n).samples.values)
+
+
+def chirped_potential(n=1024):
+    return sampled_from_pieces(1.0, n, (Piece(0.0, 0.375, 1.1 - 0.4j, 3.0),
+                                        Piece(0.375, 1.0, -0.6 + 0.8j, -2.5)))
 
 
 class TestMatrixPotential:
@@ -63,19 +73,21 @@ class TestFundamentalMatrix:
     def test_frame_conjugation(self, unit_potential):
         # M(gamma, z) = T f(gamma, z) f(0, z)^{-1} T^{-1}
         from dirachl.forward import _propagate_exact
-        q = unit_potential
-        for z in (0.7, 1.5 - 0.5j):
-            f0 = _propagate_exact(q, np.array([complex(z)]))[0]
-            fg = np.diag([np.exp(1j * z), np.exp(-1j * z)])
-            want = T_FRAME @ fg @ np.linalg.inv(f0) @ np.conj(T_FRAME).T
-            got = canonical_values(q, np.array([complex(z)]))[0]
-            assert np.max(np.abs(got - want)) < 1e-8
-            got4 = fundamental_matrix(q, z).at_edge()
-            assert np.max(np.abs(got4 - want)) < 1e-8
+        for q in (unit_potential, cell_sampled_potential(), chirped_potential()):
+            for z in (0.7, 1.5 - 0.5j):
+                f0 = _propagate_exact(q, np.array([complex(z)]))[0]
+                fg = np.diag([np.exp(1j * z), np.exp(-1j * z)])
+                want = T_FRAME @ fg @ np.linalg.inv(f0) @ np.conj(T_FRAME).T
+                got = canonical_values(q, np.array([complex(z)]))[0]
+                assert np.max(np.abs(got - want)) < 1e-8
+                got4 = fundamental_matrix(q, z).at_edge()
+                assert np.max(np.abs(got4 - want)) < 1e-8
 
     def test_determinant_drift(self):
-        M = fundamental_matrix(smooth_potential(n=1024), 0.8 - 0.3j)
-        assert M.det_drift() < 1e-9
+        # M is a product of unit-determinant exponentials
+        for q in (smooth_potential(n=1024), cell_sampled_potential(), chirped_potential()):
+            M = fundamental_matrix(q, 0.8 - 0.3j)
+            assert M.det_drift() < 1e-12
 
 
 class TestHamiltonian:

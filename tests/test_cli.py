@@ -69,12 +69,14 @@ class TestForward:
         assert np.max(np.abs(vals[:, 3] + 1j * vals[:, 4] - want)) < 1e-12
 
     def test_malformed_input_exit_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        r = run_cli("forward", str(bad), "--out", str(tmp_path / "x"))
-        assert r.returncode == 2
-        err = json.loads(r.stderr.strip().splitlines()[-1])
-        assert err["error"]["kind"] == "parse"
+        bad_pair = {"gamma": 1.0, "n": 2, "samples": [[0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0]]}
+        for text in ("{nope", json.dumps(bad_pair)):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            r = run_cli("forward", str(bad), "--out", str(tmp_path / "x"))
+            assert r.returncode == 2, r.stderr
+            err = json.loads(r.stderr.strip().splitlines()[-1])
+            assert err["error"]["kind"] == "parse"
 
 
 class TestResonances:
@@ -172,11 +174,16 @@ class TestPipelines:
         assert np.median(np.abs(a - b)) < 1e-2
 
     def test_check_passes_on_pipeline(self, workdir, tmp_path):
-        r = run_cli("check", str(workdir / "potential.json"), "--out", str(tmp_path))
-        assert r.returncode == 0, r.stdout + r.stderr
-        assert "CHECK PASS" in r.stdout
-        obj = json.loads((tmp_path / "check.json").read_text())
-        assert obj["pass"]
+        # synth seed 7 at n = 1024: the F mass cut off at t_max exceeds the
+        # O(h^2) floor of the |S| = 1 tolerance
+        r = run_cli("synth", "--seed", "7", "--n", "1024", "--out", str(tmp_path / "s7"))
+        assert r.returncode == 0, r.stderr
+        for src in (workdir / "potential.json", tmp_path / "s7" / "potential.json"):
+            r = run_cli("check", str(src), "--out", str(tmp_path))
+            assert r.returncode == 0, r.stdout + r.stderr
+            assert "CHECK PASS" in r.stdout
+            obj = json.loads((tmp_path / "check.json").read_text())
+            assert obj["pass"]
 
     def test_move_relocates(self, workdir, tmp_path):
         res = tmp_path / "res"

@@ -3,7 +3,6 @@ import pytest
 
 from dirachl.core import BoundaryParam, NumericalError, Piece, ValidationError, quadrature
 from dirachl.forward import (
-    eval_jost,
     integrate_jost,
     jost_function,
     jost_kernel,
@@ -23,13 +22,13 @@ class TestIntegrateJost:
         q = constant_potential(0.0, n=256)
         for z in (0.4, -2.0 + 0j, 1 - 1j):
             f = integrate_jost(q, z)
-            assert np.max(np.abs(f.f0.as_array() - np.eye(2))) < 1e-12
+            assert np.max(np.abs(f - np.eye(2))) < 1e-12
 
     def test_constant_matches_exponential(self):
         q = constant_potential(1.0, n=2048)
         for z in (2.0, -5.0, 2 - 1j, 10 - 3j):
             f = integrate_jost(q, z)
-            assert np.max(np.abs(f.f0.as_array() - f0_constant(1.0, 1.0, z))) < 1e-8
+            assert np.max(np.abs(f - f0_constant(1.0, 1.0, z))) < 1e-8
 
     def test_two_step_product(self):
         pieces = (Piece(0.0, 0.5, 1.2 - 0.3j), Piece(0.5, 1.0, -0.4 + 0.9j))
@@ -37,20 +36,20 @@ class TestIntegrateJost:
         ref_pieces = [(0.0, 0.5, 1.2 - 0.3j), (0.5, 1.0, -0.4 + 0.9j)]
         for z in (1.0, 3 - 0.5j):
             f = integrate_jost(q, z)
-            assert np.max(np.abs(f.f0.as_array() - f0_pieces(ref_pieces, z))) < 1e-8
+            assert np.max(np.abs(f - f0_pieces(ref_pieces, z))) < 1e-8
 
     def test_wronskian_conserved(self):
         q = random_piecewise_potential(2, n=1024)
         for z in (0.3, 5 - 2j, -9.0):
             f = integrate_jost(q, z)
-            assert abs(f.f0.det() - 1.0) < 1e-9
+            assert abs(np.linalg.det(f) - 1.0) < 1e-9
 
     def test_fourth_order_convergence(self):
         errs = []
         for n in (128, 256, 512):
             q = constant_potential(1.0, n=n)
             f = integrate_jost(q, 2 - 1j)
-            errs.append(np.max(np.abs(f.f0.as_array() - f0_constant(1.0, 1.0, 2 - 1j))))
+            errs.append(np.max(np.abs(f - f0_constant(1.0, 1.0, 2 - 1j))))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.25)
 
@@ -137,7 +136,7 @@ class TestJostKernel:
         q = constant_potential(1.0, n=1024)
         al = BoundaryParam(0.0)
         rep = jost_kernel(q, al)
-        assert abs(eval_jost(rep, 5.0 + 0j) - psi_values(q, al, 5.0 + 0j)) < 1e-4
+        assert abs(rep.psi(5.0 + 0j) - psi_values(q, al, 5.0 + 0j)) < 1e-4
 
     def test_insufficient_band_rejected(self):
         q = constant_potential(1.0, n=1024)
@@ -168,16 +167,16 @@ class TestJostKernel:
         rep = jost_kernel_direct(q, al)
         z = -1.0 - 2.0j
         want = psi_constant(1.0, 1.0, 0.0, np.array([z]))[0]
-        assert abs(eval_jost(rep, z) - want) < 1e-3
+        assert abs(rep.psi(z) - want) < 1e-3
 
     def test_eval_trivial_cases(self):
         q = constant_potential(0.5, n=512)
         al = BoundaryParam(0.8)
         rep = jost_kernel_direct(q, al)
         zero_rep = jost_kernel_direct(constant_potential(0.0, n=512), al)
-        assert abs(eval_jost(zero_rep, 3.3) - np.exp(-1j * 0.8)) < 1e-12
+        assert abs(zero_rep.psi(3.3) - np.exp(-1j * 0.8)) < 1e-12
         want = np.exp(-1j * 0.8) + quadrature(rep.g)
-        assert abs(eval_jost(rep, 0.0) - want) < 1e-10
+        assert abs(rep.psi(0.0) - want) < 1e-10
 
 
 class TestDirectKernel:

@@ -4,6 +4,7 @@ import pytest
 from dirachl.core import (
     BoundaryParam,
     SampledComplexFunction,
+    ScatteringRep,
     fourier_eval,
     make_grid,
     validate_class,
@@ -18,6 +19,7 @@ from dirachl.inverse import (
     scattering_kernel,
     solve_glm,
     support_identities,
+    unimodularity_tolerance,
 )
 from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import constant_potential, random_piecewise_potential
@@ -200,11 +202,15 @@ class TestRecovery:
         assert rel_l2(q, qhat.samples.values) < 1e-2
 
     def test_dense_matches_march(self):
+        # n = 128 recovers by per-node dense solves; march the same kernel
+        from dirachl.inverse import _march_recovery, _solve_glm_line0
         q = constant_potential(1.0 + 0.5j, n=128)
         S = potential_to_scattering(q, BoundaryParam(0.7), t_max=10.0)
-        qa = recover_potential(S, method="dense")
-        qb = recover_potential(S, method="march")
-        assert np.max(np.abs(qa.samples.values - qb.samples.values)) < 5e-3
+        qa = recover_potential(S)
+        om = omega_kernel(S)
+        a0, b0, _ = _solve_glm_line0(om)
+        qb = _march_recovery(om, a0, b0)
+        assert np.max(np.abs(qa.samples.values - qb)) < 5e-3
         assert rel_l2(q, qa.samples.values) < 1e-2
 
     def test_jost_route_trivial(self):
@@ -243,6 +249,25 @@ class TestRecovery:
         d_q = rel_l2(q, qb.samples.values - qa.samples.values + q.samples.values)
         assert d_f < 0.15
         assert d_q < 0.05
+
+
+class TestUnimodularityTolerance:
+    def test_cut_off_mass_counted_and_scaled_kernel_rejected(self):
+        # synth seed 7: |S| - 1 reaches 1.8e-3, above the O(h^2) floor alone
+        q = random_piecewise_potential(7, n=1024)
+        S = potential_to_scattering(q, BoundaryParam(0.0), t_max=8.0)
+        def unimodular(rep):
+            report = validate_class(rep, tol=unimodularity_tolerance(rep), n_check=801)
+            return next(c.passed for c in report.checks if c.name.startswith("|S| = 1"))
+
+        assert unimodular(S)
+        assert not unimodular(ScatteringRep(S.alpha, S.gamma, S.t_max, SampledComplexFunction(
+            S.F.grid, 1.5 * S.F.values)))
+
+    def test_free_kernel_is_floor(self):
+        # no decaying tail to estimate: only the O(h^2) floor remains
+        S = scattering_kernel(zero_rep(0.7), None, 6.0)
+        assert unimodularity_tolerance(S) == pytest.approx(120.0 / 512 ** 2)
 
 
 class TestSupportIdentities:
