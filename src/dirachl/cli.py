@@ -247,11 +247,14 @@ def cmd_check(args) -> int:
     S = inverse.scattering_kernel(rep, wi, cfg.resolved_tmax())
     lines = []
     ok = True
-    s_tol = inverse.unimodularity_tolerance(S)
+    s_tol, decayed = inverse.unimodularity_tolerance(S)
     for obj, kw in ((q, {}), (rep, {}), (S, {"tol": s_tol})):
         report = core.validate_class(obj, **kw)
         ok = ok and report.passed
         lines.extend(report.lines())
+    if not (decayed or next(c.passed for c in report.checks if c.name.startswith("|S| = 1"))):
+        lines.append(f"[hint] scattering: F has not decayed by t_max = {S.t_max:g}, so the "
+                     f"|S| = 1 tolerance counts no cut-off mass; rerun with a larger --tmax")
     ident = inverse.support_identities(q, rep, S)
     ok = ok and (ident["pass"] or ident["degenerate"])
     lines.append(f"[{'pass' if ident['pass'] or ident['degenerate'] else 'FAIL'}] "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -169,17 +170,49 @@ def convolve_halfline(a: SampledComplexFunction, b: SampledComplexFunction) -> S
     return SampledComplexFunction(grid, vals)
 
 
-def _phi_pair(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I0 = int_0^1 e^{wt} dt and I1 = int_0^1 t e^{wt} dt, stable near w=0."""
+def _filon_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell weights of the exact transform of the linear interpolant,
+    w = 2izh: a cell adds h (A v_j e^{2izs_j} + B v_{j+1} e^{2izs_{j+1}}),
+    so an interior node collects mu = A + B."""
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-4
     ws = np.where(small, 1.0, w)
-    I0 = (np.exp(ws) - 1.0) / ws
-    I1 = (np.exp(ws) * (ws - 1.0) + 1.0) / ws ** 2
-    # series fallback: I0 = 1 + w/2 + w^2/6, I1 = 1/2 + w/3 + w^2/8
-    I0s = 1.0 + w / 2.0 + w ** 2 / 6.0 + w ** 3 / 24.0
-    I1s = 0.5 + w / 3.0 + w ** 2 / 8.0 + w ** 3 / 30.0
-    return np.where(small, I0s, I0), np.where(small, I1s, I1)
+    # I0 = int_0^1 e^{wt} dt and I1 = int_0^1 t e^{wt} dt, by series near w = 0
+    I0 = np.where(small, 1.0 + w / 2.0 + w ** 2 / 6.0 + w ** 3 / 24.0, (np.exp(ws) - 1.0) / ws)
+    I1 = np.where(small, 0.5 + w / 3.0 + w ** 2 / 8.0 + w ** 3 / 30.0,
+                  (np.exp(ws) * (ws - 1.0) + 1.0) / ws ** 2)
+    A, B = I0 - I1, np.exp(-w) * I1
+    return A, B, A + B
+
+
+def _linear_transform(values: np.ndarray, grid: Grid, z: np.ndarray,
+                      plain: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
+    """int f(s) e^{2izs} ds for the piecewise-linear interpolant of the
+    samples, from the plain sum Σ_j v_j e^{2izs_j}.  At a cut node j (see
+    `_cut_nodes`) the cell on each side takes that side's cubic
+    extrapolation 3v_{j∓1} - 3v_{j∓2} + v_{j∓3} in place of v_j."""
+    h, v = grid.h, values
+    A, B, mu = _filon_weights(2j * z * h)
+    nodes = np.array([0, grid.n, *cuts], dtype=int)
+    e = np.exp(2j * np.outer(z, grid.left + h * nodes))
+    c = nodes[2:]
+    left = 3.0 * v[c - 1] - 3.0 * v[c - 2] + v[c - 3] - v[c]
+    right = 3.0 * v[c + 1] - 3.0 * v[c + 2] + v[c + 3] - v[c]
+    return h * (mu * plain - v[0] * B * e[:, 0] - v[-1] * A * e[:, 1]
+                + B * (e[:, 2:] @ left) + A * (e[:, 2:] @ right))
+
+
+def _dense_transform(f: SampledComplexFunction, z, cuts: Sequence[int]) -> np.ndarray | complex:
+    """`_linear_transform` at arbitrary z, the plain sum formed densely in
+    blocks of z that keep each phase matrix near 2^14 entries (in cache)."""
+    scalar = np.isscalar(z)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    s = f.grid.nodes()
+    step = max(1, 2 ** 14 // s.size)
+    plain = np.concatenate([np.exp(2j * np.outer(zz[i:i + step], s)) @ f.values
+                            for i in range(0, zz.size, step)])
+    out = _linear_transform(f.values, f.grid, zz, plain, cuts)
+    return complex(out[0]) if scalar else out
 
 
 def fourier_eval(f: SampledComplexFunction, z: np.ndarray | complex) -> np.ndarray | complex:
@@ -189,21 +222,7 @@ def fourier_eval(f: SampledComplexFunction, z: np.ndarray | complex) -> np.ndarr
     factor per frequency plus endpoint corrections, so the cost matches a
     plain weighted sum while the oscillatory phase is integrated exactly.
     """
-    scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    h = f.grid.h
-    s = f.grid.nodes()
-    w = 2j * zz * h                       # per-cell exponent increment
-    I0, I1 = _phi_pair(w)
-    A = I0 - I1                           # weight of the left cell node
-    B = I1                                # weight of the right cell node
-    mu = A + np.exp(-w) * B               # interior node weight / h
-    phases = np.exp(2j * np.outer(zz, s))
-    base = phases @ f.values
-    corr0 = f.values[0] * (A - mu) * phases[:, 0]
-    corr1 = f.values[-1] * (np.exp(-w) * B - mu) * phases[:, -1]
-    out = h * (mu * base + corr0 + corr1)
-    return complex(out[0]) if scalar else out
+    return _dense_transform(f, z, ())
 
 
 def _detect_jump_nodes(values: np.ndarray) -> list[int]:
@@ -242,37 +261,17 @@ def _detect_jump_nodes(values: np.ndarray) -> list[int]:
     return out
 
 
-def piecewise_fourier_eval(f: SampledComplexFunction, z,
-                           structural: Sequence[int] = ()) -> np.ndarray | complex:
-    """Transform of a piecewise-smooth sampled kernel.
-
-    Splits the sample array at the given structural nodes plus detected
-    jump nodes, replaces each split node by its one-sided extrapolations,
-    and sums the per-segment piecewise-linear transforms.
-    """
-    n = f.grid.n
-    raw = sorted({j for j in list(structural) + _detect_jump_nodes(f.values)
-                  if 3 <= j <= n - 3})
+def _cut_nodes(values: np.ndarray, structural: Sequence[int] = ()) -> tuple[int, ...]:
+    """Nodes at which the transform splits a piecewise-smooth kernel: the
+    structural nodes plus the detected jumps, kept for 3 <= j <= n-3 and
+    at least 4 nodes apart."""
+    n = len(values) - 1
+    raw = sorted({j for j in (*structural, *_detect_jump_nodes(values)) if 3 <= j <= n - 3})
     cuts: list[int] = []
-    for j in raw:                  # keep segments at least 4 nodes long
+    for j in raw:
         if not cuts or j - cuts[-1] >= 4:
             cuts.append(j)
-    if not cuts:
-        return fourier_eval(f, z)
-    bounds = [0] + cuts + [n]
-    scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    total = np.zeros(zz.shape, dtype=complex)
-    nodes = f.grid.nodes()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg = f.values[lo: hi + 1].copy()
-        if lo != 0 and len(seg) >= 4:
-            seg[0] = 3.0 * seg[1] - 3.0 * seg[2] + seg[3]
-        if hi != n and len(seg) >= 4:
-            seg[-1] = 3.0 * seg[-2] - 3.0 * seg[-3] + seg[-4]
-        total += fourier_eval(
-            SampledComplexFunction(Grid(nodes[lo], nodes[hi], hi - lo), seg), zz)
-    return complex(total[0]) if scalar else total
+    return tuple(cuts)
 
 
 def support_supremum(f: SampledComplexFunction, floor_rel: float = SUPPORT_FLOOR_REL) -> float:
@@ -434,10 +433,14 @@ class JostRep:
         if abs(gr.left) > 1e-12 or abs(gr.right - self.gamma) > 1e-9 * self.gamma:
             raise ValidationError("Jost kernel must live on [0, gamma]")
 
+    @cached_property
+    def _cuts(self) -> tuple[int, ...]:
+        return _cut_nodes(self.g.values)
+
     def psi(self, z) -> np.ndarray | complex:
         """e^{-i alpha} plus the transform of g, with the transform split at
         detected jump nodes (kernels of piecewise potentials jump with them)."""
-        return self.alpha.phase + piecewise_fourier_eval(self.g, z)
+        return self.alpha.phase + _dense_transform(self.g, z, self._cuts)
 
     def distance(self, other: "JostRep") -> float:
         """Kernel L2 distance, the natural metric on this class."""
@@ -474,21 +477,18 @@ class ScatteringRep:
         if abs(gr.left + self.gamma) > 1e-9 * self.gamma or abs(gr.right - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValidationError("scattering kernel must live on [-gamma, t_max]")
 
-    def s_values(self, z) -> np.ndarray | complex:
-        """e^{2i alpha} plus the transform of F, evaluated segment-wise.
-
-        Scattering kernels are piecewise smooth: F genuinely jumps at s = 0
-        (the reciprocal kernel starts there), at s = gamma, and wherever the
-        potential itself jumps.  Stored node values at jumps follow the
-        midpoint convention, and a single piecewise-linear model across a
-        jump would leak an O(h^2 z) error into |S|; the transform is
-        therefore split at the structural and detected jump nodes with
-        one-sided endpoint values restored by local extrapolation.
-        """
+    @cached_property
+    def _cuts(self) -> tuple[int, ...]:
         n_g = int(round(self.gamma / self.F.grid.h))
-        structural = [j for j in (n_g, 2 * n_g) if 0 < j < self.F.grid.n]
-        return (np.exp(2j * self.alpha.alpha)
-                + piecewise_fourier_eval(self.F, z, structural))
+        return _cut_nodes(self.F.values, (n_g, 2 * n_g))
+
+    def s_values(self, z) -> np.ndarray | complex:
+        """e^{2i alpha} plus the transform of F, split at its cut nodes.
+
+        F genuinely jumps at s = 0 (the reciprocal kernel starts there), at
+        s = gamma and wherever the potential jumps; one linear model across
+        a midpoint-stored jump would leak an O(h^2 z) error into |S|."""
+        return np.exp(2j * self.alpha.alpha) + _dense_transform(self.F, z, self._cuts)
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha.alpha, "gamma": self.gamma, "t_max": self.t_max,

@@ -17,11 +17,11 @@ the independently derived reference the acceptance suite pins against the
 closed-form oracle.
 
 The kernel g with psi(z) = e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds is
-produced two ways: `jost_kernel` inverts the real-axis Fourier
-representation (windowed, band-limited, so support edges smear at the
-1/z_max scale), and `jost_kernel_direct` marches the transformation
-kernel along characteristics, which keeps O(h^2) accuracy all the way to
-the support edges and feeds the inverse pipeline.
+produced two ways: `jost_kernel` fits g to real-axis psi values by FFT
+passes in the transform model `JostRep.psi` evaluates (band-limited, so
+support edges smear at the 1/z_max scale), and `jost_kernel_direct`
+marches the transformation kernel along characteristics, which keeps
+O(h^2) accuracy up to the support edges and feeds the inverse pipeline.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .core import (
     SampledComplexFunction,
     ValidationError,
 )
+from .core import _cut_nodes, _linear_transform
 
 __all__ = [
     "KernelBound",
@@ -245,53 +246,61 @@ def scattering_value(q: Potential, alpha: BoundaryParam, z: float) -> complex:
 # Fourier kernel of psi
 # ---------------------------------------------------------------------------
 
+_BAND_CLIP = 0.7        # share of the grid's Nyquist rate the band may reach
+
+
 def fourier_band(gamma: float, h: float, z_max: float, m: int) -> np.ndarray:
     """Real-axis sample points for kernel extraction: multiples of
     pi/(2 gamma) out to z_max, clipped to ~0.7 of the grid Nyquist rate
     (beyond that the linear kernel model cannot track e^{2izs})."""
     dz = math.pi / (2.0 * gamma)
-    z_use = min(z_max, 0.7 * math.pi / (2.0 * h))
+    z_use = min(z_max, _BAND_CLIP * math.pi / (2.0 * h))
     K = int(math.floor(z_use / dz))
     if 2 * K + 1 > m + 1:
         raise ValidationError("m too small for z_max: need m >= 4 z_max gamma / pi")
     return np.arange(-K, K + 1) * dz
 
 
+def _band_sum(values: np.ndarray, size: int) -> np.ndarray:
+    """Σ_j v_j e^{2i z_k s_j} at the `size` band points z_k = k pi/(2 gamma):
+    with s_j = j gamma/n, a 2n-point DFT, alias-free for size <= 2n."""
+    m = 2 * (len(values) - 1)
+    return m * np.fft.ifft(values, m)[np.arange(-(size // 2), size // 2 + 1)]
+
+
+def _band_adjoint(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Σ_k c_k e^{-2i z_k s_j} at the n+1 nodes: the adjoint of `_band_sum`."""
+    buf = np.zeros(2 * n, dtype=complex)
+    buf[np.arange(-(len(coeffs) // 2), len(coeffs) // 2 + 1)] = coeffs
+    return np.fft.fft(buf)[: n + 1]
+
+
 def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
-                m: int | None = None, residual_tol: float = 1e-4,
-                window_frac: float = 0.1, refine_iters: int | None = None,
-                psi_samples=None) -> JostRep:
+                residual_tol: float = 1e-4, psi_samples=None) -> JostRep:
     """Kernel g by windowed Fourier inversion of real-axis samples of psi.
 
     psi - e^{-i alpha} is the one-sided transform of g.  The first estimate
     integrates (1/pi) int (psi(z) - e^{-i alpha}) e^{-2izs} dz over
-    [-z_max, z_max] with a raised-cosine taper on the outer band fraction;
-    that band limitation smears the support edges over ~pi/(2 z_max) and
-    spills kernel mass just outside [0, gamma].  Because the support is
-    known a priori, the estimate is then refined by alternating projections
-    (restore measured in-band samples, zero outside the support), which
-    pulls the spilled mass back.  The result is checked by re-evaluating
-    psi on a held-out real grid; the call fails if that residual exceeds
-    `residual_tol`.
+    [-z_max, z_max] with a raised-cosine taper on the outer tenth; the
+    band limit smears the support edges over ~pi/(2 z_max), so the edge
+    cells are rebuilt from the interior.  Defect-correction passes then fit
+    g in the model `JostRep.psi` evaluates, split at the jump nodes of the
+    fit once they settle; psi must then match within `residual_tol` on a
+    held-out real grid.
 
-    z is sampled at multiples of pi/(2 gamma) so the samples are Fourier
-    coefficients on a period of 2 gamma; m is the transform size (power of
-    two >= 2048).  `psi_samples`, if given, must be psi at those sample
-    points (used to invert an externally modified Jost function).
+    z is sampled at multiples of pi/(2 gamma), clipped at 0.7 of the grid
+    Nyquist rate, so each pass is a pair of 2n-point FFTs.  `psi_samples`,
+    if given, is psi at those points (to invert an externally modified
+    Jost function); there is no held-out check then.
     """
-    gamma = q.gamma if q is not None else None
-    if gamma is None:
-        raise ValidationError("a potential is required")
+    gamma = q.gamma
     if z_max is None:
         z_max = 400.0 * math.pi / gamma
     if z_max * gamma < 100.0 * math.pi - 1e-9:
         raise ValidationError("z_max must be at least 100*pi/gamma")
-    if m is None:
-        m = 4096
-    if m < 2048 or (m & (m - 1)) != 0:
-        raise ValidationError("m must be a power of two >= 2048")
 
-    zs = fourier_band(gamma, q.grid.h, z_max, m)
+    n, h = q.grid.n, q.grid.h
+    zs = fourier_band(gamma, h, z_max, 2 * n)
     z_use = float(zs[-1])
     dz = math.pi / (2.0 * gamma)
     if psi_samples is None:
@@ -303,58 +312,50 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     ghat = psi - np.exp(-1j * alpha.alpha)
 
     w = np.ones(zs.size)
-    outer = np.abs(zs) > (1.0 - window_frac) * z_use
-    w[outer] = 0.5 * (1.0 + np.cos(
-        np.pi * (np.abs(zs[outer]) - (1.0 - window_frac) * z_use) / (window_frac * z_use)))
+    outer = np.abs(zs) > 0.9 * z_use
+    w[outer] = 0.5 * (1.0 + np.cos(np.pi * (np.abs(zs[outer]) - 0.9 * z_use) / (0.1 * z_use)))
+    g_vals = (dz / np.pi) * _band_adjoint(w * ghat, n)
 
     nodes = q.grid.nodes()
-    inv_phases = np.exp(-2j * np.outer(nodes, zs))
-    g_vals = (dz / np.pi) * (inv_phases @ (w * ghat))
-
-    # the band-limited estimate smears the support edges over ~pi/(2 z_max);
-    # the interior is clean, so rebuild the few edge cells by extrapolation
-    # and then correct the defect in the same piecewise-linear transform
-    # model that fourier_eval uses.
-    smear = max(2, int(math.ceil(math.pi / (2.0 * z_use * q.grid.h))) + 1)
-    if 4 * smear < q.grid.n:
+    smear = max(2, int(math.ceil(math.pi / (2.0 * z_use * h))) + 1)
+    if 4 * smear < n:
         for sl_bad, sl_src in (
             (slice(0, smear), slice(smear, 3 * smear + 1)),
-            (slice(q.grid.n + 1 - smear, q.grid.n + 1),
-             slice(q.grid.n - 3 * smear, q.grid.n + 1 - smear)),
+            (slice(n + 1 - smear, n + 1), slice(n - 3 * smear, n + 1 - smear)),
         ):
             coef = np.polyfit(nodes[sl_src], g_vals[sl_src], 2)
             g_vals[sl_bad] = np.polyval(coef, nodes[sl_bad])
 
-    max_iters = 60 if refine_iters is None else max(refine_iters, 0)
+    # cuts are detected between rounds only (early iterates ring enough to
+    # flip the detector); every kernel tried settled within 3 rounds
     target = 0.2 * min(residual_tol, 1e-4)
-    # forward transform pieces cached across the correction passes
-    from .core import _phi_pair
-    h = q.grid.h
-    wexp = 2j * zs * h
-    I0, I1 = _phi_pair(wexp)
-    Acoef, Bcoef = I0 - I1, I1
-    mu = Acoef + np.exp(-wexp) * Bcoef
-    fwd_phases = np.conj(inv_phases).T
-    for _ in range(max_iters):
-        base = fwd_phases @ g_vals
-        model = h * (mu * base
-                     + g_vals[0] * (Acoef - mu) * fwd_phases[:, 0]
-                     + g_vals[-1] * (np.exp(-wexp) * Bcoef - mu) * fwd_phases[:, -1])
-        defect = ghat - model
-        g_vals = g_vals + (dz / np.pi) * (inv_phases @ (w * defect))
-        if refine_iters is None and float(np.max(np.abs(defect))) < target:
+    cuts: tuple[int, ...] = ()
+    for _ in range(4):
+        for _ in range(60):
+            defect = ghat - _linear_transform(g_vals, q.grid, zs, _band_sum(g_vals, zs.size), cuts)
+            g_vals = g_vals + (dz / np.pi) * _band_adjoint(w * defect, n)
+            if float(np.max(np.abs(defect))) < target:
+                break
+        found = _cut_nodes(g_vals)
+        if found == cuts:
             break
+        fitted, cuts = cuts, found
+    else:
+        raise NumericalError(
+            f"kernel jump nodes did not settle in 4 rounds: fitted with "
+            f"cuts at {list(fitted)}, the result shows {list(found)}; refine n")
 
     rep = JostRep(alpha, gamma, SampledComplexFunction(q.grid, g_vals))
-
-    held = (np.arange(-120, 121) + 0.5) * (z_use / 241.0)
     if psi_samples is None:
-        direct = psi_values(q, alpha, held.astype(complex))
-        resid = float(np.max(np.abs(rep.psi(held) - direct)))
+        held = (np.arange(-120, 121) + 0.5) * (z_use / 241.0)
+        resid = float(np.max(np.abs(rep.psi(held) - psi_values(q, alpha, held.astype(complex)))))
         if resid > residual_tol:
+            advice = ("refine n (z was clipped at 0.7 of the grid's Nyquist rate)"
+                      if z_max > _BAND_CLIP * math.pi / (2.0 * h)
+                      else "increase z_max or refine n")
             raise NumericalError(
-                f"kernel reconstruction residual {resid:.3e} exceeds {residual_tol:.1e}; "
-                f"increase z_max (used {z_use:.4g})")
+                f"kernel reconstruction residual {resid:.3e} exceeds {residual_tol:.1e} "
+                f"at z up to {z_use:.4g}; {advice}")
     return rep
 
 

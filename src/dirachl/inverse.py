@@ -229,19 +229,19 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     return sr
 
 
-def unimodularity_tolerance(S: ScatteringRep) -> float:
-    """Accuracy expected of |S| = 1 on the real axis for a computed kernel:
-    the O(h^2 z) floor of the sampled kernel plus the mass of F cut off at
-    t_max, estimated from the geometric decay of |F| over its last two
-    eighths.  Without decay there is no estimate and the floor stands alone."""
+def unimodularity_tolerance(S: ScatteringRep) -> tuple[float, bool]:
+    """(tolerance, decayed) for |S| = 1 on the real axis: the O(h^2 z) floor
+    of the sampled kernel plus the mass of F cut off at t_max, estimated from
+    the geometric decay of |F| over its last two eighths.  Without decay
+    there is no estimate, and the floor stands alone."""
     h = S.F.grid.h
     floor = max(1e-6, 3.0 * h * h * 40.0 * max(1.0, S.F.norm_l1() ** 2))
     mag = np.abs(S.F.values)
     k = max(1, mag.size // 8)
     end, before = float(mag[-k:].mean()), float(mag[-2 * k:-k].mean())
     if not 0.0 < end < before:
-        return floor
-    return floor + end * k * h / math.log(before / end)
+        return floor, False
+    return floor + end * k * h / math.log(before / end), True
 
 
 def potential_to_scattering(q: Potential, alpha: BoundaryParam,

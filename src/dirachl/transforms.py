@@ -37,7 +37,7 @@ from .core import (
     SampledComplexFunction,
     ValidationError,
 )
-from .core import _phi_pair
+from .core import _filon_weights
 from .forward import jost_kernel_direct, psi_values
 from .inverse import recover_from_jost
 
@@ -67,14 +67,9 @@ class ResonanceMove:
 def _cumulative_filon(g: SampledComplexFunction, z0: complex) -> np.ndarray:
     """Running integral int_0^{s_j} g(t) e^{2i z0 t} dt, exact for the
     piecewise-linear interpolant of g."""
-    h = g.grid.h
-    s = g.grid.nodes()
-    w = 2j * z0 * h
-    I0, I1 = _phi_pair(np.array([w]))
-    A = complex((I0 - I1)[0])
-    B = complex(I1[0])
-    phase = np.exp(2j * z0 * s[:-1])
-    cells = h * phase * (A * g.values[:-1] + B * g.values[1:])
+    A, B, _ = _filon_weights(2j * z0 * g.grid.h)
+    terms = np.exp(2j * z0 * g.grid.nodes()) * g.values
+    cells = g.grid.h * (A * terms[:-1] + B * terms[1:])
     out = np.empty(g.grid.n + 1, dtype=complex)
     out[0] = 0.0
     np.cumsum(cells, out=out[1:])

@@ -89,3 +89,31 @@ def brute_transform(values: np.ndarray, grid_left: float, h: float, z) -> np.nda
     w[0] = w[-1] = 0.5 * h
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     return np.exp(2j * np.outer(z, s)) @ (w * values)
+
+
+def segment_transform(f, z, structural=()) -> np.ndarray:
+    """int f(s) e^{2izs} ds as a sum of per-segment piecewise-linear
+    transforms: the samples are split at the structural nodes plus the
+    detected jump nodes (3 <= j <= n-3, at least 4 apart), each split node
+    replaced in each segment by that side's cubic extrapolation."""
+    from dirachl.core import Grid, SampledComplexFunction, _detect_jump_nodes, fourier_eval
+
+    n = f.grid.n
+    raw = sorted({j for j in list(structural) + _detect_jump_nodes(f.values)
+                  if 3 <= j <= n - 3})
+    cuts = []
+    for j in raw:
+        if not cuts or j - cuts[-1] >= 4:
+            cuts.append(j)
+    bounds = [0] + cuts + [n]
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    total = np.zeros(zz.shape, dtype=complex)
+    nodes = f.grid.nodes()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        seg = f.values[lo: hi + 1].copy()
+        if lo != 0:
+            seg[0] = 3.0 * seg[1] - 3.0 * seg[2] + seg[3]
+        if hi != n:
+            seg[-1] = 3.0 * seg[-2] - 3.0 * seg[-3] + seg[-4]
+        total += fourier_eval(SampledComplexFunction(Grid(nodes[lo], nodes[hi], hi - lo), seg), zz)
+    return total

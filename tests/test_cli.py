@@ -185,6 +185,16 @@ class TestPipelines:
             obj = json.loads((tmp_path / "check.json").read_text())
             assert obj["pass"]
 
+    def test_check_names_tmax_when_f_has_not_decayed(self, tmp_path):
+        # synth seed 281451239 at n = 1024: F has not started to decay by
+        # t_max = 8, so |S| - 1 (3.3e-2) meets only the O(h^2) floor
+        r = run_cli("synth", "--seed", "281451239", "--n", "1024", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        r = run_cli("check", str(tmp_path / "potential.json"), "--out", str(tmp_path))
+        assert r.returncode == 1
+        assert "[FAIL] scattering: |S| = 1" in r.stdout
+        assert "--tmax" in r.stdout
+
     def test_move_relocates(self, workdir, tmp_path):
         res = tmp_path / "res"
         r = run_cli("resonances", str(workdir / "potential.json"),

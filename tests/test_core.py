@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirachl import core
 from dirachl.core import (
     BoundaryParam,
     Grid,
@@ -22,9 +23,9 @@ from dirachl.core import (
 )
 from dirachl.forward import jost_kernel_direct
 from dirachl.inverse import invert_wiener, scattering_kernel
-from dirachl.synth import constant_potential
+from dirachl.synth import constant_potential, random_piecewise_potential
 
-from oracles import brute_transform
+from oracles import brute_transform, segment_transform
 
 
 def sampled(left, right, n, fn):
@@ -135,6 +136,33 @@ class TestFourierEval:
         ref = brute_transform(vf, 0.0, fine.h, z)
         got = fourier_eval(f, z)
         assert np.max(np.abs(got - ref)) < 2e-8
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_cut_model_matches_segment_sum(self, seed):
+        # kernels of a jumpy potential: g splits at detected jumps, F also
+        # at the structural nodes s = 0 and s = gamma
+        q = random_piecewise_potential(seed, n=512)
+        rep = jost_kernel_direct(q, BoundaryParam(0.3))
+        S = scattering_kernel(rep)
+        n_g = q.grid.n
+        z = np.concatenate([np.linspace(-40.0, 40.0, 161), np.linspace(-20.0, 20.0, 41) - 1.5j])
+        assert rep._cuts and {n_g, 2 * n_g} <= set(S._cuts) and len(S._cuts) > 2
+        for got, phase, f, structural in (
+                (rep.psi(z), np.exp(-0.3j), rep.g, ()),
+                (S.s_values(z), np.exp(0.6j), S.F, (n_g, 2 * n_g))):
+            ref = phase + segment_transform(f, z, structural)
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+    def test_cuts_detected_once(self, monkeypatch):
+        calls = []
+        detect = core._detect_jump_nodes
+        monkeypatch.setattr(core, "_detect_jump_nodes", lambda v: calls.append(1) or detect(v))
+        rep = jost_kernel_direct(random_piecewise_potential(1, n=256), BoundaryParam(0.0))
+        S = scattering_kernel(rep)
+        for _ in range(2):
+            rep.psi(1.5)
+            S.s_values(1.5)
+        assert len(calls) == 2
 
 
 class TestValidators:

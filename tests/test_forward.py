@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dirachl.core import BoundaryParam, NumericalError, Piece, ValidationError, quadrature
 from dirachl.forward import (
+    _band_adjoint,
+    _band_sum,
+    fourier_band,
     integrate_jost,
     jost_function,
     jost_kernel,
@@ -142,16 +147,49 @@ class TestJostKernel:
         q = constant_potential(1.0, n=1024)
         with pytest.raises(ValidationError):
             jost_kernel(q, BoundaryParam(0.0), z_max=10.0)
-        with pytest.raises(ValidationError):
-            jost_kernel(q, BoundaryParam(0.0), m=1000)
 
     def test_reconstruction_residual_gate(self):
-        # without the defect-correction passes the band-limited estimate of a
-        # jumpy kernel misses the held-out tolerance and must say so
+        # a jumpy kernel does not reach 1e-9 on the held-out grid; the default
+        # band is clipped at 0.7 of Nyquist, so only a finer grid can help
         q = random_piecewise_potential(3, n=1024)
-        with pytest.raises(NumericalError, match="residual"):
-            jost_kernel(q, BoundaryParam(0.0), z_max=100 * np.pi, m=2048,
-                        refine_iters=0)
+        with pytest.raises(NumericalError, match="residual.*refine n") as err:
+            jost_kernel(q, BoundaryParam(0.0), residual_tol=1e-9)
+        assert "z_max" not in str(err.value)
+
+    @pytest.mark.parametrize("seed", [0, 23, 26])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_jump_kernels_pass_gate(self, seed, alpha):
+        # these kernels show a jump once fitted; the fit must split there too,
+        # as JostRep.psi does, to meet the 1e-4 held-out gate
+        q = random_piecewise_potential(seed, n=1024)
+        al = BoundaryParam(alpha)
+        rep = jost_kernel(q, al)
+        assert rep._cuts
+        held = np.linspace(-1100.0, 1100.0, 201)
+        assert np.max(np.abs(rep.psi(held) - psi_values(q, al, held + 0j))) < 1e-4
+
+    def test_band_sums_match_dense(self):
+        n, gamma = 1024, 1.0
+        zs = fourier_band(gamma, gamma / n, 400.0 * np.pi, 2 * n)
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        c = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
+        phases = np.exp(2j * np.outer(zs, np.linspace(0.0, gamma, n + 1)))
+        dense_fwd, dense_adj = phases @ g, np.conj(phases).T @ c
+        assert np.max(np.abs(_band_sum(g, zs.size) - dense_fwd)) < 1e-12 * np.max(np.abs(dense_fwd))
+        assert np.max(np.abs(_band_adjoint(c, n) - dense_adj)) < 1e-12 * np.max(np.abs(dense_adj))
+
+    def test_peak_memory_bounded(self):
+        # no (n+1) x #z phase matrix: at n = 2048 each one is 50 MiB
+        q = random_piecewise_potential(3, n=2048)
+        jost_kernel(q, BoundaryParam(0.3))      # lazy imports are not the kernel's
+        tracemalloc.start()
+        try:
+            jost_kernel(q, BoundaryParam(0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_matches_direct_kernel_interior(self):
         q = constant_potential(1.0 + 0.5j, n=1024)

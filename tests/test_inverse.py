@@ -257,17 +257,20 @@ class TestUnimodularityTolerance:
         q = random_piecewise_potential(7, n=1024)
         S = potential_to_scattering(q, BoundaryParam(0.0), t_max=8.0)
         def unimodular(rep):
-            report = validate_class(rep, tol=unimodularity_tolerance(rep), n_check=801)
+            report = validate_class(rep, tol=unimodularity_tolerance(rep)[0], n_check=801)
             return next(c.passed for c in report.checks if c.name.startswith("|S| = 1"))
 
         assert unimodular(S)
+        assert unimodularity_tolerance(S)[1]
         assert not unimodular(ScatteringRep(S.alpha, S.gamma, S.t_max, SampledComplexFunction(
             S.F.grid, 1.5 * S.F.values)))
 
     def test_free_kernel_is_floor(self):
         # no decaying tail to estimate: only the O(h^2) floor remains
         S = scattering_kernel(zero_rep(0.7), None, 6.0)
-        assert unimodularity_tolerance(S) == pytest.approx(120.0 / 512 ** 2)
+        tol, decayed = unimodularity_tolerance(S)
+        assert tol == pytest.approx(120.0 / 512 ** 2)
+        assert not decayed
 
 
 class TestSupportIdentities:
