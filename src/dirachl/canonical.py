@@ -37,7 +37,7 @@ from .core import (
     ValidationError,
     make_grid,
 )
-from .forward import _check_im_cap, _expm_traceless, _segments
+from .forward import _check_im_cap, _expm_traceless, _mul2, _segment_product, _segments
 
 __all__ = [
     "MatrixPotential",
@@ -52,8 +52,6 @@ __all__ = [
     "hermite_biehler",
     "make_hermite_evaluator",
 ]
-
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -138,35 +136,23 @@ def matrix_potential(q: Potential) -> MatrixPotential:
     return MatrixPotential(q.grid, np.imag(vals).copy(), -np.real(vals).copy())
 
 
-def _v_matrix(qc) -> np.ndarray:
-    """V = [[q1, q2], [q2, -q1]] for (batched) complex potential values."""
-    q1 = np.imag(qc)
-    q2 = -np.real(qc)
-    out = np.empty(np.shape(qc) + (2, 2), dtype=float)
-    out[..., 0, 0] = q1
-    out[..., 0, 1] = q2
-    out[..., 1, 0] = q2
-    out[..., 1, 1] = -q1
-    return out
-
-
-def _rotation(theta) -> np.ndarray:
-    """T e^{i theta sigma3} T^{-1}, the chirp gauge in the canonical frame."""
+def _rotation(theta):
+    """T e^{i theta sigma3} T^{-1}, the chirp gauge in the canonical frame,
+    as entries (m00, m01, m10, m11)."""
     c, s = np.cos(theta), np.sin(theta)
-    out = np.empty(np.shape(theta) + (2, 2))
-    out[..., 0, 0] = out[..., 1, 1] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    return out
+    return c, -s, s, c
 
 
-def _segment_steps(lo, hi, amp, k, z) -> np.ndarray:
+def _segment_steps(lo, hi, amp, k, z):
     """Exact propagators M(hi) M(lo)^{-1} across segments carrying
-    q = amp e^{2ikx}, batched over segments or over z."""
+    q = amp e^{2ikx}, as entry arrays (m00, m01, m10, m11) broadcast over
+    segments and z."""
     zk = np.asarray(z - k, dtype=complex)
-    step = _expm_traceless(-_J @ (zk[..., None, None] * np.eye(2) - _v_matrix(amp)), hi - lo)
+    q1, q2 = np.imag(amp), -np.real(amp)
+    # -J((z - k) I - V) = [[q2, -(zk + q1)], [zk - q1, -q2]]
+    step = _expm_traceless(q2, -(zk + q1), zk - q1, hi - lo)
     if np.any(k != 0.0):
-        step = _rotation(k * hi) @ step @ _rotation(-k * lo)
+        step = _mul2(_rotation(k * hi), _mul2(step, _rotation(-k * lo)))
     return step
 
 
@@ -177,7 +163,8 @@ def fundamental_matrix(q: Potential, z: complex, im_cap: float | None = None) ->
     _check_im_cap(q.gamma, zz, im_cap)
     amps, chirps = q.cell_values()
     nodes = q.grid.nodes()
-    steps = _segment_steps(nodes[:-1], nodes[1:], amps, chirps, zz)
+    steps = np.stack(_segment_steps(nodes[:-1], nodes[1:], amps, chirps, zz), -1)
+    steps = steps.reshape(-1, 2, 2)
     out = np.empty((q.grid.n + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
     for j in range(q.grid.n):
@@ -189,12 +176,12 @@ def fundamental_matrix(q: Potential, z: complex, im_cap: float | None = None) ->
 
 def canonical_values(q: Potential, z: np.ndarray) -> np.ndarray:
     """M(gamma, z) batched over z: one exact exponential per segment (per
-    piece when the potential carries exact pieces, else per cell)."""
+    piece when the potential carries exact pieces, else per cell), the
+    segments multiplied in a pairwise tree."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    u = np.broadcast_to(np.eye(2, dtype=complex), zz.shape + (2, 2)).copy()
-    for lo, hi, amp, k in _segments(q):
-        u = _segment_steps(lo, hi, amp, k, zz) @ u
-    return u
+    lo, hi, amp, k = (x[::-1, None] for x in _segments(q))
+    M = _segment_product(zz, len(lo), lambda zb: _segment_steps(lo, hi, amp, k, zb))
+    return M.reshape(zz.shape + (2, 2))
 
 
 def hamiltonian_from_potential(q: Potential) -> Hamiltonian:

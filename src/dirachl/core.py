@@ -504,7 +504,8 @@ class ScatteringRep:
 
 @dataclass(frozen=True)
 class ResonanceSet:
-    """Multiset of lower half-plane zeros with multiplicities, sorted by |z|."""
+    """Multiset of lower half-plane zeros with multiplicities, sorted by |z|;
+    entries whose |z| agree within 1e-9 (1 + |z|) are sorted by Re z."""
 
     entries: tuple[tuple[complex, int], ...]
 
@@ -518,7 +519,16 @@ class ResonanceSet:
             if m < 1:
                 raise ValidationError("multiplicity must be positive")
             ent.append((z, m))
+        # moduli that agree to rounding (z and -conj z of a symmetric psi)
+        # are ordered by Re z, so the order does not depend on the last bit
         ent.sort(key=lambda t: abs(t[0]))
+        i = 0
+        while i < len(ent):
+            r, j = abs(ent[i][0]), i + 1
+            while j < len(ent) and abs(ent[j][0]) - r <= 1e-9 * (1.0 + r):
+                j += 1
+            ent[i:j] = sorted(ent[i:j], key=lambda t: (t[0].real, t[0].imag, t[1]))
+            i = j
         object.__setattr__(self, "entries", tuple(ent))
 
     def zeros(self) -> np.ndarray:

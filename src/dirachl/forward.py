@@ -8,13 +8,16 @@ half-plane, and S(z) = conj(psi(z)) / psi(z) on the real axis.
 
 `psi_values` multiplies exact per-segment propagators: each piece (or,
 for a bare sampled potential, each cell) has a constant coefficient matrix
-after a chirp gauge, so its exponential has a closed 2x2 form.  The exact
-product has no z*h stability ceiling, which matters when psi is sampled
-far out on the real axis for Fourier inversion of the kernel.  The
-classical fourth-order one-step scheme on the potential grid
-(`integrate_jost`, `jost_function`, `psi_values(method="rk4")`) is kept as
-the independently derived reference the acceptance suite pins against the
-closed-form oracle.
+after a chirp gauge, so its exponential has a closed 2x2 form.  For z in
+blocks of at most 2^16 (segment, z) pairs, the exponentials of all
+segments are formed at once as four entry arrays and multiplied pairwise
+in a log-depth tree of elementwise 2x2 products, so a call costs no
+Python step per segment.  The exact product has no z*h stability ceiling,
+which matters when psi is sampled far out on the real axis for Fourier
+inversion of the kernel.  The classical fourth-order one-step scheme on
+the potential grid (`integrate_jost`, `jost_function`,
+`psi_values(method="rk4")`) is kept as the independently derived
+reference the acceptance suite pins against the closed-form oracle.
 
 The kernel g with psi(z) = e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds is
 produced two ways: `jost_kernel` fits g to real-axis psi values by FFT
@@ -84,75 +87,102 @@ def _check_im_cap(gamma: float, z, im_cap: float | None = None) -> None:
             f"(= {DEFAULT_IM_CAP_SCALE}/gamma by default); e^(2 gamma |Im z|) would overflow")
 
 
-def _coeff(amp, z):
-    """Coefficient matrix [[iz, a], [conj a, -iz]] batched over z (and cells)."""
-    a11 = 1j * z
-    out = np.empty(np.broadcast(amp, z).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = a11
-    out[..., 0, 1] = amp
-    out[..., 1, 0] = np.conj(amp)
-    out[..., 1, 1] = -a11
-    return out
-
-
-def _expm_traceless(B: np.ndarray, t) -> np.ndarray:
-    """exp(t*B) for traceless 2x2 stacks via cosh/sinh closed form."""
-    # for traceless B, -det(B) = B11^2 + B12*B21
-    lam2 = B[..., 0, 0] ** 2 + B[..., 0, 1] * B[..., 1, 0]
-    lam = np.sqrt(lam2.astype(complex))
+def _expm_traceless(b00, b01, b10, t):
+    """exp(t B) for B = [[b00, b01], [b10, -b00]] by the cosh/sinh closed
+    form, elementwise over broadcast entry arrays; returns its four entries
+    (e00, e01, e10, e11)."""
+    # for traceless B, -det(B) = b00^2 + b01 b10
+    lam = np.sqrt(b00 * b00 + b01 * b10 + 0j)
     tl = t * lam
     ch = np.cosh(tl)
     small = np.abs(tl) < 1e-6
     lam_safe = np.where(small, 1.0, lam)
     sh_over = np.where(small, t * (1.0 + tl ** 2 / 6.0), np.sinh(tl) / lam_safe)
-    out = sh_over[..., None, None] * B
-    out[..., 0, 0] += ch
-    out[..., 1, 1] += ch
-    return out
+    shb = sh_over * b00
+    return ch + shb, sh_over * b01, sh_over * b10, ch - shb
 
 
-def _sigma3_phase(theta: np.ndarray) -> np.ndarray:
-    """diag(e^{i theta}, e^{-i theta}) as a batched matrix."""
-    out = np.zeros(np.shape(theta) + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(1j * theta)
-    out[..., 1, 1] = np.exp(-1j * theta)
-    return out
+def _mul2(m, r):
+    """Elementwise 2x2 product m r of entry tuples (m00, m01, m10, m11)."""
+    a, b, c, d = m
+    e, f, g, h = r
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _terminal(z: np.ndarray, gamma: float) -> np.ndarray:
-    return _sigma3_phase(z * gamma)
+def _tree_product(m):
+    """Ordered product m[0] m[1] ... m[-1] of 2x2 factors given as entry
+    tuples with the factor index first, multiplied pairwise in a log-depth
+    tree; an odd count carries its last factor to the next level."""
+    while len(m[0]) > 1:
+        even = len(m[0]) - len(m[0]) % 2
+        prod = _mul2([x[0:even:2] for x in m], [x[1:even:2] for x in m])
+        if even < len(m[0]):
+            prod = [np.concatenate((p, x[-1:])) for p, x in zip(prod, m)]
+        m = prod
+    return tuple(x[0] for x in m)
 
 
-def _segments(q: Potential) -> list[tuple[float, float, complex, float]]:
-    """Constant-or-chirped integration segments (lo, hi, amp, chirp): the
-    exact pieces when present, otherwise one segment per grid cell."""
+def _segments(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constant-or-chirped integration segments as arrays (lo, hi, amp, chirp):
+    the exact pieces when present, otherwise one segment per grid cell."""
     if q.pieces is not None:
-        return [(p.lo, p.hi, complex(p.amp), float(p.chirp)) for p in q.pieces]
-    amps, _ = q.cell_values()
+        lo, hi, amp, k = zip(*((p.lo, p.hi, p.amp, p.chirp) for p in q.pieces))
+        return (np.array(lo, dtype=float), np.array(hi, dtype=float),
+                np.array(amp, dtype=complex), np.array(k, dtype=float))
+    amps, chirps = q.cell_values()
     nodes = q.grid.nodes()
-    return [(float(nodes[j]), float(nodes[j + 1]), complex(amps[j]), 0.0)
-            for j in range(q.grid.n)]
+    return nodes[:-1], nodes[1:], amps, chirps
+
+
+_PAIRS_PER_BLOCK = 1 << 16     # (segment, z) pairs held at once
+
+
+def _segment_product(z: np.ndarray, count: int, factors) -> np.ndarray:
+    """Ordered product of `count` per-segment 2x2 factors at every z, as a
+    (#z, 2, 2) array over the flattened z.  `factors(zb)` returns the four
+    entry arrays, shaped (count, #zb), for one block zb of z; a block holds
+    at most 2^16 (segment, z) pairs and is reduced by `_tree_product`."""
+    zf = np.ravel(z)
+    out = np.empty((zf.size, 2, 2), dtype=complex)
+    step = max(1, _PAIRS_PER_BLOCK // count)
+    for b0 in range(0, zf.size, step):
+        blk = out[b0: b0 + step]
+        blk[:, 0, 0], blk[:, 0, 1], blk[:, 1, 0], blk[:, 1, 1] = \
+            _tree_product(factors(zf[b0: b0 + step]))
+    return out
 
 
 def _propagate_exact(q: Potential, z: np.ndarray) -> np.ndarray:
-    """f(0, z) by multiplying exact per-segment propagators backward from gamma.
+    """f(0, z): the ordered product of exact per-segment propagators times
+    the terminal value e^{i z gamma sigma3}.
 
-    A segment with value a e^{2ikx} is gauged by e^{-ikx sigma3} to a
-    constant segment at spectral parameter z - k, whose exponential is in
-    closed 2x2 form; an exactly piecewise potential therefore costs one
-    exponential per piece.
+    A segment with value a e^{2ikx} on [lo, hi] is gauged by e^{-ikx sigma3}
+    to a constant segment at spectral parameter z - k, whose exponential is
+    in closed 2x2 form; undoing the gauge multiplies its diagonal entries by
+    e^{-+ik(hi-lo)} and its off-diagonal ones by e^{+-ik(lo+hi)}.  All
+    segment exponentials of a block of z are formed at once and multiplied
+    in a pairwise tree, so an exactly piecewise potential costs one
+    exponential per piece and a sampled one one per cell, with no Python
+    step per segment.
     """
-    f = _terminal(z, q.gamma)
-    for lo, hi, amp, k in reversed(_segments(q)):
-        B = _coeff(amp, z - k)
-        step = _expm_traceless(B, -(hi - lo))
-        if k != 0.0:
-            step = _sigma3_phase(np.full(z.shape, k * lo)) @ step \
-                @ _sigma3_phase(np.full(z.shape, -k * hi))
-        f = step @ f
+    lo, hi, amp, k = (x[:, None] for x in _segments(q))
+    chirped = bool(np.any(k != 0.0))
+    if chirped:
+        diag, off = np.exp(-1j * k * (hi - lo)), np.exp(1j * k * (lo + hi))
+
+    def factors(zb):
+        e00, e01, e10, e11 = _expm_traceless(1j * (zb - k), amp, np.conj(amp), lo - hi)
+        if chirped:
+            return e00 * diag, e01 * off, e10 * np.conj(off), e11 * np.conj(diag)
+        return e00, e01, e10, e11
+
+    f = _segment_product(z, len(lo), factors)
+    zf = np.ravel(z)
+    f[:, :, 0] *= np.exp(1j * q.gamma * zf)[:, None]
+    f[:, :, 1] *= np.exp(-1j * q.gamma * zf)[:, None]
     if not np.all(np.isfinite(f.view(float))):
         raise NumericalError("Jost propagation overflowed; reduce |Im z|")
-    return f
+    return f.reshape(np.shape(z) + (2, 2))
 
 
 def _propagate_rk4(q: Potential, z: np.ndarray) -> np.ndarray:

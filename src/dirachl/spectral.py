@@ -165,9 +165,8 @@ def _polish(ev, z0: complex, tol: float, mult: int = 1, max_iter: int = 80,
     for _ in range(max_iter):
         delta = 1e-7 * max(1.0, abs(z))
         try:
-            f = complex(np.atleast_1d(ev(np.array([z])))[0])
-            fp = complex(np.atleast_1d(ev(np.array([z + delta])))[0]
-                         - np.atleast_1d(ev(np.array([z - delta])))[0]) / (2 * delta)
+            f, f_plus, f_minus = (complex(v) for v in ev(np.array([z, z + delta, z - delta])))
+            fp = (f_plus - f_minus) / (2 * delta)
         except Exception:
             return None
         if fp == 0 or not (math.isfinite(f.real) and math.isfinite(fp.real)):

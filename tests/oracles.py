@@ -117,3 +117,52 @@ def segment_transform(f, z, structural=()) -> np.ndarray:
             seg[-1] = 3.0 * seg[-2] - 3.0 * seg[-3] + seg[-4]
         total += fourier_eval(SampledComplexFunction(Grid(nodes[lo], nodes[hi], hi - lo), seg), zz)
     return total
+
+
+def _expm_traceless_stack(B: np.ndarray, t) -> np.ndarray:
+    """exp(t*B) for traceless 2x2 stacks via the cosh/sinh closed form."""
+    lam2 = B[..., 0, 0] ** 2 + B[..., 0, 1] * B[..., 1, 0]
+    lam = np.sqrt(lam2.astype(complex))
+    tl = t * lam
+    ch = np.cosh(tl)
+    small = np.abs(tl) < 1e-6
+    lam_safe = np.where(small, 1.0, lam)
+    sh_over = np.where(small, t * (1.0 + tl ** 2 / 6.0), np.sinh(tl) / lam_safe)
+    out = sh_over[..., None, None] * B
+    out[..., 0, 0] += ch
+    out[..., 1, 1] += ch
+    return out
+
+
+def _sigma3_phase(theta: np.ndarray) -> np.ndarray:
+    """diag(e^{i theta}, e^{-i theta}) as a batched matrix."""
+    out = np.zeros(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(1j * theta)
+    out[..., 1, 1] = np.exp(-1j * theta)
+    return out
+
+
+def propagate_sequential(q, z: np.ndarray) -> np.ndarray:
+    """f(0, z) by multiplying the exact per-segment propagators one segment
+    at a time, backward from gamma, with batched 2x2 matmuls: one factor
+    per exact piece (chirp gauged by e^{-ikx sigma3}), else one per cell."""
+    z = np.asarray(z, dtype=complex)
+    if q.pieces is not None:
+        segs = [(p.lo, p.hi, complex(p.amp), float(p.chirp)) for p in q.pieces]
+    else:
+        amps, _ = q.cell_values()
+        nodes = q.grid.nodes()
+        segs = [(nodes[j], nodes[j + 1], amps[j], 0.0) for j in range(q.grid.n)]
+    f = _sigma3_phase(z * q.gamma)
+    for lo, hi, amp, k in reversed(segs):
+        B = np.empty(z.shape + (2, 2), dtype=complex)
+        B[..., 0, 0] = 1j * (z - k)
+        B[..., 0, 1] = amp
+        B[..., 1, 0] = np.conj(amp)
+        B[..., 1, 1] = -1j * (z - k)
+        step = _expm_traceless_stack(B, -(hi - lo))
+        if k != 0.0:
+            step = (_sigma3_phase(np.full(z.shape, k * lo)) @ step
+                    @ _sigma3_phase(np.full(z.shape, -k * hi)))
+        f = step @ f
+    return f

@@ -206,6 +206,17 @@ class TestDomainObjects:
         with pytest.raises(ValidationError):
             ResonanceSet(((1 - 1j, 0),))
 
+    def test_modulus_ties_ordered_by_real_part(self):
+        # z and -conj(z) of a symmetric psi tie in |z| up to rounding; a
+        # last-bit difference must not decide their order
+        w = 2.5788 - 0.7149j
+        z = complex(-np.nextafter(2.5788, 3.0), -0.7149)
+        assert abs(z) > abs(w)
+        far = 2.9 - 1j                      # |far| < |-3 - 1j| despite Re order
+        for entries in ((z, w, -3 - 1j, far), (far, -3 - 1j, w, z)):
+            R = ResonanceSet(tuple((v, 1) for v in entries))
+            assert [v for v, _ in R.entries] == [z, w, far, -3 - 1j]
+
     def test_merge(self):
         R = ResonanceSet(((1 - 1j, 1), (1 - 1j + 1e-12, 1)))
         assert R.merged(1e-9).entries[0][1] == 2

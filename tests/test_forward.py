@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirachl.core import BoundaryParam, NumericalError, Piece, ValidationError, quadrature
+from dirachl.core import BoundaryParam, NumericalError, Piece, Potential, ValidationError, quadrature
 from dirachl.forward import (
     _band_adjoint,
     _band_sum,
+    _propagate_exact,
     fourier_band,
     integrate_jost,
     jost_function,
@@ -18,8 +21,9 @@ from dirachl.forward import (
     scattering_value,
 )
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
+from dirachl.transforms import shift_potential
 
-from oracles import f0_constant, f0_pieces, psi_constant
+from oracles import f0_constant, f0_pieces, propagate_sequential, psi_constant
 
 
 class TestIntegrateJost:
@@ -98,6 +102,84 @@ class TestJostFunction:
         devs = [abs(psi_values(q, al, float(Z)) - np.exp(-1j * 0.4))
                 for Z in (20.0, 80.0, 320.0)]
         assert devs[0] > devs[1] > devs[2]
+
+
+def _cells(seed, n):
+    """The node samples of a synth potential without its exact pieces: one
+    propagator segment per cell."""
+    qp = random_piecewise_potential(seed, n=n)
+    return Potential(qp.gamma, qp.samples)
+
+
+def _tree_error(q, z) -> float:
+    """Largest relative deviation, per point, of the tree product from the
+    sequential product."""
+    got = _propagate_exact(q, z).reshape(-1, 4)
+    want = propagate_sequential(q, z).reshape(-1, 4)
+    return float(np.max(np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)))
+
+
+# name: (potential, point counts); the sequential oracle is too slow for
+# 4001 points at 1024 and 4096 cells
+_TREE_CASES = {
+    "cells96-s0": (lambda: _cells(0, 96), (1, 3, 4001)),
+    "cells96-s9": (lambda: _cells(9, 96), (1, 3, 4001)),
+    "cells1024-s1": (lambda: _cells(1, 1024), (1, 3, 17)),
+    "cells4096-s2": (lambda: _cells(2, 4096), (1, 3, 17)),
+    "pieces8-s0": (lambda: random_piecewise_potential(0, n=1024), (1, 3, 4001)),
+    "pieces8-s5": (lambda: random_piecewise_potential(5, n=1024), (1, 3, 4001)),
+    "pieces3": (lambda: random_piecewise_potential(6, n=120, n_pieces=3), (1, 3, 4001)),
+    "pieces5": (lambda: random_piecewise_potential(7, n=120, n_pieces=5), (1, 3, 4001)),
+    "chirped8": (lambda: shift_potential(random_piecewise_potential(8, n=1024), 3.7),
+                 (1, 3, 4001)),
+    "chirped5": (lambda: shift_potential(
+        random_piecewise_potential(4, n=120, n_pieces=5), -2.2), (1, 3, 4001)),
+}
+
+
+class TestTreePropagator:
+    @pytest.mark.parametrize("case,count", [(c, k) for c, (_, counts) in _TREE_CASES.items()
+                                            for k in counts])
+    def test_matches_sequential_product(self, case, count):
+        q = _TREE_CASES[case][0]()
+        rng = np.random.default_rng(count)
+        z = rng.uniform(-25.0, 25.0, count) + 1j * rng.uniform(-3.0, 1.0, count)
+        z[0] = complex(z[0].real, -3.0)
+        assert _tree_error(q, z) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), pieces=st.integers(1, 9),
+           chirp=st.one_of(st.just(0.0), st.floats(-8.0, 8.0)),
+           re=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4),
+           im=st.floats(-3.0, 1.0))
+    def test_property_matches_sequential_product(self, seed, pieces, chirp, re, im):
+        q = random_piecewise_potential(seed, n=16 * pieces, n_pieces=pieces)
+        if chirp:
+            q = shift_potential(q, chirp)
+        z = np.asarray(re) + 1j * im
+        assert _tree_error(q, z) < 1e-12
+        assert _tree_error(Potential(q.gamma, q.samples), z) < 1e-12
+
+    def test_keeps_the_shape_of_z(self):
+        q = random_piecewise_potential(1, n=64)
+        z = np.linspace(-3, 3, 6).reshape(2, 3) - 0.5j
+        f = _propagate_exact(q, z)
+        assert f.shape == (2, 3, 2, 2)
+        assert np.array_equal(f[1, 2], _propagate_exact(q, z[1, 2:])[0])
+
+    def test_peak_memory_bounded(self):
+        # blocks of 2^16 (cell, z) pairs: the whole stack would be 250 MiB
+        # per entry array at 4096 cells and 4001 z
+        q = _cells(3, 4096)
+        z = np.linspace(-20.0, 20.0, 4001) - 0.7j
+        psi_values(q, BoundaryParam(0.3), z[:2])
+        tracemalloc.start()
+        try:
+            psi_values(q, BoundaryParam(0.3), z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestScatteringValue:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dirachl.core import BoundaryParam, NumericalError, ResonanceSet, ValidationError, make_grid
-from dirachl.forward import make_psi_evaluator, psi_values
+from dirachl.forward import jost_kernel_direct, make_psi_evaluator, psi_values
+from dirachl.inverse import recover_potential, scattering_kernel
 from dirachl.spectral import (
     SearchRegion,
     cartwright_type,
@@ -15,7 +16,7 @@ from dirachl.spectral import (
     phase_profile,
     winding_number,
 )
-from dirachl.synth import constant_potential
+from dirachl.synth import constant_potential, random_piecewise_potential
 
 from oracles import dense_sweep_zeros, psi_constant
 
@@ -70,6 +71,24 @@ class TestFindResonances:
         for z, m in R.entries:
             assert m == 1
             assert min(abs(z - w) for w in oracle) < 1e-6
+
+    def test_cell_search_work_pinned(self):
+        # the recovered n = 96 potential the benchmark's cell-sampled search
+        # uses; a change to the search's sampling or Newton steps shows here
+        alpha = BoundaryParam(0.4)
+        qp = random_piecewise_potential(101, n=96)
+        q = recover_potential(scattering_kernel(jost_kernel_direct(qp, alpha)))
+        ev = make_psi_evaluator(q, alpha)
+        work = {"calls": 0, "points": 0}
+
+        def counted(z):
+            work["calls"] += 1
+            work["points"] += np.size(z)
+            return ev(z)
+
+        R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
+        assert work == {"calls": 211, "points": 7887}
+        assert R.total() == 3
 
 
 class TestCounting:

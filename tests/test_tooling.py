@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -15,6 +16,28 @@ def test_all_names_exist(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imported_names_exist(name):
+    # private helpers shared across modules (forward._segments in canonical,
+    # spectral._polish in transforms) fail only when the import runs, and
+    # some imports sit inside functions
+    spec = importlib.util.find_spec(name)
+    tree = ast.parse(Path(spec.origin).read_text())
+    package = name if spec.submodule_search_locations else name.rpartition(".")[0]
+    missing = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+            continue
+        source = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+        if not source.startswith("dirachl"):
+            continue
+        mod = importlib.import_module(source)
+        missing += [f"{source}.{a.name}" for a in node.names
+                    if not hasattr(mod, a.name)
+                    and importlib.util.find_spec(f"{source}.{a.name}") is None]
+    assert not missing, f"{name} imports missing names {missing}"
 
 
 def test_perfbench_spans_resolve():
