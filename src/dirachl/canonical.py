@@ -179,8 +179,11 @@ def canonical_values(q: Potential, z: np.ndarray) -> np.ndarray:
     piece when the potential carries exact pieces, else per cell), the
     segments multiplied in a pairwise tree."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    _check_im_cap(q.gamma, zz)
     lo, hi, amp, k = (x[::-1, None] for x in _segments(q))
     M = _segment_product(zz, len(lo), lambda zb: _segment_steps(lo, hi, amp, k, zb))
+    if not np.all(np.isfinite(M.view(float))):
+        raise NumericalError("canonical propagation overflowed; reduce |Im z|")
     return M.reshape(zz.shape + (2, 2))
 
 

@@ -22,12 +22,12 @@ Recovery runs the Gelfand-Levitan-Marchenko equation
 
 with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  The 2x2
 system splits into two-component rows, and the second row is the
-conjugate of the first, so only (G11, G12) is ever solved for.  Per-x
-dense Nystrom solves (`solve_glm`) are exact but O(n^3) each, so
-`recover_potential` uses them only on small grids; otherwise it solves the
-x = 0 line once and continues it upward with the same characteristics
-marching the forward transformation kernel uses, reading q(x) from the
-boundary as it goes.  Both agree to O(h^2).
+conjugate of the first, so only (G11, G12) is ever solved for.  The x = 0
+line is solved once, by GMRES with FFT convolution mat-vecs, and
+continued upward with the same characteristics marching the forward
+transformation kernel uses, reading q(x) from the boundary as it goes.
+The Wiener identity above is one lower-triangular Toeplitz solve, by a
+power-series inverse with FFT products.  No step forms an n x n matrix.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .core import (
     BoundaryParam,
-    Grid,
     JostRep,
     NumericalError,
     Potential,
@@ -52,19 +50,17 @@ from .core import (
     support_infimum,
     support_supremum,
 )
-from .core import SUPPORT_FLOOR_REL
+from .core import SUPPORT_FLOOR_REL, _convolve
 
 __all__ = [
     "WienerInverse",
     "OmegaKernel",
-    "GlmRows",
     "RecoveryReport",
     "invert_wiener",
     "scattering_kernel",
     "unimodularity_tolerance",
     "potential_to_scattering",
     "omega_kernel",
-    "solve_glm",
     "recover_potential",
     "recover_from_jost",
     "support_identities",
@@ -91,38 +87,38 @@ class OmegaKernel:
 
 
 @dataclass(frozen=True)
-class GlmRows:
-    """Solution rows of the GLM equation at one x: G11, G12 on [0, gamma-x]
-    (rows 2 follow by conjugation: G21 = conj(G12), G22 = conj(G11))."""
-
-    x: float
-    grid: Grid
-    g11: np.ndarray
-    g12: np.ndarray
-    residual: float
-
-    @property
-    def g21(self) -> np.ndarray:
-        return np.conj(self.g12)
-
-    @property
-    def g22(self) -> np.ndarray:
-        return np.conj(self.g11)
-
-
-@dataclass(frozen=True)
 class RecoveryReport:
     support: float
     clamp_magnitude: float
     init_residual: float
 
 
+def _series_inverse(c: np.ndarray, m: int) -> np.ndarray:
+    """First m terms of the power series 1/c, by Newton's iteration
+    b <- b (2 - c b), which doubles the correct terms per step (Brent &
+    Kung 1978)."""
+    b = np.array([1.0 / c[0]])
+    while b.size < m:
+        k = min(2 * b.size, m)
+        b = np.pad(b, (0, k - b.size))
+        e = _convolve(c, b, k)
+        e[0] -= 1.0
+        b = b - _convolve(b, e, k)
+    return b
+
+
 def invert_wiener(rep: JostRep, t_h: float | None = None,
                   tail_tol: float = 0.1) -> WienerInverse:
-    """Solve the causal convolution identity for h by forward marching.
+    """Solve the causal convolution identity for h as one lower-triangular
+    Toeplitz system.
 
-    Trapezoid weights make each step implicit in h(s_j) only through the
-    g(0) endpoint, so the recursion is explicit after one division.
+    With trapezoid weights, g~ = g with g_0 and g_{n_g} halved and h~ = h
+    with h_0 halved, the sampled identity reads c * h~ = r for
+    c = e^{-i alpha} delta + h_step g~ and r_j = -e^{i alpha} g_j, so
+    h~ = (1/c) * r with 1/c from `_series_inverse`.  Row 0 carries the
+    known h_0 = -e^{2i alpha} g_0.  Row n_g carries the full endpoint
+    weight of g_{n_g} h_0 and the midpoint stored where h jumps with g at
+    gamma.
     """
     gamma = rep.gamma
     if t_h is None:
@@ -134,29 +130,17 @@ def invert_wiener(rep: JostRep, t_h: float | None = None,
         raise ValidationError("T_h must cover at least [0, gamma]")
     g = rep.g.values
     ea = np.exp(1j * rep.alpha.alpha)
-    hv = np.zeros(n_h + 1, dtype=complex)
-    hv[0] = -ea * ea * g[0]
-    denom = np.conj(ea) + 0.5 * h_step * g[0]
-    if abs(denom) < 1e-12:
+    h0 = -ea * ea * g[0]
+    c = h_step * g
+    c[[0, n_g]] *= 0.5
+    c[0] += np.conj(ea)
+    if abs(c[0]) < 1e-12:
         raise NumericalError("Wiener recursion pivot vanished; kernel is singular")
-    for j in range(1, n_h + 1):
-        jmax = min(j, n_g)
-        # trapezoid of int_0^{s_j} g(t) h(s_j - t) dt, unknown h_j appears
-        # only through the t = 0 endpoint
-        acc = 0.5 * g[jmax] * hv[j - jmax] if jmax == n_g and j > n_g else 0.0
-        if jmax >= 1:
-            t_idx = np.arange(1, jmax + (0 if (jmax == n_g and j > n_g) else 1))
-            if t_idx.size:
-                w = np.ones(t_idx.size)
-                if t_idx[-1] == j:       # t = s_j endpoint (only when j <= n_g)
-                    w[-1] = 0.5
-                acc = acc + np.dot(w * g[t_idx], hv[j - t_idx])
-        gj = g[j] if j <= n_g else 0.0
-        hv[j] = -(ea * gj + h_step * acc) / denom
-        if j == n_g:
-            # h jumps at gamma along with g; later rows and all consumers
-            # see this node as an interior jump, so store the midpoint
-            hv[j] += 0.5 * ea * ea * g[n_g]
+    r = -ea * g
+    r[0] = 0.5 * c[0] * h0
+    r[n_g] += g[n_g] * (0.5 * c[0] * ea * ea - 0.25 * h_step * h0)
+    hv = _convolve(_series_inverse(c, n_h + 1), r, n_h + 1)
+    hv[0] = h0
     hfun = SampledComplexFunction(make_grid(0.0, n_h * h_step, n_h), hv)
     tail_start = 3 * (n_h + 1) // 4
     total = float(np.linalg.norm(hv)) or 1.0
@@ -199,19 +183,19 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     # convolution sees the midpoint value there (h vanishes on s < 0).
     wr = np.full(n_g + 1, hstep)
     wr[0] = wr[-1] = 0.5 * hstep
+    total = n_g + n_t                          # nodes on [-gamma, t_max]
     h_conv = hv.copy()
     h_conv[0] *= 0.5
-    conv = np.convolve(wr * rv, h_conv)       # index k <-> s = -gamma + k h
+    conv = _convolve(wr * rv, h_conv, total + 1)   # index k <-> s = -gamma + k h
     # at s = 0 the h(0) factor is the t = 0 integration endpoint, not an
     # interior crossing: restore its full value there
     conv[n_g] += wr[-1] * rv[-1] * (hv[0] - h_conv[0])
 
-    total = n_g + n_t                          # nodes on [-gamma, t_max]
     F = np.zeros(total + 1, dtype=complex)
     F[: n_g + 1] += ea * rv                    # supp r = [-gamma, 0]
     F[n_g:] += ea * hv[: n_t + 1]              # supp h = [0, ...)
     F[n_g] -= 0.5 * ea * (rv[-1] + hv[0])      # midpoint convention at the s = 0 jump
-    F += conv[: total + 1]
+    F += conv
 
     sr = ScatteringRep(rep.alpha, gamma, n_t * hstep,
                        SampledComplexFunction(make_grid(-gamma, n_t * hstep, total), F))
@@ -269,106 +253,40 @@ def omega_kernel(S: ScatteringRep) -> OmegaKernel:
     return OmegaKernel(S.gamma, SampledComplexFunction(make_grid(0.0, S.gamma, n_g), kv))
 
 
-def _glm_matrix(om: OmegaKernel, jx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted Nystrom matrix A[i, j] = w_j k(x + s_i + t_j) and the data
-    vector k(x + s) on the row grid [0, gamma - x], with the support cutoff
-    at argument gamma handled by the jump-midpoint convention."""
-    kv = om.k.values
-    n = om.k.grid.n
-    h = om.k.grid.h
-    m = n - jx
-    w = np.full(m + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    idx = jx + np.add.outer(np.arange(m + 1), np.arange(m + 1))
-    kmat = np.zeros_like(idx, dtype=complex)
-    inside = idx <= n
-    kmat[inside] = kv[idx[inside]]
-    # argument hits gamma strictly inside the t-range for rows i >= 1
-    anti = idx == n
-    anti[0, :] = False
-    kmat[anti] *= 0.5
-    A = kmat * w[None, :]
-    kx = np.zeros(m + 1, dtype=complex)
-    kx[: n - jx + 1] = kv[jx:]                 # data term; the corner value at
-    return A, kx                               # argument gamma is the inside limit
-
-
-def solve_glm(om: OmegaKernel, x: float, grid: Grid | None = None,
-              residual_tol: float = 1e-10) -> GlmRows:
-    """Dense LU solve of the two-component row system at one x.
-
-    Unknowns a = G11(x, .), b = G12(x, .) satisfy a + conj(A) b = 0 and
-    b + A a = -k_x; the stacked system is solved directly and the linear
-    residual is verified.
-    """
-    n = om.k.grid.n
-    h = om.k.grid.h
-    if x < -1e-12:
-        raise ValidationError("x must be nonnegative")
-    jx = int(round(x / h))
-    if abs(jx * h - x) > 1e-9 * max(1.0, abs(x)):
-        raise ValidationError("x must be a node of the kernel grid")
-    if jx == n:
-        # single-point row: the integral term is empty and b(0) = -k(gamma)
-        g = make_grid(0.0, h, 1)
-        b = np.array([-om.k.values[-1], 0.0])
-        return GlmRows(x, g, np.zeros(2, dtype=complex), b, 0.0)
-    if jx > n:
-        g = grid or make_grid(0.0, h, 1)
-        zero = np.zeros(g.n + 1, dtype=complex)
-        return GlmRows(x, g, zero, zero, 0.0)
-    A, kx = _glm_matrix(om, jx)
-    m = A.shape[0] - 1
-    M = np.block([[np.eye(m + 1), np.conj(A)], [A, np.eye(m + 1)]])
-    rhs = np.concatenate([np.zeros(m + 1), -kx])
-    try:
-        sol = sla.solve(M, rhs)
-    except sla.LinAlgError as exc:
-        cond = np.linalg.cond(M)
-        raise NumericalError(f"GLM system singular (cond ~ {cond:.3e})") from exc
-    resid = float(np.max(np.abs(M @ sol - rhs)) / max(1.0, np.max(np.abs(rhs))))
-    if resid > residual_tol:
-        cond = np.linalg.cond(M)
-        raise NumericalError(
-            f"GLM residual {resid:.3e} exceeds {residual_tol:.1e} (cond ~ {cond:.3e})")
-    a = sol[: m + 1]
-    b = sol[m + 1:]
-    return GlmRows(x, make_grid(0.0, m * h, m), a, b, resid)
-
-
 def _solve_glm_line0(om: OmegaKernel, residual_tol: float = 1e-10):
-    """GLM row at x = 0 via the composed single-unknown equation
-    b - A conj(A) b = -k0, solved by GMRES with convolution matvecs and a
-    dense fallback."""
+    """GLM row (G11, G12)(0, .) from the composed single-unknown equation
+    b - A conj(A) b = -k0, solved by GMRES.  A is the trapezoid-weighted
+    Hankel operator (A v)_i = sum_j w_j k(s_i + t_j) v_j, applied as one
+    FFT convolution (`_convolve`).  Raises NumericalError when GMRES stops
+    without converging or the block residual exceeds residual_tol."""
     kv = om.k.values
     n = om.k.grid.n
     h = om.k.grid.h
     w = np.full(n + 1, h)
     w[0] = w[-1] = 0.5 * h
-    kg = kv[-1]
+    i = np.arange(1, n + 1)
 
     def apply_A(v: np.ndarray, kern: np.ndarray) -> np.ndarray:
         u = w * v
-        c = np.convolve(kern, u[::-1])[n: 2 * n + 1]
+        c = _convolve(kern[::-1], u, n + 1)[::-1]
         # halve the entries whose kernel argument sits exactly at gamma
-        i = np.arange(1, n + 1)
-        c[i] -= 0.5 * w[n - i] * kern[n] * v[n - i]
+        c[i] -= 0.5 * kern[n] * u[n - i]
         return c
 
     def matvec(v: np.ndarray) -> np.ndarray:
         return v - apply_A(apply_A(v, np.conj(kv)), kv)
 
-    kx = kv.copy()
     op = spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=complex)
-    b, info = spla.gmres(op, -kx, rtol=1e-13, atol=0.0, maxiter=400, restart=80)
+    b, info = spla.gmres(op, -kv, rtol=1e-13, atol=0.0, maxiter=400, restart=80)
     a = -apply_A(b, np.conj(kv))
     # verify the block-system residual
     r1 = np.max(np.abs(a + apply_A(b, np.conj(kv))))
-    r2 = np.max(np.abs(b + apply_A(a, kv) + kx))
-    resid = float(max(r1, r2) / max(1.0, float(np.max(np.abs(kx)))))
+    r2 = np.max(np.abs(b + apply_A(a, kv) + kv))
+    resid = float(max(r1, r2) / max(1.0, float(np.max(np.abs(kv)))))
     if info != 0 or resid > residual_tol:
-        rows = solve_glm(om, 0.0, residual_tol=residual_tol)
-        return rows.g11, rows.g12, rows.residual
+        raise NumericalError(
+            f"GLM line solve at x = 0 failed: GMRES info {info}, block residual "
+            f"{resid:.3e} (tolerance {residual_tol:.1e})")
     return a, b, resid
 
 
@@ -408,31 +326,18 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     return qhat
 
 
-def recover_potential(S: ScatteringRep, grid: Grid | None = None,
-                      residual_tol: float = 1e-10, with_report: bool = False):
+def recover_potential(S: ScatteringRep, residual_tol: float = 1e-10,
+                      with_report: bool = False):
     """Recover q(x) = -G12(x, 0) on [0, gamma] from a scattering representation.
 
-    Grids with at most 192 cells run an independent Nystrom
-    solve at every node (O(n^3) each); larger grids solve the GLM once at
-    x = 0 and continue the kernel upward.  Values below the support floor
-    at the far end are clamped to zero and the clamp magnitude reported.
+    The GLM is solved once at x = 0 and the kernel continued upward along
+    characteristics.  Values below the support floor at the far end are
+    clamped to zero and the clamp magnitude reported.
     """
     om = omega_kernel(S)
     n = om.k.grid.n
-    h = om.k.grid.h
-    if grid is not None:
-        if grid.n != n or abs(grid.h - h) > 1e-12 * h:
-            raise ValidationError("target grid must match the kernel grid on [0, gamma]")
-    if n <= 192:
-        qv = np.empty(n + 1, dtype=complex)
-        resid = 0.0
-        for j in range(n + 1):
-            rows = solve_glm(om, j * h, residual_tol=residual_tol)
-            qv[j] = -rows.g12[0]
-            resid = max(resid, rows.residual)
-    else:
-        a0, b0, resid = _solve_glm_line0(om, residual_tol)
-        qv = _march_recovery(om, a0, b0)
+    a0, b0, resid = _solve_glm_line0(om, residual_tol)
+    qv = _march_recovery(om, a0, b0)
 
     sf = SampledComplexFunction(make_grid(0.0, S.gamma, n), qv)
     sup = support_supremum(sf)
@@ -450,12 +355,11 @@ def recover_potential(S: ScatteringRep, grid: Grid | None = None,
     return pot
 
 
-def recover_from_jost(rep: JostRep, grid: Grid | None = None,
-                      t_max: float | None = None) -> Potential:
+def recover_from_jost(rep: JostRep, t_max: float | None = None) -> Potential:
     """Compose Wiener inversion, the scattering kernel and GLM recovery."""
     wi = invert_wiener(rep, t_max if t_max is not None else 8.0 * rep.gamma)
     S = scattering_kernel(rep, wi, t_max)
-    return recover_potential(S, grid)
+    return recover_potential(S)
 
 
 def support_identities(q: Potential, rep: JostRep, S: ScatteringRep) -> dict:

@@ -4,10 +4,13 @@ Everything here deliberately avoids the library's propagators: matrix
 exponentials come from scipy.linalg.expm or an eigendecomposition written
 directly from the 2x2 structure, zero hunting uses a brute-force grid
 sweep refined by mpmath's Muller iteration, and integrals fall back to
-very fine trapezoid sums.
+very fine trapezoid sums.  The GLM reference solves each row system
+densely (O(n^3) per node), and the Wiener reference marches node by node.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -166,3 +169,96 @@ def propagate_sequential(q, z: np.ndarray) -> np.ndarray:
                     @ _sigma3_phase(np.full(z.shape, -k * hi)))
         f = step @ f
     return f
+
+
+def wiener_loop(g: np.ndarray, h_step: float, alpha: float, n_h: int) -> np.ndarray:
+    """Reciprocal kernel h by forward marching the trapezoid-discretised
+    identity e^{-i alpha} h + e^{i alpha} g + g*h = 0 one node at a time
+    (O(n_g n_h)); h_j enters row j only through the g(0) endpoint."""
+    n_g = g.size - 1
+    ea = np.exp(1j * alpha)
+    hv = np.zeros(n_h + 1, dtype=complex)
+    hv[0] = -ea * ea * g[0]
+    denom = np.conj(ea) + 0.5 * h_step * g[0]
+    for j in range(1, n_h + 1):
+        jmax = min(j, n_g)
+        acc = 0.5 * g[jmax] * hv[j - jmax] if jmax == n_g and j > n_g else 0.0
+        if jmax >= 1:
+            t_idx = np.arange(1, jmax + (0 if (jmax == n_g and j > n_g) else 1))
+            if t_idx.size:
+                w = np.ones(t_idx.size)
+                if t_idx[-1] == j:       # t = s_j endpoint (only when j <= n_g)
+                    w[-1] = 0.5
+                acc = acc + np.dot(w * g[t_idx], hv[j - t_idx])
+        gj = g[j] if j <= n_g else 0.0
+        hv[j] = -(ea * gj + h_step * acc) / denom
+        if j == n_g:
+            # h jumps at gamma along with g: the node stores the midpoint
+            hv[j] += 0.5 * ea * ea * g[n_g]
+    return hv
+
+
+@dataclass(frozen=True)
+class GlmRows:
+    """Solution rows of the GLM equation at one x: G11, G12 on [0, gamma-x]
+    (row 2 follows by conjugation: G21 = conj(G12), G22 = conj(G11))."""
+
+    g11: np.ndarray
+    g12: np.ndarray
+    residual: float
+
+    @property
+    def g21(self) -> np.ndarray:
+        return np.conj(self.g12)
+
+
+def glm_matrix(om, jx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted Nystrom matrix A[i, j] = w_j k(x + s_i + t_j) and the data
+    vector k(x + s) on the row grid [0, gamma - x], with the support cutoff
+    at argument gamma handled by the jump-midpoint convention."""
+    kv = om.k.values
+    n = om.k.grid.n
+    h = om.k.grid.h
+    m = n - jx
+    w = np.full(m + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    idx = jx + np.add.outer(np.arange(m + 1), np.arange(m + 1))
+    kmat = np.zeros_like(idx, dtype=complex)
+    inside = idx <= n
+    kmat[inside] = kv[idx[inside]]
+    # argument hits gamma strictly inside the t-range for rows i >= 1
+    anti = idx == n
+    anti[0, :] = False
+    kmat[anti] *= 0.5
+    # data term; the corner value at argument gamma is the inside limit
+    return kmat * w[None, :], kv[jx:].copy()
+
+
+def solve_glm(om, x: float, residual_tol: float = 1e-10) -> GlmRows:
+    """Dense LU solve of the two-component row system at the node x.
+
+    Unknowns a = G11(x, .), b = G12(x, .) satisfy a + conj(A) b = 0 and
+    b + A a = -k_x; b solves the dense Schur complement (I - A conj(A)) b
+    = -k_x, and the block residual is checked against residual_tol.
+    """
+    n = om.k.grid.n
+    jx = int(round(x / om.k.grid.h))
+    if jx == n:
+        # single-point row: the integral term is empty and b(0) = -k(gamma)
+        return GlmRows(np.zeros(2, dtype=complex), np.array([-om.k.values[-1], 0.0]), 0.0)
+    if jx > n:
+        return GlmRows(np.zeros(2, dtype=complex), np.zeros(2, dtype=complex), 0.0)
+    A, kx = glm_matrix(om, jx)
+    Ac = np.conj(A)
+    b = sla.solve(np.eye(kx.size) - A @ Ac, -kx)
+    a = -Ac @ b
+    resid = float(max(np.max(np.abs(a + Ac @ b)), np.max(np.abs(b + A @ a + kx)))
+                  / max(1.0, np.max(np.abs(kx))))
+    assert resid <= residual_tol, f"dense GLM residual {resid:.3e}"
+    return GlmRows(a, b, resid)
+
+
+def recover_dense(om) -> np.ndarray:
+    """q(x_j) = -G12(x_j, 0) from an independent dense solve at every node."""
+    h = om.k.grid.h
+    return np.array([-solve_glm(om, j * h).g12[0] for j in range(om.k.grid.n + 1)])

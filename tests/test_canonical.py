@@ -12,7 +12,14 @@ from dirachl.canonical import (
     matrix_potential,
     potential_from_hamiltonian,
 )
-from dirachl.core import BoundaryParam, Piece, ValidationError, make_grid, potential_from_values
+from dirachl.core import (
+    BoundaryParam,
+    NumericalError,
+    Piece,
+    ValidationError,
+    make_grid,
+    potential_from_values,
+)
 from dirachl.forward import make_psi_evaluator, psi_values
 from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
@@ -207,3 +214,16 @@ class TestHermiteBiehler:
         assert R_jost.total() == R_e.total()
         for (z1, _), (z2, _) in zip(R_jost.entries, R_e.entries):
             assert abs(z1 - z2) < 1e-6
+
+    def test_growth_cap_raises_instead_of_nan(self):
+        # beyond the cap the product overflows; psi_values raises there too
+        q = constant_potential(1.0, n=256)
+        for z in (-800j, -2000j):
+            with pytest.raises(NumericalError, match=r"\|Im z\|"):
+                psi_values(q, BoundaryParam(0.0), z)
+            with pytest.raises(NumericalError, match=r"\|Im z\|"):
+                make_hermite_evaluator(q)(np.array([1.0, z]))
+            with pytest.raises(NumericalError, match=r"\|Im z\|"):
+                hermite_biehler(q, z)
+            with pytest.raises(NumericalError, match=r"\|Im z\|"):
+                boundary_solution(q, BoundaryParam(0.4), z)

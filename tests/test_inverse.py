@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirachl.core import (
     BoundaryParam,
+    NumericalError,
     SampledComplexFunction,
     ScatteringRep,
     fourier_eval,
@@ -11,13 +16,13 @@ from dirachl.core import (
 )
 from dirachl.forward import jost_kernel, jost_kernel_direct, make_psi_evaluator, psi_values
 from dirachl.inverse import (
+    _solve_glm_line0,
     invert_wiener,
     omega_kernel,
     potential_to_scattering,
     recover_from_jost,
     recover_potential,
     scattering_kernel,
-    solve_glm,
     support_identities,
     unimodularity_tolerance,
 )
@@ -25,6 +30,7 @@ from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import constant_potential, random_piecewise_potential
 
 from conftest import rel_l2
+from oracles import recover_dense, solve_glm, wiener_loop
 
 
 def zero_rep(alpha=0.3, n=512):
@@ -37,6 +43,18 @@ class TestWiener:
     def test_zero_kernel(self):
         wi = invert_wiener(zero_rep(), 6.0)
         assert np.max(np.abs(wi.h.values)) == 0.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.floats(0.0, 3.0), st.sampled_from([32, 96, 1024]),
+           st.sampled_from([1, 2, 4, 8, 32]))
+    def test_matches_loop(self, seed, av, n, pieces):
+        # the Toeplitz solve against the node-by-node march it replaced; the
+        # tail guard is off, since some drawn potentials need a longer T_h
+        q = random_piecewise_potential(seed, n=n, n_pieces=pieces)
+        rep = jost_kernel_direct(q, BoundaryParam(av))
+        wi = invert_wiener(rep, tail_tol=1.0)
+        ref = wiener_loop(rep.g.values, rep.g.grid.h, av, wi.h.grid.n)
+        assert np.max(np.abs(wi.h.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_reciprocal_identity(self):
         q = constant_potential(1.0, n=2048)
@@ -83,7 +101,6 @@ class TestWiener:
     def test_tail_guard(self):
         q = constant_potential(1.0, n=512)
         rep = jost_kernel_direct(q, BoundaryParam(0.0))
-        from dirachl.core import NumericalError
         with pytest.raises(NumericalError, match="increase T_h"):
             invert_wiener(rep, 2.0, tail_tol=1e-4)
 
@@ -182,6 +199,26 @@ class TestGlm:
         rows = solve_glm(omega_kernel(S), 0.5)
         assert rows.residual <= 1e-10
 
+    def test_line0_matches_dense(self):
+        q = random_piecewise_potential(3, n=256)
+        S = potential_to_scattering(q, BoundaryParam(0.4), t_max=8.0)
+        om = omega_kernel(S)
+        a, b, resid = _solve_glm_line0(om)
+        rows = solve_glm(om, 0.0)
+        assert resid <= 1e-10
+        assert np.max(np.abs(a - rows.g11)) < 1e-10
+        assert np.max(np.abs(b - rows.g12)) < 1e-10
+
+    def test_gmres_failure_raises(self, monkeypatch):
+        q = constant_potential(1.0, n=128)
+        S = potential_to_scattering(q, BoundaryParam(0.0), t_max=6.0)
+        with pytest.raises(NumericalError, match="GMRES info 0, block residual"):
+            recover_potential(S, residual_tol=1e-30)
+        from dirachl import inverse
+        monkeypatch.setattr(inverse.spla, "gmres", lambda op, rhs, **kw: (0.0 * rhs, 7))
+        with pytest.raises(NumericalError, match="GMRES info 7"):
+            recover_potential(S)
+
 
 class TestRecovery:
     def test_free_scattering_gives_zero(self):
@@ -202,16 +239,14 @@ class TestRecovery:
         assert rel_l2(q, qhat.samples.values) < 1e-2
 
     def test_dense_matches_march(self):
-        # n = 128 recovers by per-node dense solves; march the same kernel
-        from dirachl.inverse import _march_recovery, _solve_glm_line0
-        q = constant_potential(1.0 + 0.5j, n=128)
-        S = potential_to_scattering(q, BoundaryParam(0.7), t_max=10.0)
-        qa = recover_potential(S)
-        om = omega_kernel(S)
-        a0, b0, _ = _solve_glm_line0(om)
-        qb = _march_recovery(om, a0, b0)
-        assert np.max(np.abs(qa.samples.values - qb)) < 5e-3
-        assert rel_l2(q, qa.samples.values) < 1e-2
+        # the march against independent dense solves at every node, on the
+        # small grids where the dense route is affordable
+        for seed, n, av in itertools.product((0, 1, 2, 101), (32, 64, 96, 128, 192), (0.0, 0.4)):
+            q = random_piecewise_potential(seed, n=n)
+            S = scattering_kernel(jost_kernel_direct(q, BoundaryParam(av)))
+            march = rel_l2(q, recover_potential(S).samples.values)
+            dense = rel_l2(q, recover_dense(omega_kernel(S)))
+            assert march <= 1.15 * dense, (seed, n, av, march, dense)
 
     def test_jost_route_trivial(self):
         qhat = recover_from_jost(zero_rep(0.2))

@@ -73,8 +73,9 @@ class TestFindResonances:
             assert min(abs(z - w) for w in oracle) < 1e-6
 
     def test_cell_search_work_pinned(self):
-        # the recovered n = 96 potential the benchmark's cell-sampled search
-        # uses; a change to the search's sampling or Newton steps shows here
+        # the n = 96 potential recovered by the GLM march, which the
+        # benchmark's cell-sampled search uses; a change to the search's
+        # sampling or Newton steps, or to the recovery, shows here
         alpha = BoundaryParam(0.4)
         qp = random_piecewise_potential(101, n=96)
         q = recover_potential(scattering_kernel(jost_kernel_direct(qp, alpha)))
@@ -87,7 +88,7 @@ class TestFindResonances:
             return ev(z)
 
         R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
-        assert work == {"calls": 211, "points": 7887}
+        assert work == {"calls": 250, "points": 9147}
         assert R.total() == 3
 
 

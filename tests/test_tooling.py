@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,19 @@ def test_perfbench_spans_resolve():
         if owner is None:
             missing.append(f"{module}.{attr_path}")
     assert not missing, f"perfbench/spans.py names missing in dirachl: {missing}"
+
+
+def test_readme_layout_names_exist():
+    # every bare `name` in a row of README's "Library layout" table is an
+    # attribute of that row's module
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    missing = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not re.fullmatch(r"`dirachl\.\w+`", cells[0]):
+            continue
+        mod = importlib.import_module(cells[0].strip("`"))
+        missing += [f"{mod.__name__}.{n}" for n in re.findall(r"`(\w+)`", cells[1])
+                    if not hasattr(mod, n)]
+    assert not missing, f"README layout names missing in dirachl: {missing}"
