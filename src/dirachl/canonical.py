@@ -156,11 +156,11 @@ def _segment_steps(lo, hi, amp, k, z):
     return step
 
 
-def fundamental_matrix(q: Potential, z: complex, im_cap: float | None = None) -> FundamentalMatrix:
+def fundamental_matrix(q: Potential, z: complex) -> FundamentalMatrix:
     """M(x, z) at the nodes: running product of the exact per-cell propagators
     of J u' + V u = z u from M(0) = I."""
     zz = complex(z)
-    _check_im_cap(q.gamma, zz, im_cap)
+    _check_im_cap(q.gamma, zz)
     amps, chirps = q.cell_values()
     nodes = q.grid.nodes()
     steps = np.stack(_segment_steps(nodes[:-1], nodes[1:], amps, chirps, zz), -1)

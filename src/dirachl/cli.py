@@ -45,7 +45,6 @@ class RunConfig:
     zwindow: float = 20.0           # real-axis window for psi/S CSV output
     tmax: float | None = None       # scattering-kernel horizon (default 8 gamma)
     rcut: float = 60.0
-    imcap: float | None = None
     tol: float = 1e-9
     seed: int = 0
     out: str = "."
@@ -57,11 +56,12 @@ class RunConfig:
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-        for f in fields(RunConfig):
-            if f.name in data:
-                setattr(cfg, f.name, data[f.name])
+        data = _read_input(args.config, dict)
+        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValidationError(f"unknown key(s) {unknown} in --config {args.config}")
+        for name, value in data.items():
+            setattr(cfg, name, value)
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
         if v is not None:
@@ -115,7 +115,7 @@ def cmd_forward(args) -> int:
 def _resonances_of(q, alpha, cfg, region=None) -> ResonanceSet:
     ev = forward.make_psi_evaluator(q, alpha)
     if region is None:
-        depth = min(6.0, 0.9 * forward._growth_cap(q.gamma, cfg.imcap))
+        depth = min(6.0, 0.9 * forward._growth_cap(q.gamma))
         region = spectral.SearchRegion(-cfg.rcut * 1.05, cfg.rcut * 1.05, -depth, 0.0)
     return spectral.find_resonances(ev, region, tol=cfg.tol)
 
@@ -162,8 +162,7 @@ def cmd_invert(args) -> int:
     if isinstance(data, ScatteringRep):
         S = data
     else:
-        wi = inverse.invert_wiener(data, max(cfg.resolved_tmax(), 8.0 * data.gamma))
-        S = inverse.scattering_kernel(data, wi, cfg.resolved_tmax())
+        S = inverse.scattering_kernel(data, t_max=cfg.resolved_tmax())
     qhat, rec = inverse.recover_potential(S, with_report=True)
     core.dump_json(os.path.join(cfg.out, "potential.json"), qhat.to_json())
     _write_csv(os.path.join(cfg.out, "diagnostics.csv"),
@@ -243,8 +242,7 @@ def cmd_check(args) -> int:
     q = _read_potential(args.potential)
     alpha = BoundaryParam(cfg.alpha)
     rep = forward.jost_kernel_direct(q, alpha)
-    wi = inverse.invert_wiener(rep, max(cfg.resolved_tmax(), 8.0 * q.gamma))
-    S = inverse.scattering_kernel(rep, wi, cfg.resolved_tmax())
+    S = inverse.scattering_kernel(rep, t_max=cfg.resolved_tmax())
     lines = []
     ok = True
     s_tol, decayed = inverse.unimodularity_tolerance(S)
@@ -292,7 +290,7 @@ def cmd_synth(args) -> int:
 def _add_common(p):
     for name, typ in (("gamma", float), ("alpha", float), ("n", int),
                       ("zmax", float), ("zwindow", float), ("tmax", float),
-                      ("rcut", float), ("imcap", float), ("tol", float),
+                      ("rcut", float), ("tol", float),
                       ("seed", int)):
         p.add_argument(f"--{name}", type=typ, default=None)
     p.add_argument("--out", type=str, default=None)

@@ -25,6 +25,9 @@ passes in the transform model `JostRep.psi` evaluates (band-limited, so
 support edges smear at the 1/z_max scale), and `jost_kernel_direct`
 marches the transformation kernel along characteristics, which keeps
 O(h^2) accuracy up to the support edges and feeds the inverse pipeline.
+Its trapezoid step, `_characteristic_step`, is the one step of the
+characteristic pair in the package: the GLM continuation in `inverse`
+marches the same pair upward with it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "scattering_value",
     "jost_kernel",
     "jost_kernel_direct",
-    "transformation_rows",
     "kernel_estimate",
 ]
 
@@ -237,15 +239,15 @@ def _psi_from_f(f: np.ndarray, alpha: BoundaryParam) -> np.ndarray:
 _PROPAGATORS = {"exact": _propagate_exact, "rk4": _propagate_rk4}
 
 
-def psi_values(q: Potential, alpha: BoundaryParam, z, method: str = "exact",
-               im_cap: float | None = None) -> np.ndarray | complex:
+def psi_values(q: Potential, alpha: BoundaryParam, z,
+               method: str = "exact") -> np.ndarray | complex:
     """Vectorized Jost function.  method 'exact' multiplies closed-form
     segment exponentials; 'rk4' is the fourth-order reference scheme."""
     if method not in _PROPAGATORS:
         raise ValidationError(f"unknown method {method!r}")
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_im_cap(q.gamma, zz, im_cap)
+    _check_im_cap(q.gamma, zz)
     vals = _psi_from_f(_PROPAGATORS[method](q, zz), alpha)
     return complex(vals[0]) if scalar else vals
 
@@ -407,8 +409,23 @@ def _node_values(q: Potential) -> np.ndarray:
     return vals
 
 
-def transformation_rows(q: Potential):
-    """March the transformation-kernel pair (G11, G21) down to x = 0.
+def _characteristic_step(d, o, d_sh, o_sh, a, b):
+    """One trapezoid predictor-corrector step of the characteristic pair
+
+        d' = d + a (o + o'),     o' = o_sh + b (d_sh + d'),
+
+    where (d, o) sit on the old line at the nodes of the new one and
+    (d_sh, o_sh) one node along the characteristic; solved in closed form,
+    elementwise over arrays or scalars.  Returns (d', o')."""
+    p = d + a * o
+    r = o_sh + b * d_sh
+    d_new = (p + a * r) / (1.0 - a * b)
+    return d_new, r + b * d_new
+
+
+def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
+    """Kernel g(s) = e^{-i alpha} G11(0, s) - e^{i alpha} G21(0, s) from the
+    transformation kernel; second-order accurate up to the support edges.
 
     The kernel G(x, s) of the Jost solution satisfies, on the triangle
     x + s <= gamma,
@@ -416,56 +433,34 @@ def transformation_rows(q: Potential):
         d/dx G11 = q(x) G21,     (d/dx - d/ds) G21 = conj(q(x)) G11,
 
     with boundary value G21(x, 0) = -conj(q(x)) and zero diagonal data on
-    x + s = gamma.  A trapezoid predictor-corrector along the x lines and
-    the characteristics x + s = const is second order.  Returns (d1, o2) at
-    x = 0 on the full s grid, i.e. G11(0, .) and G21(0, .).
+    x + s = gamma.  The pair is marched down from x = gamma to x = 0 with
+    `_characteristic_step` along the x lines and the characteristics
+    x + s = const, with q at the cell mean; the s = 0 node takes its o from
+    the data and the new diagonal node s = gamma - x its d = 0.
     """
-    n = q.grid.n
-    h = q.grid.h
+    n, h = q.grid.n, q.grid.h
     amps, chirps = q.cell_values()
     nodes = q.grid.nodes()
     cell_at = amps * np.exp(2j * chirps * 0.5 * (nodes[:-1] + nodes[1:]))  # cell mean value
-    node_vals = _node_values(q)
+    a_cell = -0.5 * h * cell_at
+    b_cell = np.conj(a_cell)
+    o_edge = -np.conj(_node_values(q))          # G21(x, 0)
 
-    # line at x = gamma: single node s = 0
-    d1 = np.zeros(1, dtype=complex)
-    o2 = np.array([-np.conj(node_vals[-1])], dtype=complex)
-
+    # (d, o) = (G11, G21) on the line x = gamma: the single node s = 0
+    d = np.zeros(1, dtype=complex)
+    o = o_edge[-1:]
     for i in range(n - 1, -1, -1):
-        qc = cell_at[i]
-        m_new = n - i
-        d_new = np.zeros(m_new + 1, dtype=complex)
-        o_new = np.zeros(m_new + 1, dtype=complex)
-
-        # characteristic + x-line trapezoid updates, solved pairwise:
-        #   d_new[j] = d1[j] - (h qc / 2)(o2[j] + o_new[j])        j <= m_new-1
-        #   o_new[j] = o2[j-1] - (h conj(qc)/2)(d1[j-1] + d_new[j]) j >= 1
-        c1 = 0.5 * h * qc
-        c2 = 0.5 * h * np.conj(qc)
-        denom = 1.0 - c1 * c2
-        j = np.arange(1, m_new)
-        P = d1[j] - c1 * o2[j]
-        R = o2[j - 1] - c2 * d1[j - 1]
-        d_new[j] = (P - c1 * R) / denom
-        o_new[j] = R - c2 * d_new[j]
-        # boundary node s = 0: o is data, d couples to it directly
-        o_new[0] = -np.conj(node_vals[i])
-        d_new[0] = d1[0] - c1 * (o2[0] + o_new[0])
-        # new diagonal node s = gamma - x_i: d vanishes there, o rides the
-        # characteristic from the previous diagonal
-        d_new[m_new] = 0.0
-        o_new[m_new] = o2[m_new - 1] - c2 * (d1[m_new - 1] + d_new[m_new])
-
-        d1, o2 = d_new, o_new
-    return d1, o2
-
-
-def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
-    """Kernel g(s) = e^{-i alpha} G11(0, s) - e^{i alpha} G21(0, s) from the
-    transformation kernel; second-order accurate up to the support edges."""
-    d1, o2 = transformation_rows(q)
+        a, b = a_cell[i], b_cell[i]
+        d_new = np.empty(d.size + 1, dtype=complex)
+        o_new = np.empty(d.size + 1, dtype=complex)
+        d_new[1:-1], o_new[1:-1] = _characteristic_step(d[1:], o[1:], d[:-1], o[:-1], a, b)
+        o_new[0] = o_edge[i]
+        d_new[0] = d[0] + a * (o[0] + o_new[0])
+        d_new[-1] = 0.0
+        o_new[-1] = o[-1] + b * d[-1]
+        d, o = d_new, o_new
     ea = np.exp(-1j * alpha.alpha)
-    g = ea * d1 - np.conj(ea) * o2
+    g = ea * d - np.conj(ea) * o
     return JostRep(alpha, q.gamma, SampledComplexFunction(q.grid, g))
 
 

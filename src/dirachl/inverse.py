@@ -24,8 +24,9 @@ with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  The 2x2
 system splits into two-component rows, and the second row is the
 conjugate of the first, so only (G11, G12) is ever solved for.  The x = 0
 line is solved once, by GMRES with FFT convolution mat-vecs, and
-continued upward with the same characteristics marching the forward
-transformation kernel uses, reading q(x) from the boundary as it goes.
+continued upward along characteristics with the trapezoid step of the
+forward transformation-kernel march (`forward._characteristic_step`),
+reading q(x) from the boundary as it goes.
 The Wiener identity above is one lower-triangular Toeplitz solve, by a
 power-series inverse with FFT products.  No step forms an n x n matrix.
 """
@@ -50,7 +51,8 @@ from .core import (
     support_infimum,
     support_supremum,
 )
-from .core import SUPPORT_FLOOR_REL, _convolve
+from .core import SUPPORT_FLOOR_REL, _convolve, _trapezoid_weights
+from .forward import _characteristic_step, jost_kernel_direct
 
 __all__ = [
     "WienerInverse",
@@ -181,8 +183,7 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     # r*h by trapezoid in t over [-gamma, 0]; result on [-gamma, t_max + ...].
     # Where the integrand crosses h's jump at 0 that node is interior, so the
     # convolution sees the midpoint value there (h vanishes on s < 0).
-    wr = np.full(n_g + 1, hstep)
-    wr[0] = wr[-1] = 0.5 * hstep
+    wr = _trapezoid_weights(rep.g.grid)
     total = n_g + n_t                          # nodes on [-gamma, t_max]
     h_conv = hv.copy()
     h_conv[0] *= 0.5
@@ -232,8 +233,6 @@ def potential_to_scattering(q: Potential, alpha: BoundaryParam,
                             t_max: float | None = None) -> ScatteringRep:
     """Forward pipeline q -> g -> h -> F with the transformation-kernel route
     (second order up to the support edges)."""
-    from .forward import jost_kernel_direct
-
     rep = jost_kernel_direct(q, alpha)
     return scattering_kernel(rep, None, t_max)
 
@@ -261,16 +260,13 @@ def _solve_glm_line0(om: OmegaKernel, residual_tol: float = 1e-10):
     without converging or the block residual exceeds residual_tol."""
     kv = om.k.values
     n = om.k.grid.n
-    h = om.k.grid.h
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    i = np.arange(1, n + 1)
+    w = _trapezoid_weights(om.k.grid)
 
     def apply_A(v: np.ndarray, kern: np.ndarray) -> np.ndarray:
         u = w * v
         c = _convolve(kern[::-1], u, n + 1)[::-1]
         # halve the entries whose kernel argument sits exactly at gamma
-        c[i] -= 0.5 * kern[n] * u[n - i]
+        c[1:] -= 0.5 * kern[n] * u[-2::-1]
         return c
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -294,35 +290,27 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     """Continue the x = 0 GLM line upward along characteristics, reading
     q(x) = -G12(x, 0) from the boundary at every step.
 
-    The pair (d2, o1) = (G22, G12) = (conj G11, G12) obeys
+    The pair (d, o) = (G22, G12) = (conj G11, G12) obeys
 
-        d/dx d2 = conj(q) o1,   (d/dx - d/ds) o1 = q d2,
+        d/dx d = conj(q) o,   (d/dx - d/ds) o = q d,
 
-    marched with trapezoid predictor-corrector steps; the cell value of q
-    is itself corrected once per step.
+    the forward kernel's pair run the other way, and is marched with the
+    same `_characteristic_step`.  The cell value of q is corrected once per
+    step: a predictor pass at the s = 0 node alone gives q at the next
+    node, and the full line is then stepped with the mean of the two.
     """
     n = om.k.grid.n
     h = om.k.grid.h
-    d2 = np.conj(a0).copy()
-    o1 = b0.copy()
+    d = np.conj(a0)
+    o = b0
     qhat = np.empty(n + 1, dtype=complex)
-    qhat[0] = -o1[0]
+    qhat[0] = -o[0]
     for i in range(n):
-        m_new = n - i - 1
-        qc = qhat[i]
-        for _ in range(2):
-            c1 = 0.5 * h * qc
-            c2c = 0.5 * h * np.conj(qc)
-            denom = 1.0 - c1 * c2c
-            j = np.arange(m_new + 1)
-            P = d2[j] + c2c * o1[j]
-            R = o1[j + 1] + c1 * d2[j + 1]
-            o_new = (R + c1 * P) / denom
-            d_new = P + c2c * o_new
-            q_next = -o_new[0]
-            qc = 0.5 * (qhat[i] + q_next)
-        d2, o1 = d_new, o_new
-        qhat[i + 1] = q_next
+        b = 0.5 * h * qhat[i]
+        _, o0 = _characteristic_step(d[0], o[0], d[1], o[1], np.conj(b), b)
+        b = 0.5 * h * (0.5 * (qhat[i] - o0))    # h/2 times the corrected cell value
+        d, o = _characteristic_step(d[:-1], o[:-1], d[1:], o[1:], np.conj(b), b)
+        qhat[i + 1] = -o[0]
     return qhat
 
 
@@ -357,9 +345,7 @@ def recover_potential(S: ScatteringRep, residual_tol: float = 1e-10,
 
 def recover_from_jost(rep: JostRep, t_max: float | None = None) -> Potential:
     """Compose Wiener inversion, the scattering kernel and GLM recovery."""
-    wi = invert_wiener(rep, t_max if t_max is not None else 8.0 * rep.gamma)
-    S = scattering_kernel(rep, wi, t_max)
-    return recover_potential(S)
+    return recover_potential(scattering_kernel(rep, t_max=t_max))
 
 
 def support_identities(q: Potential, rep: JostRep, S: ScatteringRep) -> dict:

@@ -1,14 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirachl
+
+# the child process imports the same dirachl as the tests, installed or not
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(Path(dirachl.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)}
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "dirachl.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=_ENV)
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +216,32 @@ class TestPipelines:
         r = run_cli("move", str(workdir / "potential.json"), moves, "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert (out / "potential.json").exists()
+
+
+class TestConfig:
+    def test_config_applies_below_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 128, "seed": 5}))
+        r = run_cli("synth", "--config", str(cfg), "--n", "64", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        obj = json.loads((tmp_path / "potential.json").read_text())
+        assert obj["n"] == 64
+        r = run_cli("synth", "--seed", "5", "--n", "64", "--out", str(tmp_path / "b"))
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "b" / "potential.json").read_text() == \
+            (tmp_path / "potential.json").read_text()
+
+    def test_unknown_config_key_rejected(self, workdir, tmp_path):
+        # a key the run cannot use (here the removed growth-cap override)
+        # is an error, not silently ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rcut": 8.0, "imcap": 10.0}))
+        r = run_cli("resonances", str(workdir / "potential.json"), "--config", str(cfg),
+                    "--out", str(tmp_path))
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "validation"
+        assert "imcap" in err["error"]["message"]
+        r = run_cli("resonances", str(workdir / "potential.json"), "--imcap", "10",
+                    "--out", str(tmp_path))
+        assert r.returncode == 2

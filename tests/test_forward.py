@@ -319,6 +319,20 @@ class TestDirectKernel:
         assert resids[0] / resids[1] == pytest.approx(4.0, rel=0.3)
         assert resids[1] / resids[2] == pytest.approx(4.0, rel=0.3)
 
+    @pytest.mark.parametrize("k, tol", [(1.7, 2e-5), (-4.0, 5e-5)])
+    def test_chirped_cells(self, k, tol):
+        # chirped pieces: the march sees q e^{2ikx} through its cell means
+        al = BoundaryParam(0.2)
+        z = np.linspace(-40, 40, 161)
+        resids = []
+        for n in (512, 1024, 2048):
+            q = shift_potential(random_piecewise_potential(9, n=n), k)
+            rep = jost_kernel_direct(q, al)
+            resids.append(np.max(np.abs(rep.psi(z) - psi_values(q, al, z.astype(complex)))))
+        assert resids[1] < tol
+        assert resids[0] / resids[1] == pytest.approx(4.0, rel=0.05)
+        assert resids[1] / resids[2] == pytest.approx(4.0, rel=0.05)
+
     def test_norm_bound(self):
         for seed in (0, 5):
             q = random_piecewise_potential(seed, n=512)

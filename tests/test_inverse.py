@@ -258,6 +258,16 @@ class TestRecovery:
         qhat = recover_from_jost(rep)
         assert rel_l2(q, qhat.samples.values) < 1e-2
 
+    def test_jost_route_short_horizon(self):
+        # the Wiener horizon stays at 8 gamma when t_max is shorter, as in
+        # scattering_kernel; a horizon of t_max alone fails its tail guard
+        q = random_piecewise_potential(0, n=1024)
+        rep = jost_kernel_direct(q, BoundaryParam(0.3))
+        qhat = recover_from_jost(rep, t_max=2.0)
+        direct = recover_potential(scattering_kernel(rep, t_max=2.0))
+        assert np.array_equal(qhat.samples.values, direct.samples.values)
+        assert rel_l2(q, qhat.samples.values) < 1e-3
+
     def test_resonances_preserved(self):
         q = constant_potential(1.0, n=1024)
         al = BoundaryParam(0.0)
