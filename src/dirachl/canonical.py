@@ -6,10 +6,9 @@ matrix V = [[q1, q2], [q2, -q1]], q = -q2 + i q1, J = [[0, 1], [-1, 0]].
 With M(x, z) the fundamental matrix (M(0) = I), the z = 0 solution
 r = M(., 0) generates the canonical-system Hamiltonian H = r^T r, a
 positive unit-determinant matrix equal to I at 0 and constant beyond the
-support.  M is a product of exact per-segment propagators: on a segment
-where q = a e^{2ikx} the rotation T e^{ikx sigma3} T^{-1} removes the
-chirp, leaving the constant traceless coefficient -J((z - k) I - V(a))
-with a closed-form exponential, so det M = 1 holds to rounding.  The
+support.  M is the T-conjugate of the Dirac propagator, M(x, z) =
+T f(x, z) f(0, z)^{-1} T^{-1}, built from the exact unit-determinant
+segment factors of `forward` (so det M = 1 holds to rounding).  The
 reverse direction needs only derivatives of the entries:
 
     p = a'/a,  w = (a b' - a' b)/a,  rho(x) = int_0^x w,
@@ -37,7 +36,7 @@ from .core import (
     ValidationError,
     make_grid,
 )
-from .forward import _check_im_cap, _expm_traceless, _mul2, _segment_product, _segments
+from .forward import _check_im_cap, _mul2, _propagate_exact, _segment_factors
 
 __all__ = [
     "MatrixPotential",
@@ -131,60 +130,44 @@ class FundamentalMatrix:
         return float(np.max(np.abs(dets - 1.0)))
 
 
+_T = np.array([[1j, -1j], [1.0, 1.0]]) / math.sqrt(2.0)
+
+
 def matrix_potential(q: Potential) -> MatrixPotential:
     vals = q.samples.values
     return MatrixPotential(q.grid, np.imag(vals).copy(), -np.real(vals).copy())
 
 
-def _rotation(theta):
-    """T e^{i theta sigma3} T^{-1}, the chirp gauge in the canonical frame,
-    as entries (m00, m01, m10, m11)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return c, -s, s, c
-
-
-def _segment_steps(lo, hi, amp, k, z):
-    """Exact propagators M(hi) M(lo)^{-1} across segments carrying
-    q = amp e^{2ikx}, as entry arrays (m00, m01, m10, m11) broadcast over
-    segments and z."""
-    zk = np.asarray(z - k, dtype=complex)
-    q1, q2 = np.imag(amp), -np.real(amp)
-    # -J((z - k) I - V) = [[q2, -(zk + q1)], [zk - q1, -q2]]
-    step = _expm_traceless(q2, -(zk + q1), zk - q1, hi - lo)
-    if np.any(k != 0.0):
-        step = _mul2(_rotation(k * hi), _mul2(step, _rotation(-k * lo)))
-    return step
-
-
 def fundamental_matrix(q: Potential, z: complex) -> FundamentalMatrix:
-    """M(x, z) at the nodes: running product of the exact per-cell propagators
-    of J u' + V u = z u from M(0) = I."""
+    """M(x, z) = T f(x, z) f(0, z)^{-1} T^{-1} at the nodes, from the prefix
+    products of the per-cell forward steps f(hi) f(lo)^{-1}: the adjugates
+    of the unit-determinant `_segment_factors`."""
     zz = complex(z)
     _check_im_cap(q.gamma, zz)
     amps, chirps = q.cell_values()
     nodes = q.grid.nodes()
-    steps = np.stack(_segment_steps(nodes[:-1], nodes[1:], amps, chirps, zz), -1)
-    steps = steps.reshape(-1, 2, 2)
-    out = np.empty((q.grid.n + 1, 2, 2), dtype=complex)
-    out[0] = np.eye(2)
-    for j in range(q.grid.n):
-        out[j + 1] = steps[j] @ out[j]
+    e00, e01, e10, e11 = _segment_factors(nodes[:-1], nodes[1:], amps, chirps, zz)
+    m, d = (e11, -e01, -e10, e00), 1
+    while d < q.grid.n:     # log-depth scan: m[j] becomes step j ... step 1 step 0
+        prod = _mul2([x[d:] for x in m], [x[:-d] for x in m])
+        m, d = [np.concatenate((x[:d], p)) for x, p in zip(m, prod)], 2 * d
+    P = np.concatenate((np.eye(2)[None], np.stack(m, -1).reshape(-1, 2, 2)))
+    out = _T @ P @ _T.conj().T
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalError("canonical propagation overflowed")
     return FundamentalMatrix(zz, q.grid, out)
 
 
 def canonical_values(q: Potential, z: np.ndarray) -> np.ndarray:
-    """M(gamma, z) batched over z: one exact exponential per segment (per
-    piece when the potential carries exact pieces, else per cell), the
-    segments multiplied in a pairwise tree."""
+    """M(gamma, z) = T e^{i gamma z sigma3} f(0, z)^{-1} T^{-1} batched over z,
+    with f(0, z) from `_propagate_exact`; det f = 1, so the inverse is the
+    adjugate."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_im_cap(q.gamma, zz)
-    lo, hi, amp, k = (x[::-1, None] for x in _segments(q))
-    M = _segment_product(zz, len(lo), lambda zb: _segment_steps(lo, hi, amp, k, zb))
-    if not np.all(np.isfinite(M.view(float))):
-        raise NumericalError("canonical propagation overflowed; reduce |Im z|")
-    return M.reshape(zz.shape + (2, 2))
+    f, ph = _propagate_exact(q, zz), np.exp(1j * q.gamma * zz)
+    fg_f0inv = np.stack((f[..., 1, 1] * ph, -f[..., 0, 1] * ph,
+                         -f[..., 1, 0] / ph, f[..., 0, 0] / ph), -1)
+    return _T @ fg_f0inv.reshape(zz.shape + (2, 2)) @ _T.conj().T
 
 
 def hamiltonian_from_potential(q: Potential) -> Hamiltonian:

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +43,36 @@ class RunConfig:
     n: int = 1024
     zmax: float | None = None       # Fourier band for kernel extraction
     zwindow: float = 20.0           # real-axis window for psi/S CSV output
-    tmax: float | None = None       # scattering-kernel horizon (default 8 gamma)
+    tmax: float | None = None       # scattering-kernel horizon (default 8 gamma of the input)
     rcut: float = 60.0
     tol: float = 1e-9
     seed: int = 0
     out: str = "."
 
-    def resolved_tmax(self) -> float:
-        return 8.0 * self.gamma if self.tmax is None else self.tmax
+
+# type of each RunConfig field, for its flag and its --config key
+_FIELD_TYPES = {"gamma": float, "alpha": float, "n": int, "zmax": float,
+                "zwindow": float, "tmax": float, "rcut": float, "tol": float,
+                "seed": int, "out": str}
 
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         data = _read_input(args.config, dict)
-        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+        unknown = sorted(set(data) - set(_FIELD_TYPES))
         if unknown:
             raise ValidationError(f"unknown key(s) {unknown} in --config {args.config}")
         for name, value in data.items():
-            setattr(cfg, name, value)
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
+            typ = _FIELD_TYPES[name]
+            if type(value) not in ((int, float) if typ is float else (typ,)):
+                raise ValidationError(
+                    f"--config key {name!r} must be {typ.__name__}, got {value!r}")
+            setattr(cfg, name, typ(value))
+    for name in _FIELD_TYPES:
+        v = getattr(args, name, None)
         if v is not None:
-            setattr(cfg, f.name, v)
+            setattr(cfg, name, v)
     if cfg.tol <= 0:
         raise ValidationError("tolerances must be positive")
     return cfg
@@ -162,7 +169,7 @@ def cmd_invert(args) -> int:
     if isinstance(data, ScatteringRep):
         S = data
     else:
-        S = inverse.scattering_kernel(data, t_max=cfg.resolved_tmax())
+        S = inverse.scattering_kernel(data, t_max=cfg.tmax)
     qhat, rec = inverse.recover_potential(S, with_report=True)
     core.dump_json(os.path.join(cfg.out, "potential.json"), qhat.to_json())
     _write_csv(os.path.join(cfg.out, "diagnostics.csv"),
@@ -189,7 +196,7 @@ def cmd_move(args) -> int:
             moves = _read_moves(fh.read())
     else:
         moves = _read_moves(args.moves)
-    qnew = transforms.move_resonances(q, alpha, moves, t_max=cfg.resolved_tmax())
+    qnew = transforms.move_resonances(q, alpha, moves, t_max=cfg.tmax)
     os.makedirs(cfg.out, exist_ok=True)
     core.dump_json(os.path.join(cfg.out, "potential.json"), qnew.to_json())
     return 0
@@ -242,7 +249,7 @@ def cmd_check(args) -> int:
     q = _read_potential(args.potential)
     alpha = BoundaryParam(cfg.alpha)
     rep = forward.jost_kernel_direct(q, alpha)
-    S = inverse.scattering_kernel(rep, t_max=cfg.resolved_tmax())
+    S = inverse.scattering_kernel(rep, t_max=cfg.tmax)
     lines = []
     ok = True
     s_tol, decayed = inverse.unimodularity_tolerance(S)
@@ -288,12 +295,8 @@ def cmd_synth(args) -> int:
 
 
 def _add_common(p):
-    for name, typ in (("gamma", float), ("alpha", float), ("n", int),
-                      ("zmax", float), ("zwindow", float), ("tmax", float),
-                      ("rcut", float), ("tol", float),
-                      ("seed", int)):
+    for name, typ in _FIELD_TYPES.items():
         p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None)
 
 

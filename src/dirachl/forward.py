@@ -8,7 +8,9 @@ half-plane, and S(z) = conj(psi(z)) / psi(z) on the real axis.
 
 `psi_values` multiplies exact per-segment propagators: each piece (or,
 for a bare sampled potential, each cell) has a constant coefficient matrix
-after a chirp gauge, so its exponential has a closed 2x2 form.  For z in
+after a chirp gauge, so its exponential has a closed 2x2 form,
+`_segment_factors`, the one per-segment propagator of the package (the
+canonical-system matrices of `canonical` are its T-conjugates).  For z in
 blocks of at most 2^16 (segment, z) pairs, the exponentials of all
 segments are formed at once as four entry arrays and multiplied pairwise
 in a log-depth tree of elementwise 2x2 products, so a call costs no
@@ -136,50 +138,43 @@ def _segments(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return nodes[:-1], nodes[1:], amps, chirps
 
 
+def _segment_factors(lo, hi, amp, k, z):
+    """Exact propagators f(lo) f(hi)^{-1} across segments carrying
+    q = amp e^{2ikx} on [lo, hi], as entry arrays (e00, e01, e10, e11)
+    broadcast over segments and z; each has unit determinant.
+
+    The gauge e^{-ikx sigma3} turns a segment into a constant one at
+    spectral parameter z - k, whose exponential has the closed 2x2 form
+    of `_expm_traceless`; undoing the gauge multiplies its diagonal entries
+    by e^{-+ik(hi-lo)} and its off-diagonal ones by e^{+-ik(lo+hi)}.
+    """
+    e00, e01, e10, e11 = _expm_traceless(1j * (z - k), amp, np.conj(amp), lo - hi)
+    if not np.any(k != 0.0):
+        return e00, e01, e10, e11
+    diag, off = np.exp(-1j * k * (hi - lo)), np.exp(1j * k * (lo + hi))
+    return e00 * diag, e01 * off, e10 * np.conj(off), e11 * np.conj(diag)
+
+
 _PAIRS_PER_BLOCK = 1 << 16     # (segment, z) pairs held at once
 
 
-def _segment_product(z: np.ndarray, count: int, factors) -> np.ndarray:
-    """Ordered product of `count` per-segment 2x2 factors at every z, as a
-    (#z, 2, 2) array over the flattened z.  `factors(zb)` returns the four
-    entry arrays, shaped (count, #zb), for one block zb of z; a block holds
-    at most 2^16 (segment, z) pairs and is reduced by `_tree_product`."""
-    zf = np.ravel(z)
-    out = np.empty((zf.size, 2, 2), dtype=complex)
-    step = max(1, _PAIRS_PER_BLOCK // count)
-    for b0 in range(0, zf.size, step):
-        blk = out[b0: b0 + step]
-        blk[:, 0, 0], blk[:, 0, 1], blk[:, 1, 0], blk[:, 1, 1] = \
-            _tree_product(factors(zf[b0: b0 + step]))
-    return out
-
-
 def _propagate_exact(q: Potential, z: np.ndarray) -> np.ndarray:
-    """f(0, z): the ordered product of exact per-segment propagators times
-    the terminal value e^{i z gamma sigma3}.
+    """f(0, z): the ordered product of the `_segment_factors` of `_segments`
+    times the terminal value e^{i z gamma sigma3}.
 
-    A segment with value a e^{2ikx} on [lo, hi] is gauged by e^{-ikx sigma3}
-    to a constant segment at spectral parameter z - k, whose exponential is
-    in closed 2x2 form; undoing the gauge multiplies its diagonal entries by
-    e^{-+ik(hi-lo)} and its off-diagonal ones by e^{+-ik(lo+hi)}.  All
-    segment exponentials of a block of z are formed at once and multiplied
-    in a pairwise tree, so an exactly piecewise potential costs one
-    exponential per piece and a sampled one one per cell, with no Python
-    step per segment.
+    For z in blocks of at most 2^16 (segment, z) pairs, all segment
+    exponentials are formed at once and reduced by `_tree_product`, so an
+    exactly piecewise potential costs one exponential per piece and a
+    sampled one one per cell, with no Python step per segment.
     """
     lo, hi, amp, k = (x[:, None] for x in _segments(q))
-    chirped = bool(np.any(k != 0.0))
-    if chirped:
-        diag, off = np.exp(-1j * k * (hi - lo)), np.exp(1j * k * (lo + hi))
-
-    def factors(zb):
-        e00, e01, e10, e11 = _expm_traceless(1j * (zb - k), amp, np.conj(amp), lo - hi)
-        if chirped:
-            return e00 * diag, e01 * off, e10 * np.conj(off), e11 * np.conj(diag)
-        return e00, e01, e10, e11
-
-    f = _segment_product(z, len(lo), factors)
     zf = np.ravel(z)
+    f = np.empty((zf.size, 2, 2), dtype=complex)
+    step = max(1, _PAIRS_PER_BLOCK // len(lo))
+    for b0 in range(0, zf.size, step):
+        blk = f[b0: b0 + step]
+        blk[:, 0, 0], blk[:, 0, 1], blk[:, 1, 0], blk[:, 1, 1] = \
+            _tree_product(_segment_factors(lo, hi, amp, k, zf[b0: b0 + step]))
     f[:, :, 0] *= np.exp(1j * q.gamma * zf)[:, None]
     f[:, :, 1] *= np.exp(-1j * q.gamma * zf)[:, None]
     if not np.all(np.isfinite(f.view(float))):

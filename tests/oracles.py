@@ -171,6 +171,27 @@ def propagate_sequential(q, z: np.ndarray) -> np.ndarray:
     return f
 
 
+def transfer_prefix(q, z: complex, at) -> np.ndarray:
+    """f(x_j, z) f(0, z)^{-1} at the node indices `at`, by multiplying the
+    per-cell forward steps one cell at a time from x = 0: each cell's
+    constant coefficient (after the chirp gauge e^{-ikx sigma3}) is
+    exponentiated by scipy.linalg.expm."""
+    amps, chirps = q.cell_values()
+    nodes = q.grid.nodes()
+    want = set(int(j) for j in at)
+    P = np.eye(2, dtype=complex)
+    out = {}
+    for j in range(q.grid.n + 1):
+        if j in want:
+            out[j] = P.copy()
+        if j == q.grid.n:
+            break
+        lo, hi, k = nodes[j], nodes[j + 1], chirps[j]
+        step = sla.expm(coefficient_matrix(amps[j], z - k) * (hi - lo))
+        P = _sigma3_phase(k * hi) @ step @ _sigma3_phase(-k * lo) @ P
+    return np.array([out[int(j)] for j in at])
+
+
 def wiener_loop(g: np.ndarray, h_step: float, alpha: float, n_h: int) -> np.ndarray:
     """Reciprocal kernel h by forward marching the trapezoid-discretised
     identity e^{-i alpha} h + e^{i alpha} g + g*h = 0 one node at a time

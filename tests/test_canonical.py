@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirachl.canonical import (
     Hamiltonian,
@@ -23,6 +25,7 @@ from dirachl.core import (
 from dirachl.forward import make_psi_evaluator, psi_values
 from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
+from oracles import f0_constant, propagate_sequential, transfer_prefix
 
 
 T_FRAME = np.array([[1j, -1j], [1.0, 1.0]]) / np.sqrt(2.0)
@@ -78,17 +81,42 @@ class TestFundamentalMatrix:
         assert np.max(np.abs(M.values - want)) < 1e-9
 
     def test_frame_conjugation(self, unit_potential):
-        # M(gamma, z) = T f(gamma, z) f(0, z)^{-1} T^{-1}
-        from dirachl.forward import _propagate_exact
+        # M(gamma, z) = T f(gamma, z) f(0, z)^{-1} T^{-1}, with f(0, z) from
+        # the sequential product of the test oracles
         for q in (unit_potential, cell_sampled_potential(), chirped_potential()):
             for z in (0.7, 1.5 - 0.5j):
-                f0 = _propagate_exact(q, np.array([complex(z)]))[0]
+                f0 = propagate_sequential(q, np.array([complex(z)]))[0]
                 fg = np.diag([np.exp(1j * z), np.exp(-1j * z)])
                 want = T_FRAME @ fg @ np.linalg.inv(f0) @ np.conj(T_FRAME).T
                 got = canonical_values(q, np.array([complex(z)]))[0]
                 assert np.max(np.abs(got - want)) < 1e-8
                 got4 = fundamental_matrix(q, z).at_edge()
                 assert np.max(np.abs(got4 - want)) < 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(64, 512), data=st.data(),
+           z_re=st.floats(-10.0, 10.0), z_im=st.floats(-3.0, 1.0))
+    def test_piece_layout_sweep(self, n, data, z_re, z_im):
+        # random chirped piece layouts against a per-cell expm prefix
+        # product at every piece-boundary node, where interior nodes of a
+        # non-zero potential are checked
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=5))))
+        bounds = [0] + cuts + [n]
+        pieces = []
+        for j0, j1 in zip(bounds[:-1], bounds[1:]):
+            r = data.draw(st.floats(0.0, 2.0))
+            phase = data.draw(st.floats(0.0, 2.0 * np.pi))
+            pieces.append(Piece(j0 / n, j1 / n, r * np.exp(1j * phase),
+                                data.draw(st.floats(-4.0, 4.0))))
+        q = sampled_from_pieces(1.0, n, tuple(pieces))
+        z = complex(z_re, z_im)
+        M = fundamental_matrix(q, z)
+        want = T_FRAME @ transfer_prefix(q, z, bounds) @ np.conj(T_FRAME).T
+        for got, ref in zip(M.values[bounds], want):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert M.det_drift() < 1e-12
+        edge = canonical_values(q, np.array([z]))[0]
+        assert np.max(np.abs(edge - M.at_edge())) <= 1e-10 * np.max(np.abs(M.at_edge()))
 
     def test_determinant_drift(self):
         # M is a product of unit-determinant exponentials
@@ -112,11 +140,10 @@ class TestHamiltonian:
         assert np.max(np.abs(dets - 1.0)) < 1e-12   # determinant one by storage
 
     def test_constant_potential_oracle(self):
-        # r = M(., 0) from the closed-form propagator in the original frame
+        # r = M(., 0) from scipy's expm in the original frame
         q = constant_potential(1.0, n=2048)
         H = hamiltonian_from_potential(q)
-        from dirachl.forward import _propagate_exact
-        f0 = _propagate_exact(q, np.array([0.0 + 0.0j]))[0]
+        f0 = f0_constant(1.0, 1.0, 0.0)
         fg = np.eye(2)
         r = (T_FRAME @ fg @ np.linalg.inv(f0) @ np.conj(T_FRAME).T).real
         a_want = r[0, 0] ** 2 + r[1, 0] ** 2

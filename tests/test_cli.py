@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dirachl
+from dirachl import cli, inverse
 
 # the child process imports the same dirachl as the tests, installed or not
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -203,6 +204,24 @@ class TestPipelines:
         assert "[FAIL] scattering: |S| = 1" in r.stdout
         assert "--tmax" in r.stdout
 
+    def test_check_tmax_defaults_to_input_gamma(self, tmp_path, monkeypatch, capsys):
+        # without --tmax the horizon is scattering_kernel's own 8 gamma of
+        # the input (16 here), not 8 --gamma
+        assert cli.main(["synth", "--seed", "0", "--gamma", "2", "--n", "512",
+                         "--out", str(tmp_path)]) == 0
+        seen = []
+        kernel = inverse.scattering_kernel
+
+        def wrapped(*args, **kwargs):
+            S = kernel(*args, **kwargs)
+            seen.append(S.t_max)
+            return S
+
+        monkeypatch.setattr(inverse, "scattering_kernel", wrapped)
+        rc = cli.main(["check", str(tmp_path / "potential.json"), "--out", str(tmp_path)])
+        assert rc in (0, 1), capsys.readouterr()
+        assert seen == [pytest.approx(16.0)]
+
     def test_move_relocates(self, workdir, tmp_path):
         res = tmp_path / "res"
         r = run_cli("resonances", str(workdir / "potential.json"),
@@ -245,3 +264,20 @@ class TestConfig:
         r = run_cli("resonances", str(workdir / "potential.json"), "--imcap", "10",
                     "--out", str(tmp_path))
         assert r.returncode == 2
+
+    def test_config_value_types_checked(self, tmp_path):
+        # a --config value is read with its flag's type: a string or a
+        # fraction for an integer is a validation error naming the key
+        cfg = tmp_path / "cfg.json"
+        for data in ({"n": "64"}, {"n": 64.5}, {"gamma": "2"}, {"out": 3}):
+            cfg.write_text(json.dumps(data))
+            r = run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
+            assert r.returncode == 2, r.stderr
+            err = json.loads(r.stderr.strip().splitlines()[-1])
+            assert err["error"]["kind"] == "validation"
+            assert repr(next(iter(data))) in err["error"]["message"]
+        cfg.write_text(json.dumps({"n": 64, "gamma": 2}))
+        r = run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "ok"))
+        assert r.returncode == 0, r.stderr
+        obj = json.loads((tmp_path / "ok" / "potential.json").read_text())
+        assert obj["n"] == 64 and obj["gamma"] == 2.0

@@ -21,8 +21,8 @@ def test_all_names_exist(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_imported_names_exist(name):
-    # private helpers shared across modules (forward._segments in canonical,
-    # spectral._polish in transforms) fail only when the import runs, and
+    # private helpers shared across modules (forward._segment_factors in
+    # canonical, spectral._polish in transforms) fail only when the import runs, and
     # some imports sit inside functions
     spec = importlib.util.find_spec(name)
     tree = ast.parse(Path(spec.origin).read_text())
@@ -39,6 +39,36 @@ def test_imported_names_exist(name):
                     if not hasattr(mod, a.name)
                     and importlib.util.find_spec(f"{source}.{a.name}") is None]
     assert not missing, f"{name} imports missing names {missing}"
+
+
+_CHIRPS = {"k", "chirp", "chirps"}
+_ENDS = {"lo", "hi"}
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_one_segment_propagator():
+    # the closed-form segment exponential and its chirp gauge (a phase of
+    # chirp times segment end) are formed only in forward._segment_factors;
+    # a use anywhere else is a second Dirac propagator
+    found = []
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (name == "dirachl.forward" and fn.name in (
+                    "_segment_factors", "_expm_traceless")):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "_expm_traceless" in _names(node.func):
+                    found.append(f"{name}.{fn.name} calls _expm_traceless")
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                        and any(_names(a) & _CHIRPS and _names(b) & _ENDS
+                                for a, b in ((node.left, node.right), (node.right, node.left)))):
+                    found.append(f"{name}.{fn.name} forms a chirp-gauge phase")
+    assert not found, f"segment propagators outside forward._segment_factors: {sorted(set(found))}"
 
 
 def test_perfbench_spans_resolve():
