@@ -155,14 +155,12 @@ def invert_wiener(rep: JostRep, t_h: float | None = None,
 
 
 def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
-                      t_max: float | None = None,
-                      check_tol: float | None = None) -> ScatteringRep:
+                      t_max: float | None = None) -> ScatteringRep:
     """Assemble F = e^{i alpha}(h + r) + r*h on [-gamma, t_max].
 
     r(s) = conj(g(-s)) lives on [-gamma, 0].  Interior-jump samples follow
     the midpoint convention, so the s = 0 node carries half of each
-    one-sided limit.  With check_tol set, the re-evaluated S is compared
-    against conj(psi)/psi from the kernel representation on real samples.
+    one-sided limit.
     """
     gamma = rep.gamma
     if t_max is None:
@@ -203,14 +201,6 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     inf_sup = support_infimum(sr.F)
     if inf_sup < -gamma - hstep - 1e-12:
         raise NumericalError("scattering kernel support extends below -gamma")
-    if check_tol is not None:
-        z = np.linspace(-6.0, 6.0, 241)
-        psi = rep.psi(z)
-        direct = np.conj(psi) / psi
-        dev = float(np.max(np.abs(sr.s_values(z) - direct)))
-        if dev > check_tol:
-            raise NumericalError(
-                f"re-evaluated S deviates from conj(psi)/psi by {dev:.3e} > {check_tol:.1e}")
     return sr
 
 

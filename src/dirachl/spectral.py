@@ -17,17 +17,20 @@ differenced derivatives.  The located set feeds:
     sum Im z_n / |z - z_n|^2.
 
 The phase antiderivative is known in closed form per zero (an arg
-difference), but a truncated zero set misses the far tail whose leading
-effect is a linear drift in z.  `phase_profile` therefore fits the two
-free constants (offset and drift) to the known limits phi -> -alpha at
-both ends of the axis, which is the two-point extrapolation in the
-integration horizon.
+difference).  phi and phi' are one sum, `_zero_sums`, over the located
+zeros with |z_n| <= r_cut and the zeros a linear-density model places
+beyond r_cut, formed in blocks of z so that no call holds a
+#z x #zeros array.  What the model misses leaves a linear drift in z, so
+`phase_profile` fits the two free constants (offset and drift) to the
+known limits phi -> -alpha at both ends of the axis, which is the
+two-point extrapolation in the integration horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -62,8 +65,6 @@ class SearchRegion:
     re_max: float
     im_min: float
     im_max: float
-    max_depth: int = 60
-    merge_tol: float = 1e-7
 
     def __post_init__(self):
         if self.im_max > 0:
@@ -192,8 +193,12 @@ def _confirm(ev, z: complex, tol: float, per_edge: int = 96) -> int | None:
     return None
 
 
-def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9,
-                    initial_per_edge: int = 256) -> ResonanceSet:
+_PER_EDGE = 256       # samples per edge of the whole region's contour
+_MAX_DEPTH = 60       # subdivision depth limit
+_MERGE_TOL = 1e-7     # floor of the cluster and merge radii
+
+
+def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> ResonanceSet:
     """Locate all zeros in the region with multiplicities.
 
     Boxes whose count exceeds one are halved along their longer side;
@@ -207,14 +212,14 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9,
     """
     r = region
     total = _box_count(evaluator, r.re_min, r.re_max, r.im_min, r.im_max,
-                       initial_per_edge)
+                       _PER_EDGE)
     if total is None:
         raise NumericalError(
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
             "region boundary; adjust the region")
     found: list[tuple[complex, int]] = []
     stack = [((r.re_min, r.re_max, r.im_min, r.im_max), total, 0)]
-    cluster = 64.0 * max(tol, r.merge_tol)
+    cluster = 64.0 * max(tol, _MERGE_TOL)
     while stack:
         (re0, re1, im0, im1), cnt, depth = stack.pop()
         if cnt == 0:
@@ -237,7 +242,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9,
         if diam < cluster:
             raise NumericalError(
                 f"cluster at {center} did not resolve into a confirmed zero")
-        if depth >= r.max_depth:
+        if depth >= _MAX_DEPTH:
             raise NumericalError("subdivision depth limit exceeded")
         horizontal = width >= height
         # irrational-leaning fractions keep split lines off symmetric zero
@@ -250,7 +255,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9,
             else:
                 mid = im0 + frac * height
                 kids = [(re0, re1, im0, mid), (re0, re1, mid, im1)]
-            counts = [_box_count(evaluator, *k, max(initial_per_edge // 2, 128))
+            counts = [_box_count(evaluator, *k, _PER_EDGE // 2)
                       for k in kids]
             if None not in counts and sum(counts) == cnt:
                 for k, c in zip(kids, counts):
@@ -267,7 +272,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9,
             f"located multiplicities ({total_mult}) disagree with the "
             f"argument-principle count ({total}) of the region")
     keep = tuple((z, m) for z, m in found if z.imag < 0)
-    return ResonanceSet(keep).merged(max(r.merge_tol, 16 * tol))
+    return ResonanceSet(keep).merged(max(_MERGE_TOL, 16 * tol))
 
 
 # ---------------------------------------------------------------------------
@@ -334,121 +339,109 @@ def forbidden_domain_check(R: ResonanceSet, gamma: float, eps: float,
 # Hadamard product and scattering phase
 # ---------------------------------------------------------------------------
 
+_COLLIDE_TOL = 1e-9      # |z - z_n| below which a Hadamard factor vanishes
+_ZERO_BLOCK = 2 ** 15    # entries per (z block) x (zeros) array in _zero_sums
+
+
+def _truncated(R: ResonanceSet, r_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """(zeros, multiplicities) of the entries with |z_n| <= r_cut: a prefix,
+    as the entries are modulus-sorted."""
+    k = len(list(takewhile(lambda e: abs(e[0]) <= r_cut, R.entries)))
+    return R.zeros()[:k], R.multiplicities()[:k]
+
+
 def hadamard_evaluate(R: ResonanceSet, psi0: complex, gamma: float, z: complex,
-                      r_cut: float, merge_tol: float = 1e-9) -> complex:
-    """Partial product psi(0) e^{i gamma z} prod_{|z_n| <= r_cut} (1 - z/z_n),
-    factors ordered by increasing modulus."""
+                      r_cut: float) -> complex:
+    """Partial product psi(0) e^{i gamma z} prod_{|z_n| <= r_cut} (1 - z/z_n)."""
     if psi0 == 0:
         raise ValidationError("psi(0) must be nonzero")
-    out = complex(psi0) * np.exp(1j * gamma * complex(z))
-    for z_n, m in R.entries:              # entries are modulus-sorted
-        if abs(z_n) > r_cut:
-            break
-        if abs(complex(z) - z_n) < merge_tol:
-            raise ValidationError("evaluation point collides with a zero")
-        out *= (1.0 - complex(z) / z_n) ** m
-    return out
+    z = complex(z)
+    zeros, mult = _truncated(R, r_cut)
+    if np.any(np.abs(z - zeros) < _COLLIDE_TOL):
+        raise ValidationError("evaluation point collides with a zero")
+    return complex(psi0 * np.exp(1j * gamma * z) * np.prod((1.0 - z / zeros) ** mult))
+
+
+def _zero_sums(zeros: np.ndarray, weights: np.ndarray, gamma: float,
+               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, phi') at real z for the zeros z_n with weights w_n:
+    phi = gamma z + sum w_n (arg(z - z_n) - arg(-z_n)) and
+    phi' = gamma + sum w_n Im z_n / |z - z_n|^2, phi' the exact derivative.
+    Both arguments have positive imaginary part, so the principal branch is
+    continuous in z.  z is taken in blocks that keep each z - z_n array
+    near _ZERO_BLOCK entries, so memory does not grow with #z."""
+    z = np.asarray(z, dtype=float)
+    phi = gamma * z
+    dphi = np.full(z.shape, float(gamma))
+    base = np.angle(-zeros)
+    step = max(1, _ZERO_BLOCK // max(zeros.size, 1))
+    for lo in range(0, z.size, step):
+        d = z[lo:lo + step, None] - zeros
+        phi[lo:lo + step] += (np.angle(d) - base) @ weights
+        dphi[lo:lo + step] += (zeros.imag / np.abs(d) ** 2) @ weights
+    return phi, dphi
 
 
 def phase_derivative(R: ResonanceSet, gamma: float, z: float, r_cut: float) -> float:
     """phi'(z) = gamma + sum over |z_n| <= r_cut of Im z_n / |z - z_n|^2."""
-    acc = gamma
-    for z_n, m in R.entries:
-        if abs(z_n) > r_cut:
-            break
-        acc += m * z_n.imag / abs(z - z_n) ** 2
-    return float(acc)
+    return float(_zero_sums(*_truncated(R, r_cut), gamma, np.array([z]))[1][0])
 
 
-def _phase_sum(R: ResonanceSet, gamma: float, z: np.ndarray, r_cut: float) -> np.ndarray:
-    """gamma z + sum of arg(z - z_n) - arg(-z_n): the exact antiderivative of
-    the truncated phi'.  Both arguments have positive imaginary part, so the
-    principal branch is continuous in z."""
-    z = np.asarray(z, dtype=float)
-    acc = gamma * z.astype(complex).real.copy()
-    for z_n, m in R.entries:
-        if abs(z_n) > r_cut:
-            break
-        acc = acc + m * (np.angle(z - z_n) - np.angle(-z_n))
-    return acc
-
-
-def _tail_model(R: ResonanceSet, gamma: float, r_cut: float):
-    """Extrapolated contribution of the zeros beyond r_cut.
+def _tail_zeros(R: ResonanceSet, gamma: float, r_cut: float) -> np.ndarray:
+    """Modeled zeros beyond r_cut, standing in for the far tail.
 
     The zero count grows linearly with density gamma/pi along each
     half-axis and the depths follow a slowly growing logarithmic law,
-    fitted here to the outer half of the located zeros.  Returns callables
-    (Phi(z), Phi'(z)) for the modeled tail of the phase and its
-    derivative; each t-slice uses the same closed-form antiderivative as
-    the explicit zeros, so Phi' is exactly the derivative of Phi.
+    fitted here to the outer half of the located zeros (the deepest zero's
+    depth when fewer than 4 lie there).  Each side's lattice of spacing
+    pi/gamma starts past its last located zero and runs to the horizon
+    max(300 r_cut, 3000).
     """
     if not R.entries or gamma <= 0.0:
-        zero = lambda z: np.zeros(np.shape(np.atleast_1d(z)))
-        return zero, zero
-    outer = [(abs(z), -z.imag) for z, m in R.entries
-             for _ in range(m) if 0.45 * r_cut <= abs(z) <= r_cut]
-    if len(outer) >= 4:
-        ts = np.log([t for t, _ in outer])
-        ds = np.array([d for _, d in outer])
-        b, a = np.polyfit(ts, ds, 1)
+        return np.zeros(0, dtype=complex)
+    located, mult = _truncated(R, r_cut)
+    outer = np.repeat(located, mult)
+    outer = outer[np.abs(outer) >= 0.45 * r_cut]
+    if outer.size >= 4:
+        b, a = np.polyfit(np.log(np.abs(outer)), -outer.imag, 1)
     else:
-        a, b = (max((-z.imag for z, _ in R.entries), default=0.5), 0.0)
+        a, b = -R.zeros().imag.min(), 0.0
     spacing = np.pi / gamma
     horizon = max(300.0 * r_cut, 3000.0)
     lattices = []
     for sign in (+1.0, -1.0):
-        side = [abs(z) for z, _ in R.entries
-                if abs(z) <= r_cut and (z.real >= 0) == (sign > 0)]
-        t_last = max(side) if side else r_cut - 0.5 * spacing
+        side = np.abs(located[(located.real >= 0) == (sign > 0)])
+        t_last = side.max() if side.size else r_cut - 0.5 * spacing
         k = np.arange(1, int((horizon - t_last) / spacing) + 1)
-        t = t_last + spacing * k
-        lattices.append(sign * t)
+        lattices.append(sign * (t_last + spacing * k))
     t_all = np.concatenate(lattices)
-    depth = np.maximum(a + b * np.log(np.abs(t_all)), 1e-3)
-    zeros = t_all - 1j * depth
-
-    base = np.angle(-zeros)
-
-    def tail_phi(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty(z.shape)
-        for lo in range(0, z.size, 256):
-            blk = z[lo: lo + 256, None]
-            out[lo: lo + 256] = np.sum(np.angle(blk - zeros) - base, axis=1)
-        return out
-
-    def tail_dphi(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty(z.shape)
-        for lo in range(0, z.size, 256):
-            blk = z[lo: lo + 256, None]
-            out[lo: lo + 256] = np.sum(zeros.imag / np.abs(blk - zeros) ** 2, axis=1)
-        return out
-
-    return tail_phi, tail_dphi
+    return t_all - 1j * np.maximum(a + b * np.log(np.abs(t_all)), 1e-3)
 
 
 def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
-                  r_cut: float, z_limit: float,
-                  spread_tol: float = 5e-2) -> PhaseProfile:
+                  r_cut: float, z_limit: float) -> PhaseProfile:
     """Scattering phase phi with S = e^{-2i phi} on the grid.
 
-    The truncated zero sum integrates in closed form (arg differences).
-    The zeros beyond r_cut are restored by the linear-density tail model,
-    after which a residual linear drift and the constant phi(0) remain;
-    these two are fixed by the limits phi(+-Z) -> -alpha evaluated on
-    window-averaged horizons at z_limit and z_limit/2 (the two-point
-    extrapolation in the integration horizon).  Calibration stays inside
-    ~0.9 r_cut where the truncated sum still tracks the true derivative.
-    The endpoint residual spread is reported; a large spread flags an
-    undersized r_cut, but the profile is still returned.
+    phi and phi' are one blocked sum (`_zero_sums`) over the located zeros
+    with |z_n| <= r_cut (weighted by multiplicity) and the zeros the
+    linear-density tail model places beyond r_cut, each integrated in
+    closed form (arg differences).  A residual linear drift and the
+    constant phi(0) remain; these two are fixed by the limits
+    phi(+-Z) -> -alpha evaluated on window-averaged horizons at z_limit
+    and z_limit/2 (the two-point extrapolation in the integration
+    horizon).  Calibration stays inside ~0.9 r_cut where the truncated sum
+    still tracks the true derivative.  The endpoint residual spread is
+    reported; a large spread flags an undersized r_cut, but the profile is
+    still returned.
     """
     alpha_v = float(getattr(alpha, "alpha", alpha))
     if z_limit <= 0:
         raise ValidationError("z_limit must be positive")
     zcal = min(z_limit, 0.9 * r_cut)
-    tail_phi, tail_dphi = _tail_model(R, gamma, r_cut)
+    located, mult = _truncated(R, r_cut)
+    tail = _tail_zeros(R, gamma, r_cut)
+    zeros = np.concatenate([located, tail])
+    weights = np.concatenate([mult, np.ones(tail.size)])
 
     # calibration: model(Z) + alpha = c0 + kappa Z + A/Z + (oscillation),
     # where A/Z is the smooth approach of the true phase to -alpha and the
@@ -458,7 +451,10 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
     wts = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(npts) / (npts - 1)))
     zboth = np.concatenate([zplus, -zplus])
     wboth = np.sqrt(np.concatenate([wts, wts]))
-    vals = _phase_sum(R, gamma, zboth, r_cut) + tail_phi(zboth)
+    nodes = grid.nodes()
+    phi_all, dphi_all = _zero_sums(zeros, weights, gamma,
+                                   np.concatenate([zboth, nodes, [0.0]]))
+    vals = phi_all[:zboth.size]
     design = np.stack([zboth, np.ones_like(zboth), 1.0 / zboth], axis=1)
     sol, *_ = np.linalg.lstsq(design * wboth[:, None], (vals + alpha_v) * wboth,
                               rcond=None)
@@ -466,17 +462,15 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
     resid = (vals + alpha_v - design @ sol) * wboth
     spread = float(np.max(np.abs(resid)))
 
-    nodes = grid.nodes()
-    phi = _phase_sum(R, gamma, nodes, r_cut) + tail_phi(nodes) - slope * nodes - c0
-    dphi = (np.array([phase_derivative(R, gamma, x, r_cut) for x in nodes])
-            + tail_dphi(nodes) - slope)
-    phi0 = float(_phase_sum(R, gamma, np.array([0.0]), r_cut)[0]
-                 + tail_phi(0.0)[0] - c0)
+    on_grid = slice(zboth.size, zboth.size + nodes.size)
+    phi = phi_all[on_grid] - slope * nodes - c0
+    dphi = dphi_all[on_grid] - slope
+    phi0 = float(phi_all[-1] - c0)
     return PhaseProfile(grid, phi, dphi, r_cut, phi0, slope, spread)
 
 
-def cartwright_type(evaluator, gamma: float, im_cap: float | None = None,
-                    n_ladder: int = 14) -> tuple[float, float]:
+def cartwright_type(evaluator, gamma: float,
+                    im_cap: float | None = None) -> tuple[float, float]:
     """Exponential-type indicators from log |psi(+-iy)| slopes.
 
     Least-squares slope over a geometric ladder of y; expected (0, 2 gamma)
@@ -484,7 +478,7 @@ def cartwright_type(evaluator, gamma: float, im_cap: float | None = None,
     shortened (with fewer than 4 usable points the call fails).
     """
     cap = 0.9 * _growth_cap(gamma, im_cap)
-    ys = np.geomspace(max(2.0 / gamma, cap / 128.0), cap, n_ladder)
+    ys = np.geomspace(max(2.0 / gamma, cap / 128.0), cap, 14)
     taus = []
     for sign in (+1.0, -1.0):
         vals = np.atleast_1d(evaluator(1j * sign * ys))

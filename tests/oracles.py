@@ -6,6 +6,8 @@ directly from the 2x2 structure, zero hunting uses a brute-force grid
 sweep refined by mpmath's Muller iteration, and integrals fall back to
 very fine trapezoid sums.  The GLM reference solves each row system
 densely (O(n^3) per node), and the Wiener reference marches node by node.
+The scattering-phase reference sums the zeros one at a time in Python
+loops, with the modeled tail in fixed 256-row blocks.
 """
 
 from __future__ import annotations
@@ -283,3 +285,108 @@ def recover_dense(om) -> np.ndarray:
     """q(x_j) = -G12(x_j, 0) from an independent dense solve at every node."""
     h = om.k.grid.h
     return np.array([-solve_glm(om, j * h).g12[0] for j in range(om.k.grid.n + 1)])
+
+
+# ---------------------------------------------------------------------------
+# scattering phase, zero by zero: the per-zero Python loops, the per-node
+# derivative loop and the 256-row tail closures the library once used
+# ---------------------------------------------------------------------------
+
+def hadamard_loop(R, psi0: complex, gamma: float, z: complex, r_cut: float) -> complex:
+    """psi(0) e^{i gamma z} prod_{|z_n| <= r_cut} (1 - z/z_n)^m, one factor
+    at a time in modulus order."""
+    out = complex(psi0) * np.exp(1j * gamma * complex(z))
+    for z_n, m in R.entries:
+        if abs(z_n) > r_cut:
+            break
+        out *= (1.0 - complex(z) / z_n) ** m
+    return out
+
+
+def phase_derivative_loop(R, gamma: float, z: float, r_cut: float) -> float:
+    """gamma + sum over |z_n| <= r_cut of m Im z_n / |z - z_n|^2."""
+    acc = gamma
+    for z_n, m in R.entries:
+        if abs(z_n) > r_cut:
+            break
+        acc += m * z_n.imag / abs(z - z_n) ** 2
+    return float(acc)
+
+
+def _phase_sum_loop(R, gamma: float, z: np.ndarray, r_cut: float) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    acc = gamma * z.astype(complex).real.copy()
+    for z_n, m in R.entries:
+        if abs(z_n) > r_cut:
+            break
+        acc = acc + m * (np.angle(z - z_n) - np.angle(-z_n))
+    return acc
+
+
+def _tail_closures(R, gamma: float, r_cut: float):
+    """(Phi, Phi') of the modeled zeros beyond r_cut: a lattice of spacing
+    pi/gamma from the last located zero on each side out to 300 r_cut, with
+    depths a + b ln|t| fitted to the outer located zeros."""
+    if not R.entries or gamma <= 0.0:
+        zero = lambda z: np.zeros(np.shape(np.atleast_1d(z)))
+        return zero, zero
+    outer = [(abs(z), -z.imag) for z, m in R.entries
+             for _ in range(m) if 0.45 * r_cut <= abs(z) <= r_cut]
+    if len(outer) >= 4:
+        b, a = np.polyfit(np.log([t for t, _ in outer]), [d for _, d in outer], 1)
+    else:
+        a, b = (max((-z.imag for z, _ in R.entries), default=0.5), 0.0)
+    spacing = np.pi / gamma
+    horizon = max(300.0 * r_cut, 3000.0)
+    lattices = []
+    for sign in (+1.0, -1.0):
+        side = [abs(z) for z, _ in R.entries
+                if abs(z) <= r_cut and (z.real >= 0) == (sign > 0)]
+        t_last = max(side) if side else r_cut - 0.5 * spacing
+        k = np.arange(1, int((horizon - t_last) / spacing) + 1)
+        lattices.append(sign * (t_last + spacing * k))
+    t_all = np.concatenate(lattices)
+    zeros = t_all - 1j * np.maximum(a + b * np.log(np.abs(t_all)), 1e-3)
+    base = np.angle(-zeros)
+
+    def tail_phi(z):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        out = np.empty(z.shape)
+        for lo in range(0, z.size, 256):
+            blk = z[lo: lo + 256, None]
+            out[lo: lo + 256] = np.sum(np.angle(blk - zeros) - base, axis=1)
+        return out
+
+    def tail_dphi(z):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        out = np.empty(z.shape)
+        for lo in range(0, z.size, 256):
+            blk = z[lo: lo + 256, None]
+            out[lo: lo + 256] = np.sum(zeros.imag / np.abs(blk - zeros) ** 2, axis=1)
+        return out
+
+    return tail_phi, tail_dphi
+
+
+def phase_profile_loop(R, gamma: float, alpha: float, nodes: np.ndarray,
+                       r_cut: float, z_limit: float):
+    """(phi, dphi, phi0, slope, spread) of the tail-restored phase with the
+    offset and drift fitted on window-weighted calibration points in
+    [z_limit/2, z_limit] on both sides (capped at 0.9 r_cut)."""
+    zcal = min(z_limit, 0.9 * r_cut)
+    tail_phi, tail_dphi = _tail_closures(R, gamma, r_cut)
+    npts = 64
+    zplus = np.linspace(0.5 * zcal, zcal, npts)
+    wts = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(npts) / (npts - 1)))
+    zboth = np.concatenate([zplus, -zplus])
+    wboth = np.sqrt(np.concatenate([wts, wts]))
+    vals = _phase_sum_loop(R, gamma, zboth, r_cut) + tail_phi(zboth)
+    design = np.stack([zboth, np.ones_like(zboth), 1.0 / zboth], axis=1)
+    sol, *_ = np.linalg.lstsq(design * wboth[:, None], (vals + alpha) * wboth, rcond=None)
+    slope, c0 = float(sol[0]), float(sol[1])
+    spread = float(np.max(np.abs((vals + alpha - design @ sol) * wboth)))
+    phi = _phase_sum_loop(R, gamma, nodes, r_cut) + tail_phi(nodes) - slope * nodes - c0
+    dphi = (np.array([phase_derivative_loop(R, gamma, x, r_cut) for x in nodes])
+            + tail_dphi(nodes) - slope)
+    phi0 = float(_phase_sum_loop(R, gamma, np.array([0.0]), r_cut)[0] + tail_phi(0.0)[0] - c0)
+    return phi, dphi, phi0, slope, spread

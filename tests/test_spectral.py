@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,13 @@ from dirachl.spectral import (
 )
 from dirachl.synth import constant_potential, random_piecewise_potential
 
-from oracles import dense_sweep_zeros, psi_constant
+from oracles import (
+    dense_sweep_zeros,
+    hadamard_loop,
+    phase_derivative_loop,
+    phase_profile_loop,
+    psi_constant,
+)
 
 
 class TestWinding:
@@ -157,6 +165,14 @@ class TestForbiddenDomain:
         assert right[-1].imag < right[0].imag
 
 
+# a double zero among a lattice-like set, so the tail fit sees >= 4 outer zeros
+_DOUBLE = ResonanceSet(tuple((sign * (np.pi * k + 0.4) - 1j * (0.3 + 0.2 * np.log(k + 1.0)),
+                              2 if (k, sign) == (2, 1) else 1)
+                             for k in range(4) for sign in (1, -1)))
+# fewer than 4 zeros in [0.45, 1] r_cut: the tail takes the fallback depth
+_FEW_OUTER = ResonanceSet(((1.0 - 0.5j, 1), (-2.5 - 0.3j, 1), (6.0 - 0.8j, 1), (30.0 - 2.0j, 1)))
+
+
 class TestHadamard:
     def test_empty_product(self):
         R = ResonanceSet(())
@@ -170,6 +186,14 @@ class TestHadamard:
     def test_rejects_zero_value(self):
         with pytest.raises(ValidationError):
             hadamard_evaluate(ResonanceSet(()), 0.0, 1.0, 1.0, 10.0)
+
+    @pytest.mark.parametrize("r_cut", [15.0, 60.0, 120.0])
+    def test_matches_factor_loop(self, unit_resonances, r_cut):
+        for R in (unit_resonances, _DOUBLE):
+            for z in (0.0, 2.0 - 0.5j, -7.3 + 0.1j, 40.0 - 1.0j):
+                want = hadamard_loop(R, 1.3 - 0.2j, 1.0, z, r_cut)
+                assert hadamard_evaluate(R, 1.3 - 0.2j, 1.0, z, r_cut) == pytest.approx(
+                    want, rel=1e-12)
 
     def test_partial_products_converge(self, unit_potential, alpha0, unit_resonances):
         psi0 = complex(psi_values(unit_potential, alpha0, 0.0 + 0j))
@@ -188,15 +212,10 @@ class TestPhase:
 
     def test_derivative_matches_finite_difference(self, unit_potential, alpha0, unit_resonances):
         ev = make_psi_evaluator(unit_potential, alpha0)
-        grid = make_grid(-1, 1, 2)
-        prof = phase_profile(unit_resonances, 1.0, alpha0, grid, 60.0, 54.0)
         dz = 1e-4
         for zz in (0.7, 3.3):
             fd = np.angle(ev(np.array([zz + dz]))[0] / ev(np.array([zz - dz]))[0]) / (2 * dz)
-            model = (phase_derivative(unit_resonances, 1.0, zz, 60.0)
-                     + prof.dphi[0] - (phase_derivative(unit_resonances, 1.0, grid.nodes()[0], 60.0)))
-            # compare through the profile machinery instead: evaluate dphi on a
-            # grid through zz
+            # evaluate dphi through the profile on a grid through zz
             g2 = make_grid(zz - 0.01, zz + 0.01, 2)
             p2 = phase_profile(unit_resonances, 1.0, alpha0, g2, 60.0, 54.0)
             assert abs(p2.dphi[1] - fd) < 3e-3
@@ -242,6 +261,36 @@ class TestPhase:
         grid = make_grid(-1, 1, 2)
         prof = phase_profile(unit_resonances, 1.0, 0.0, grid, 120.0, 108.0)
         assert prof.endpoint_spread < 5e-2
+
+    @pytest.mark.parametrize("case,gamma,r_cut", [
+        ("unit", 1.0, 30.0), ("unit", 1.0, 60.0), ("unit", 1.0, 120.0),
+        ("double", 1.0, 12.0), ("few_outer", 1.0, 10.0), ("empty", 1.0, 20.0),
+        ("unit", 0.0, 60.0),
+    ])
+    def test_profile_matches_zero_loop(self, unit_resonances, alpha0, case, gamma, r_cut):
+        R = {"unit": unit_resonances, "double": _DOUBLE, "few_outer": _FEW_OUTER,
+             "empty": ResonanceSet(())}[case]
+        grid = make_grid(-10, 10, 400)
+        prof = phase_profile(R, gamma, alpha0, grid, r_cut, 0.9 * r_cut)
+        phi, dphi, phi0, slope, spread = phase_profile_loop(
+            R, gamma, alpha0.alpha, grid.nodes(), r_cut, 0.9 * r_cut)
+        for got, want in ((prof.phi, phi), (prof.dphi, dphi), (prof.phi0, phi0),
+                          (prof.tail_slope, slope), (prof.endpoint_spread, spread)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert phase_derivative(R, gamma, 1.7, r_cut) == pytest.approx(
+            phase_derivative_loop(R, gamma, 1.7, r_cut), rel=0, abs=1e-12)
+
+    def test_profile_memory_bounded(self, unit_resonances, alpha0):
+        # ~23,000 modeled tail zeros at r_cut = 120: a #z x #zeros complex
+        # array over the 529 evaluation points would take 185 MiB
+        grid = make_grid(-10, 10, 400)
+        tracemalloc.start()
+        try:
+            phase_profile(unit_resonances, 1.0, alpha0, grid, 120.0, 108.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_zero_sum_tail(self, unit_resonances):
         zs = unit_resonances.zeros()

@@ -71,6 +71,49 @@ def test_one_segment_propagator():
     assert not found, f"segment propagators outside forward._segment_factors: {sorted(set(found))}"
 
 
+def _zero_sum_terms(fn):
+    """Kinds of phase-sum term that a function forms: np.angle of a
+    difference z - z_n, or a division by |z - z_n|**2, with the difference
+    written inline or held in a local name."""
+    diffs = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Sub)
+             for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_diff(node):
+        return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub))
+                or (isinstance(node, ast.Name) and node.id in diffs))
+
+    kinds = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Call) and "angle" in _names(node.func)
+                and node.args and is_diff(node.args[0])):
+            kinds.add("np.angle of a difference")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Pow)
+                and isinstance(node.right.right, ast.Constant) and node.right.right.value == 2
+                and isinstance(node.right.left, ast.Call) and "abs" in _names(node.right.left.func)
+                and node.right.left.args and is_diff(node.right.left.args[0])):
+            kinds.add("division by |z - z_n|^2")
+    return kinds
+
+
+def test_one_zero_sum():
+    # the scattering phase sums over zeros, arg(z - z_n) and
+    # Im z_n / |z - z_n|^2, are formed only in spectral._zero_sums; a term
+    # anywhere else in spectral is a second copy of the zero sum
+    tree = ast.parse(Path(importlib.util.find_spec("dirachl.spectral").origin).read_text())
+    found, helper = [], set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name == "_zero_sums":
+            helper = _zero_sum_terms(fn)
+        else:
+            found += [f"{fn.name}: {kind}" for kind in _zero_sum_terms(fn)]
+    assert not found, f"phase-sum terms outside spectral._zero_sums: {sorted(set(found))}"
+    assert helper == {"np.angle of a difference", "division by |z - z_n|^2"}
+
+
 def test_perfbench_spans_resolve():
     # perfbench wraps these names at run time and only reports a missing one
     path = Path(__file__).parents[1] / "perfbench" / "spans.py"
