@@ -23,10 +23,11 @@ Recovery runs the Gelfand-Levitan-Marchenko equation
 with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  The 2x2
 system splits into two-component rows, and the second row is the
 conjugate of the first, so only (G11, G12) is ever solved for.  The x = 0
-line is solved once, by GMRES with FFT convolution mat-vecs, and
-continued upward along characteristics with the trapezoid step of the
-forward transformation-kernel march (`forward._characteristic_step`),
-reading q(x) from the boundary as it goes.
+line is solved once, by a numpy-only unrestarted GMRES (`_gmres`) with
+FFT convolution mat-vecs, and continued upward along characteristics
+with the trapezoid step of the forward transformation-kernel march
+(`forward._characteristic_step`), reading q(x) from the boundary as it
+goes.
 The Wiener identity above is one lower-triangular Toeplitz solve, by a
 power-series inverse with FFT products.  No step forms an n x n matrix.
 """
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .core import (
     BoundaryParam,
@@ -242,11 +242,42 @@ def omega_kernel(S: ScatteringRep) -> OmegaKernel:
     return OmegaKernel(S.gamma, SampledComplexFunction(make_grid(0.0, S.gamma, n_g), kv))
 
 
+_KRYLOV_MAX = 80    # Krylov vectors before the line solve gives up (5 MiB at n = 4096)
+
+
+def _gmres(matvec, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """(x, iterations, converged) for matvec(x) = rhs by unrestarted GMRES
+    from x = 0 (Saad & Schultz 1986): modified Gram-Schmidt Arnoldi into a
+    preallocated Krylov basis and a least-squares solve of the small
+    Hessenberg system, stopping once the residual is at most 1e-13 |rhs|
+    or the basis holds _KRYLOV_MAX vectors."""
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs), 0, True
+    basis = np.empty((_KRYLOV_MAX + 1, rhs.size), dtype=complex)
+    hess = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX), dtype=complex)
+    basis[0] = rhs / beta
+    for k in range(1, _KRYLOV_MAX + 1):
+        w = matvec(basis[k - 1])
+        for j in range(k):
+            hess[j, k - 1] = np.vdot(basis[j], w)
+            w -= hess[j, k - 1] * basis[j]
+        hess[k, k - 1] = np.linalg.norm(w)
+        e1 = np.zeros(k + 1, dtype=complex)
+        e1[0] = beta
+        y = np.linalg.lstsq(hess[:k + 1, :k], e1, rcond=None)[0]
+        done = np.linalg.norm(hess[:k + 1, :k] @ y - e1) <= 1e-13 * beta
+        if done or hess[k, k - 1] == 0.0 or k == _KRYLOV_MAX:
+            return y @ basis[:k], k, bool(done)
+        basis[k] = w / hess[k, k - 1]
+
+
 def _solve_glm_line0(om: OmegaKernel, residual_tol: float = 1e-10):
     """GLM row (G11, G12)(0, .) from the composed single-unknown equation
-    b - A conj(A) b = -k0, solved by GMRES.  A is the trapezoid-weighted
-    Hankel operator (A v)_i = sum_j w_j k(s_i + t_j) v_j, applied as one
-    FFT convolution (`_convolve`).  Raises NumericalError when GMRES stops
+    b - A conj(A) b = -k0, solved by `_gmres`.  A is the
+    trapezoid-weighted Hankel operator (A v)_i = sum_j w_j k(s_i + t_j) v_j,
+    applied as one FFT convolution (`_convolve`).  Raises NumericalError,
+    with the iteration count and the block residual, when GMRES stops
     without converging or the block residual exceeds residual_tol."""
     kv = om.k.values
     n = om.k.grid.n
@@ -259,20 +290,17 @@ def _solve_glm_line0(om: OmegaKernel, residual_tol: float = 1e-10):
         c[1:] -= 0.5 * kern[n] * u[-2::-1]
         return c
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return v - apply_A(apply_A(v, np.conj(kv)), kv)
-
-    op = spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=complex)
-    b, info = spla.gmres(op, -kv, rtol=1e-13, atol=0.0, maxiter=400, restart=80)
+    b, its, converged = _gmres(lambda v: v - apply_A(apply_A(v, np.conj(kv)), kv), -kv)
     a = -apply_A(b, np.conj(kv))
     # verify the block-system residual
     r1 = np.max(np.abs(a + apply_A(b, np.conj(kv))))
     r2 = np.max(np.abs(b + apply_A(a, kv) + kv))
     resid = float(max(r1, r2) / max(1.0, float(np.max(np.abs(kv)))))
-    if info != 0 or resid > residual_tol:
+    if not converged or resid > residual_tol:
+        state = "converged" if converged else "did not converge"
         raise NumericalError(
-            f"GLM line solve at x = 0 failed: GMRES info {info}, block residual "
-            f"{resid:.3e} (tolerance {residual_tol:.1e})")
+            f"GLM line solve at x = 0 failed: GMRES {state} in {its} iterations, "
+            f"block residual {resid:.3e} (tolerance {residual_tol:.1e})")
     return a, b, resid
 
 

@@ -363,13 +363,15 @@ def hadamard_evaluate(R: ResonanceSet, psi0: complex, gamma: float, z: complex,
 
 
 def _zero_sums(zeros: np.ndarray, weights: np.ndarray, gamma: float,
-               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, phi') at real z for the zeros z_n with weights w_n:
-    phi = gamma z + sum w_n (arg(z - z_n) - arg(-z_n)) and
+               z: np.ndarray, phi_only: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(phi at z, phi' at z[phi_only:]) at real z for the zeros z_n with
+    weights w_n: phi = gamma z + sum w_n (arg(z - z_n) - arg(-z_n)) and
     phi' = gamma + sum w_n Im z_n / |z - z_n|^2, phi' the exact derivative.
     Both arguments have positive imaginary part, so the principal branch is
     continuous in z.  z is taken in blocks that keep each z - z_n array
-    near _ZERO_BLOCK entries, so memory does not grow with #z."""
+    near _ZERO_BLOCK entries, so memory does not grow with #z; phi' is
+    summed only in the blocks that reach z[phi_only:], each block whole,
+    so its values do not depend on phi_only."""
     z = np.asarray(z, dtype=float)
     phi = gamma * z
     dphi = np.full(z.shape, float(gamma))
@@ -378,8 +380,9 @@ def _zero_sums(zeros: np.ndarray, weights: np.ndarray, gamma: float,
     for lo in range(0, z.size, step):
         d = z[lo:lo + step, None] - zeros
         phi[lo:lo + step] += (np.angle(d) - base) @ weights
-        dphi[lo:lo + step] += (zeros.imag / np.abs(d) ** 2) @ weights
-    return phi, dphi
+        if lo + step > phi_only:
+            dphi[lo:lo + step] += (zeros.imag / np.abs(d) ** 2) @ weights
+    return phi, dphi[phi_only:]
 
 
 def phase_derivative(R: ResonanceSet, gamma: float, z: float, r_cut: float) -> float:
@@ -392,20 +395,23 @@ def _tail_zeros(R: ResonanceSet, gamma: float, r_cut: float) -> np.ndarray:
 
     The zero count grows linearly with density gamma/pi along each
     half-axis and the depths follow a slowly growing logarithmic law,
-    fitted here to the outer half of the located zeros (the deepest zero's
-    depth when fewer than 4 lie there).  Each side's lattice of spacing
-    pi/gamma starts past its last located zero and runs to the horizon
-    max(300 r_cut, 3000).
+    fitted here to the outer half of the located zeros (|z_n| <= r_cut);
+    when fewer than 4 lie there, the depth is that of the deepest located
+    zero.  Zeros beyond r_cut are never read, so the model depends on the
+    truncated set alone; with no located zero there is no depth to fit and
+    no tail is placed, as for an empty set.  Each side's lattice of
+    spacing pi/gamma starts past its last located zero and runs to the
+    horizon max(300 r_cut, 3000).
     """
-    if not R.entries or gamma <= 0.0:
-        return np.zeros(0, dtype=complex)
     located, mult = _truncated(R, r_cut)
+    if not located.size or gamma <= 0.0:
+        return np.zeros(0, dtype=complex)
     outer = np.repeat(located, mult)
     outer = outer[np.abs(outer) >= 0.45 * r_cut]
     if outer.size >= 4:
         b, a = np.polyfit(np.log(np.abs(outer)), -outer.imag, 1)
     else:
-        a, b = -R.zeros().imag.min(), 0.0
+        a, b = -located.imag.min(), 0.0
     spacing = np.pi / gamma
     horizon = max(300.0 * r_cut, 3000.0)
     lattices = []
@@ -453,7 +459,7 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
     wboth = np.sqrt(np.concatenate([wts, wts]))
     nodes = grid.nodes()
     phi_all, dphi_all = _zero_sums(zeros, weights, gamma,
-                                   np.concatenate([zboth, nodes, [0.0]]))
+                                   np.concatenate([zboth, nodes, [0.0]]), zboth.size)
     vals = phi_all[:zboth.size]
     design = np.stack([zboth, np.ones_like(zboth), 1.0 / zboth], axis=1)
     sol, *_ = np.linalg.lstsq(design * wboth[:, None], (vals + alpha_v) * wboth,
@@ -464,7 +470,7 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
 
     on_grid = slice(zboth.size, zboth.size + nodes.size)
     phi = phi_all[on_grid] - slope * nodes - c0
-    dphi = dphi_all[on_grid] - slope
+    dphi = dphi_all[:nodes.size] - slope
     phi0 = float(phi_all[-1] - c0)
     return PhaseProfile(grid, phi, dphi, r_cut, phi0, slope, spread)
 

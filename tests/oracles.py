@@ -326,22 +326,24 @@ def _phase_sum_loop(R, gamma: float, z: np.ndarray, r_cut: float) -> np.ndarray:
 def _tail_closures(R, gamma: float, r_cut: float):
     """(Phi, Phi') of the modeled zeros beyond r_cut: a lattice of spacing
     pi/gamma from the last located zero on each side out to 300 r_cut, with
-    depths a + b ln|t| fitted to the outer located zeros."""
-    if not R.entries or gamma <= 0.0:
+    depths a + b ln|t| fitted to the outer located zeros (|z_n| <= r_cut),
+    or the deepest located zero's depth when fewer than 4 are outer.  No
+    located zero: no tail."""
+    located = [(z, m) for z, m in R.entries if abs(z) <= r_cut]
+    if not located or gamma <= 0.0:
         zero = lambda z: np.zeros(np.shape(np.atleast_1d(z)))
         return zero, zero
-    outer = [(abs(z), -z.imag) for z, m in R.entries
-             for _ in range(m) if 0.45 * r_cut <= abs(z) <= r_cut]
+    outer = [(abs(z), -z.imag) for z, m in located
+             for _ in range(m) if 0.45 * r_cut <= abs(z)]
     if len(outer) >= 4:
         b, a = np.polyfit(np.log([t for t, _ in outer]), [d for _, d in outer], 1)
     else:
-        a, b = (max((-z.imag for z, _ in R.entries), default=0.5), 0.0)
+        a, b = max(-z.imag for z, _ in located), 0.0
     spacing = np.pi / gamma
     horizon = max(300.0 * r_cut, 3000.0)
     lattices = []
     for sign in (+1.0, -1.0):
-        side = [abs(z) for z, _ in R.entries
-                if abs(z) <= r_cut and (z.real >= 0) == (sign > 0)]
+        side = [abs(z) for z, _ in located if (z.real >= 0) == (sign > 0)]
         t_last = max(side) if side else r_cut - 0.5 * spacing
         k = np.arange(1, int((horizon - t_last) / spacing) + 1)
         lattices.append(sign * (t_last + spacing * k))

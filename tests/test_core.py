@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
 from dirachl import core
 from dirachl.core import (
@@ -163,6 +164,26 @@ class TestFourierEval:
             rep.psi(1.5)
             S.s_values(1.5)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("size", [15, 16, 17, 64, 65, 66, 1025, 32769])
+    def test_running_median_matches_scipy(self, size):
+        rng = np.random.default_rng(size)
+        # ties and wide magnitudes, as in second differences of a kernel
+        d = np.abs(rng.standard_normal(size)) * rng.choice([1.0, 1e-6], size)
+        d[rng.integers(0, size, size // 4)] = 0.5
+        ref = median_filter(d, size=65, mode="nearest")
+        np.testing.assert_array_equal(core._running_median(d), ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 101])
+    def test_jump_nodes_match_scipy_median(self, monkeypatch, seed):
+        q = random_piecewise_potential(seed, n=1024)
+        rep = jost_kernel_direct(q, BoundaryParam(0.3))
+        kernels = (q.samples.values, rep.g.values, scattering_kernel(rep).F.values)
+        got = [core._detect_jump_nodes(v) for v in kernels]
+        monkeypatch.setattr(core, "_running_median",
+                            lambda d: median_filter(d, size=65, mode="nearest"))
+        assert got == [core._detect_jump_nodes(v) for v in kernels]
+        assert got[1] and got[2]
 
 
 class TestValidators:

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirachl import inverse
 from dirachl.core import (
     BoundaryParam,
     NumericalError,
@@ -212,12 +214,36 @@ class TestGlm:
     def test_gmres_failure_raises(self, monkeypatch):
         q = constant_potential(1.0, n=128)
         S = potential_to_scattering(q, BoundaryParam(0.0), t_max=6.0)
-        with pytest.raises(NumericalError, match="GMRES info 0, block residual"):
+        with pytest.raises(NumericalError, match=r"GMRES converged in \d+ iterations, block residual"):
             recover_potential(S, residual_tol=1e-30)
-        from dirachl import inverse
-        monkeypatch.setattr(inverse.spla, "gmres", lambda op, rhs, **kw: (0.0 * rhs, 7))
-        with pytest.raises(NumericalError, match="GMRES info 7"):
+        # one Krylov vector cannot reach 1e-13 on this kernel
+        monkeypatch.setattr(inverse, "_KRYLOV_MAX", 1)
+        with pytest.raises(NumericalError,
+                           match=r"GMRES did not converge in 1 iterations, block residual \d"):
             recover_potential(S)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 101])
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_gmres_matches_scipy(self, monkeypatch, seed, n):
+        # the same Krylov iteration as scipy's restarted GMRES at restart 80:
+        # the same step count and the same solution to 1e-13
+        S = potential_to_scattering(random_piecewise_potential(seed, n=n), BoundaryParam(0.3))
+        seen = {}
+        own = inverse._gmres
+
+        def spy(matvec, rhs):
+            seen.update(matvec=matvec, rhs=rhs, out=own(matvec, rhs))
+            return seen["out"]
+
+        monkeypatch.setattr(inverse, "_gmres", spy)
+        _, b, _ = _solve_glm_line0(omega_kernel(S))
+        _, its, converged = seen["out"]
+        steps = []
+        op = spla.LinearOperator((n + 1, n + 1), matvec=seen["matvec"], dtype=complex)
+        ref, info = spla.gmres(op, seen["rhs"], rtol=1e-13, atol=0.0, maxiter=400, restart=80,
+                               callback=steps.append, callback_type="pr_norm")
+        assert converged and info == 0 and its == len(steps)
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestRecovery:

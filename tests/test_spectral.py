@@ -280,6 +280,17 @@ class TestPhase:
         assert phase_derivative(R, gamma, 1.7, r_cut) == pytest.approx(
             phase_derivative_loop(R, gamma, 1.7, r_cut), rel=0, abs=1e-12)
 
+    def test_tail_reads_located_zeros_only(self, alpha0):
+        # zeros beyond r_cut set neither the tail depth nor, with no zero
+        # inside r_cut, whether there is a tail at all
+        grid = make_grid(-10, 10, 400)
+        shallow = ResonanceSet(_FEW_OUTER.entries[:3] + ((30.0 - 0.2j, 1),))
+        for a, b in ((_FEW_OUTER, shallow),
+                     (ResonanceSet(((30.0 - 2.0j, 1),)), ResonanceSet(()))):
+            pa, pb = (phase_profile(R, 1.0, alpha0, grid, 10.0, 9.0) for R in (a, b))
+            np.testing.assert_array_equal(pa.phi, pb.phi)
+            np.testing.assert_array_equal(pa.dphi, pb.dphi)
+
     def test_profile_memory_bounded(self, unit_resonances, alpha0):
         # ~23,000 modeled tail zeros at r_cut = 120: a #z x #zeros complex
         # array over the 529 evaluation points would take 185 MiB

@@ -1,8 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,33 @@ def test_one_zero_sum():
             found += [f"{fn.name}: {kind}" for kind in _zero_sum_terms(fn)]
     assert not found, f"phase-sum terms outside spectral._zero_sums: {sorted(set(found))}"
     assert helper == {"np.angle of a difference", "division by |z - z_n|^2"}
+
+
+def test_cli_import_loads_no_scipy():
+    # the library runs on numpy alone; scipy is a test-suite reference
+    code = "import sys, dirachl.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    loaded = out.stdout.split()
+    assert not loaded, f"importing dirachl.cli loads {len(loaded)} scipy modules: {loaded[:4]} ..."
+
+
+def test_no_scipy_imports():
+    # no module under src/dirachl imports scipy, lazily inside a function or not
+    found = []
+    for path in sorted(Path(dirachl.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            if "scipy" in roots:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imported at {found}"
 
 
 def test_perfbench_spans_resolve():
