@@ -130,7 +130,15 @@ class FundamentalMatrix:
         return float(np.max(np.abs(dets - 1.0)))
 
 
-_T = np.array([[1j, -1j], [1.0, 1.0]]) / math.sqrt(2.0)
+def _t_conjugate(a, b, c, d) -> np.ndarray:
+    """T X T^{-1} for X = [[a, b], [c, d]] (entry arrays of one shape), in
+    closed form: T^{-1} = T^H, so each entry is a signed half-sum."""
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0] = 0.5 * ((a + d) - (b + c))
+    out[..., 0, 1] = 0.5j * ((a + b) - (c + d))
+    out[..., 1, 0] = 0.5j * ((b + d) - (a + c))
+    out[..., 1, 1] = 0.5 * ((a + d) + (b + c))
+    return out
 
 
 def matrix_potential(q: Potential) -> MatrixPotential:
@@ -151,8 +159,8 @@ def fundamental_matrix(q: Potential, z: complex) -> FundamentalMatrix:
     while d < q.grid.n:     # log-depth scan: m[j] becomes step j ... step 1 step 0
         prod = _mul2([x[d:] for x in m], [x[:-d] for x in m])
         m, d = [np.concatenate((x[:d], p)) for x, p in zip(m, prod)], 2 * d
-    P = np.concatenate((np.eye(2)[None], np.stack(m, -1).reshape(-1, 2, 2)))
-    out = _T @ P @ _T.conj().T
+    # M(0) = I ahead of the prefix products
+    out = _t_conjugate(*(np.concatenate(([one], x)) for one, x in zip((1.0, 0.0, 0.0, 1.0), m)))
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalError("canonical propagation overflowed")
     return FundamentalMatrix(zz, q.grid, out)
@@ -165,9 +173,8 @@ def canonical_values(q: Potential, z: np.ndarray) -> np.ndarray:
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_im_cap(q.gamma, zz)
     f, ph = _propagate_exact(q, zz), np.exp(1j * q.gamma * zz)
-    fg_f0inv = np.stack((f[..., 1, 1] * ph, -f[..., 0, 1] * ph,
-                         -f[..., 1, 0] / ph, f[..., 0, 0] / ph), -1)
-    return _T @ fg_f0inv.reshape(zz.shape + (2, 2)) @ _T.conj().T
+    return _t_conjugate(f[..., 1, 1] * ph, -f[..., 0, 1] * ph,
+                        -f[..., 1, 0] / ph, f[..., 0, 0] / ph)
 
 
 def hamiltonian_from_potential(q: Potential) -> Hamiltonian:

@@ -6,7 +6,8 @@ function on [0, gamma], scattering kernels F on [-gamma, t_max].  This
 module provides the containers, trapezoid quadrature, grid-aligned
 convolution, an exact Fourier transform of the piecewise-linear
 interpolant (plain trapezoid picks up an O((zh)^2) phase error that is
-fatal for the tighter agreement checks), and the class-membership
+fatal for the tighter agreement checks; arithmetic runs of z take its
+plain sum as a chirp-z FFT convolution), and the class-membership
 validators for potentials, Jost representations and scattering
 representations.
 """
@@ -211,16 +212,140 @@ def _linear_transform(values: np.ndarray, grid: Grid, z: np.ndarray,
                 + B * (e[:, 2:] @ left) + A * (e[:, 2:] @ right))
 
 
-def _dense_transform(f: SampledComplexFunction, z, cuts: Sequence[int]) -> np.ndarray | complex:
-    """`_linear_transform` at arbitrary z, the plain sum formed densely in
-    blocks of z that keep each phase matrix near 2^14 entries (in cache)."""
+_RUN_MIN = 16            # arithmetic runs of z shorter than this take the dense product
+_CHIRP_BLOCK = 2 ** 11   # z and nodes per chirp-z convolution: |n| < 2^11, FFTs of 4096 at most
+# 2 pi = C1 + C2 + C3 within 4e-31 (Cody-Waite); C1 and C2 have 22 significant
+# bits, so k C1 and k C2 are exact for |k| < 2^31
+_TAU = (float.fromhex("0x1.921fb8p+2"), float.fromhex("-0x1.5dde98p-21"),
+        float.fromhex("0x1.8469898cc517p-46"))
+
+
+def _two_sum(a, b):
+    """a + b as the rounded sum and its exact rounding error (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _chirp_phases(t: float, count: int) -> np.ndarray:
+    """t n^2 mod 2 pi in [-pi, pi] for n = 0, ..., count - 1, within one
+    rounding of the exact value, in doubles alone; valid for |t| <= 1 and
+    count <= 2^16.
+
+    t splits exactly into three parts of at most 18 significant bits, so
+    each part times n^2 < 2^32 is an exact double.  Each product sheds its
+    multiples of 2 pi against the three-part `_TAU`: both subtractions of
+    k C1 and k C2 are exact (the first by Sterbenz's lemma, the second
+    because the remainder fits 53 bits), and the k C3 terms are small.
+    The three remainders are added with their rounding errors kept, and
+    the sum is reduced once more the same way."""
+    m, e = math.frexp(t)
+    M = int(math.ldexp(m, 53))
+    parts = (math.ldexp(M >> 36, e - 17), math.ldexp((M >> 18) & 0x3FFFF, e - 35),
+             math.ldexp(M & 0x3FFFF, e - 53))
+    c1, c2, c3 = _TAU
+    n = np.arange(count, dtype=float)
+    n2 = n * n
+    total, err, turns = np.zeros(count), np.zeros(count), np.zeros(count)
+    for part in parts:
+        x = part * n2
+        k = np.rint(x / math.tau)
+        total, rounding = _two_sum(total, (x - k * c1) - k * c2)
+        err += rounding
+        turns += k
+    k = np.rint(total / math.tau)
+    return ((total - k * c1) - k * c2) + (err - (turns + k) * c3)
+
+
+def _arithmetic_runs(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, stop, dz) of the runs z[a:b] that the chirp-z sum takes:
+    at least `_RUN_MIN` points, each within 8 eps max(|z[a]|, |z[b-1]|)
+    of z[a] + k dz with dz real, and |dz h| <= 1 (see `_chirp_phases`).
+    Candidates are the stretches of near-constant np.diff(z), so two runs
+    may share an end point; each is then checked against z[a] + k dz as a
+    whole, so a slow drift of the step fails (and so does a run holding a
+    NaN)."""
+    eps = np.finfo(float).eps
+    mag = np.abs(z)
+    # a point near 0 carries the rounding of the run's far ends
+    scale = np.max(mag, initial=0.0, where=np.isfinite(mag))
+    same = np.abs(np.diff(z, 2)) <= 8.0 * eps * scale
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], same.view(np.int8), [0]))))
+    start, stop = edges[::2], edges[1::2] + 2
+    keep = stop - start >= _RUN_MIN
+    start, stop = start[keep], stop[keep]
+    length = stop - start
+    dz = ((z[stop - 1] - z[start]) / (length - 1)).real
+    run = np.repeat(np.arange(start.size), length)
+    k = np.arange(run.size) - np.repeat(np.cumsum(length) - length, length)
+    # z[a] + k dz rebuilt from the ends differs from z = z0 + k step by up
+    # to 6 eps max|z| in rounding alone
+    tol = 8.0 * eps * np.maximum(mag[start], mag[stop - 1])
+    off = ~(np.abs(z[start[run] + k] - (z[start[run]] + k * dz[run])) <= tol[run])
+    ok = (np.bincount(run, off, minlength=start.size) == 0) & (np.abs(dz) * h <= 1.0)
+    return start[ok], stop[ok], dz[ok]
+
+
+def _chirp_block(v: np.ndarray, s0: float, h: float, z: np.ndarray, dz: float,
+                 kernels: dict) -> np.ndarray:
+    """Σ_j v_j e^{2iz_k s_j} on nodes s_j = s0 + jh and z_k = z_0 + k dz by
+    Bluestein's identity kj = (k^2 + j^2 - (k-j)^2)/2: with theta = 2 dz h
+    and w_n = e^{-i theta n^2/2} the sum is
+    e^{2iz_k s0} conj(w_k) Σ_j [v_j e^{2iz_0 jh} conj(w_j)] w_{k-j},
+    one FFT convolution.  The chirp w and its padded transform depend only
+    on (dz, #nodes, #z) and are kept in `kernels` for the caller's next
+    block; the start phase 2 z_k s0 is formed from the given z_k."""
+    N, C = v.size, z.size
+    L = 1 << (N + C - 2).bit_length()       # at least N + C - 1: no wrap-around
+    key = (dz, N, C)
+    if key not in kernels:
+        w = np.exp(-1j * _chirp_phases(dz * h, max(N, C)))
+        kern = np.zeros(L, dtype=complex)
+        kern[:C] = w[:C]
+        kern[L - N + 1:] = w[N - 1:0:-1]
+        kernels[key] = w, np.fft.fft(kern)
+    w, kern_hat = kernels[key]
+    b = v * np.exp(2j * z[0] * (h * np.arange(N))) * w[:N].conj()
+    y = np.fft.ifft(np.fft.fft(b, L) * kern_hat)[:C]
+    return np.exp(2j * z * s0) * w[:C].conj() * y
+
+
+def _dense_plain(z: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Σ_j v_j e^{2iz s_j} formed densely, in blocks of z that keep each
+    phase matrix near 2^14 entries (in cache)."""
+    out = np.empty(z.size, dtype=complex)
+    step = max(1, 2 ** 14 // s.size)
+    for i in range(0, z.size, step):
+        out[i:i + step] = np.exp(2j * np.outer(z[i:i + step], s)) @ v
+    return out
+
+
+def _plain_sum(f: SampledComplexFunction, z: np.ndarray) -> np.ndarray:
+    """The plain sum Σ_j v_j e^{2iz s_j} over the nodes of f.  Each run of
+    `_arithmetic_runs` is a chirp-z transform, taken by `_chirp_block` in
+    near-equal pieces of at most `_CHIRP_BLOCK` points against node blocks
+    of at most `_CHIRP_BLOCK` nodes, so every FFT is at most 2^12 long
+    whatever #z and #nodes; every other point goes to `_dense_plain`."""
+    s, v, h = f.grid.nodes(), f.values, f.grid.h
+    out = np.empty(z.size, dtype=complex)
+    dense = np.ones(z.size, dtype=bool)
+    kernels: dict = {}
+    for a, b, dz in zip(*_arithmetic_runs(z, h)):
+        dense[a:b] = False
+        pieces = -(-(b - a) // _CHIRP_BLOCK)
+        bounds = a + (b - a) * np.arange(pieces + 1) // pieces
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[lo:hi] = sum(_chirp_block(v[j:j + _CHIRP_BLOCK], s[j], h, z[lo:hi], dz, kernels)
+                             for j in range(0, v.size, _CHIRP_BLOCK))
+    out[dense] = _dense_plain(z[dense], s, v)
+    return out
+
+
+def _transform(f: SampledComplexFunction, z, cuts: Sequence[int]) -> np.ndarray | complex:
+    """`_linear_transform` at arbitrary z, from `_plain_sum`."""
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    s = f.grid.nodes()
-    step = max(1, 2 ** 14 // s.size)
-    plain = np.concatenate([np.exp(2j * np.outer(zz[i:i + step], s)) @ f.values
-                            for i in range(0, zz.size, step)])
-    out = _linear_transform(f.values, f.grid, zz, plain, cuts)
+    out = _linear_transform(f.values, f.grid, zz, _plain_sum(f, zz), cuts)
     return complex(out[0]) if scalar else out
 
 
@@ -231,7 +356,7 @@ def fourier_eval(f: SampledComplexFunction, z: np.ndarray | complex) -> np.ndarr
     factor per frequency plus endpoint corrections, so the cost matches a
     plain weighted sum while the oscillatory phase is integrated exactly.
     """
-    return _dense_transform(f, z, ())
+    return _transform(f, z, ())
 
 
 _MEDIAN_HALF = 32       # the running median's window is 2 * 32 + 1 samples
@@ -244,8 +369,9 @@ def _running_median(d: np.ndarray) -> np.ndarray:
     middle order statistic, which one partition per block of windows
     finds exactly."""
     win = sliding_window_view(np.pad(d, _MEDIAN_HALF, mode="edge"), 2 * _MEDIAN_HALF + 1)
+    # copy the middle column out, or each view would hold its whole block
     return np.concatenate([np.partition(win[lo:lo + _MEDIAN_BLOCK], _MEDIAN_HALF, axis=1)
-                           [:, _MEDIAN_HALF] for lo in range(0, len(win), _MEDIAN_BLOCK)])
+                           [:, _MEDIAN_HALF].copy() for lo in range(0, len(win), _MEDIAN_BLOCK)])
 
 
 def _detect_jump_nodes(values: np.ndarray) -> list[int]:
@@ -461,7 +587,7 @@ class JostRep:
     def psi(self, z) -> np.ndarray | complex:
         """e^{-i alpha} plus the transform of g, with the transform split at
         detected jump nodes (kernels of piecewise potentials jump with them)."""
-        return self.alpha.phase + _dense_transform(self.g, z, self._cuts)
+        return self.alpha.phase + _transform(self.g, z, self._cuts)
 
     def distance(self, other: "JostRep") -> float:
         """Kernel L2 distance, the natural metric on this class."""
@@ -509,7 +635,7 @@ class ScatteringRep:
         F genuinely jumps at s = 0 (the reciprocal kernel starts there), at
         s = gamma and wherever the potential jumps; one linear model across
         a midpoint-stored jump would leak an O(h^2 z) error into |S|."""
-        return np.exp(2j * self.alpha.alpha) + _dense_transform(self.F, z, self._cuts)
+        return np.exp(2j * self.alpha.alpha) + _transform(self.F, z, self._cuts)
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha.alpha, "gamma": self.gamma, "t_max": self.t_max,
@@ -649,7 +775,7 @@ def validate_class(obj, *, strict: bool = True, tol: float = 1e-6,
                                      abs(sup - obj.gamma) <= h + 1e-12, sup, obj.gamma))
         re = np.linspace(-psi_rect, psi_rect, 81)
         im = np.linspace(0.0, psi_rect, 33)
-        zz = (re[:, None] + 1j * im[None, :]).ravel()
+        zz = (re[None, :] + 1j * im[:, None]).ravel()     # rows of constant Im z: runs of 81
         vals = obj.psi(zz)
         mn = float(np.min(np.abs(vals)))
         checks.append(ClassCheck("psi nonvanishing on closed UHP sample",

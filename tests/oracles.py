@@ -7,7 +7,8 @@ sweep refined by mpmath's Muller iteration, and integrals fall back to
 very fine trapezoid sums.  The GLM reference solves each row system
 densely (O(n^3) per node), and the Wiener reference marches node by node.
 The scattering-phase reference sums the zeros one at a time in Python
-loops, with the modeled tail in fixed 256-row blocks.
+loops, with the modeled tail in fixed 256-row blocks.  Kernel transforms
+form every phase e^{2izs} explicitly, with no chirp-z route.
 """
 
 from __future__ import annotations
@@ -96,12 +97,31 @@ def brute_transform(values: np.ndarray, grid_left: float, h: float, z) -> np.nda
     return np.exp(2j * np.outer(z, s)) @ (w * values)
 
 
+def dense_plain_sum(f, z) -> np.ndarray:
+    """Σ_j v_j e^{2iz s_j} over the nodes of f, every phase formed
+    explicitly, in blocks of z of about 2^14 phase entries."""
+    s = f.grid.nodes()
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    step = max(1, 2 ** 14 // s.size)
+    return np.concatenate([np.exp(2j * np.outer(zz[i:i + step], s)) @ f.values
+                           for i in range(0, zz.size, step)])
+
+
+def dense_transform(f, z, cuts=()) -> np.ndarray:
+    """The library's cut-node model of int f(s) e^{2izs} ds
+    (`core._linear_transform`) on the plain sum of `dense_plain_sum`."""
+    from dirachl.core import _linear_transform
+
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    return _linear_transform(f.values, f.grid, zz, dense_plain_sum(f, zz), cuts)
+
+
 def segment_transform(f, z, structural=()) -> np.ndarray:
     """int f(s) e^{2izs} ds as a sum of per-segment piecewise-linear
     transforms: the samples are split at the structural nodes plus the
     detected jump nodes (3 <= j <= n-3, at least 4 apart), each split node
     replaced in each segment by that side's cubic extrapolation."""
-    from dirachl.core import Grid, SampledComplexFunction, _detect_jump_nodes, fourier_eval
+    from dirachl.core import Grid, SampledComplexFunction, _detect_jump_nodes
 
     n = f.grid.n
     raw = sorted({j for j in list(structural) + _detect_jump_nodes(f.values)
@@ -120,7 +140,7 @@ def segment_transform(f, z, structural=()) -> np.ndarray:
             seg[0] = 3.0 * seg[1] - 3.0 * seg[2] + seg[3]
         if hi != n:
             seg[-1] = 3.0 * seg[-2] - 3.0 * seg[-3] + seg[-4]
-        total += fourier_eval(SampledComplexFunction(Grid(nodes[lo], nodes[hi], hi - lo), seg), zz)
+        total += dense_transform(SampledComplexFunction(Grid(nodes[lo], nodes[hi], hi - lo), seg), zz)
     return total
 
 

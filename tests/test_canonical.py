@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dirachl.canonical import (
     Hamiltonian,
+    _t_conjugate,
     boundary_solution,
     canonical_values,
     fundamental_matrix,
@@ -22,7 +23,7 @@ from dirachl.core import (
     make_grid,
     potential_from_values,
 )
-from dirachl.forward import make_psi_evaluator, psi_values
+from dirachl.forward import _propagate_exact, make_psi_evaluator, psi_values
 from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
 from oracles import f0_constant, propagate_sequential, transfer_prefix
@@ -123,6 +124,22 @@ class TestFundamentalMatrix:
         for q in (smooth_potential(n=1024), cell_sampled_potential(), chirped_potential()):
             M = fundamental_matrix(q, 0.8 - 0.3j)
             assert M.det_drift() < 1e-12
+
+    def test_closed_form_conjugation(self, unit_potential):
+        # the entrywise T-conjugation equals the matmul form T X T^H
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+        got = _t_conjugate(X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1])
+        want = T_FRAME @ X @ np.conj(T_FRAME).T
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        z = np.linspace(-20.0, 20.0, 41) + 0.4j
+        for q in (unit_potential, cell_sampled_potential(), chirped_potential()):
+            f, ph = _propagate_exact(q, z), np.exp(1j * q.gamma * z)
+            X = np.stack((f[:, 1, 1] * ph, -f[:, 0, 1] * ph,
+                          -f[:, 1, 0] / ph, f[:, 0, 0] / ph), -1).reshape(-1, 2, 2)
+            want = T_FRAME @ X @ np.conj(T_FRAME).T
+            scale = np.max(np.abs(want), axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(canonical_values(q, z) - want) / scale) <= 1e-14
 
 
 class TestHamiltonian:

@@ -1,4 +1,7 @@
 import json
+import math
+from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from dirachl.forward import jost_kernel_direct
 from dirachl.inverse import invert_wiener, scattering_kernel
 from dirachl.synth import constant_potential, random_piecewise_potential
 
-from oracles import brute_transform, segment_transform
+from oracles import brute_transform, dense_transform, segment_transform
 
 
 def sampled(left, right, n, fn):
@@ -184,6 +187,91 @@ class TestFourierEval:
                             lambda d: median_filter(d, size=65, mode="nearest"))
         assert got == [core._detect_jump_nodes(v) for v in kernels]
         assert got[1] and got[2]
+
+
+@lru_cache(maxsize=8)
+def _kernels(seed, n, alpha):
+    rep = jost_kernel_direct(random_piecewise_potential(seed, n=n), BoundaryParam(alpha))
+    return rep, scattering_kernel(rep)
+
+
+def _max_rel(got, ref):
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+def _pi_decimal():
+    """pi to the current decimal precision (the decimal module's recipe)."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+class TestChirpSums:
+    """Arithmetic runs of z go through the chirp-z plain sum; the dense
+    oracle forms every phase."""
+
+    def test_long_run_matches_dense_n4096(self):
+        rep, S = _kernels(0, 4096, 0.3)
+        z = np.linspace(-40.0, 40.0, 4001)
+        assert _max_rel(S.s_values(z), np.exp(0.6j) + dense_transform(S.F, z, S._cuts)) < 1e-12
+        assert _max_rel(rep.psi(z), np.exp(-0.3j) + dense_transform(rep.g, z, rep._cuts)) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 9), alpha=st.floats(0.0, 3.0), n=st.integers(8, 512).map(lambda m: 8 * m),
+           length=st.one_of(st.sampled_from([core._RUN_MIN - 1, core._RUN_MIN, core._RUN_MIN + 1]),
+                            st.integers(2, 3000)),
+           start=st.floats(-40.0, 40.0), step=st.floats(1e-3, 0.5), descending=st.booleans(),
+           im=st.floats(0.0, 12.0))
+    def test_runs_match_dense(self, seed, alpha, n, length, start, step, descending, im):
+        rep, S = _kernels(seed, n, alpha)
+        k = np.arange(length)
+        z = start + (-step if descending else step) * k
+        zc = complex(start, im) + (-step if descending else step) * k
+        if length >= core._RUN_MIN:
+            # the sweep exercises the chirp route, not the dense remainder
+            for f, zz in ((S.F, z), (rep.g, zc)):
+                a, b, _ = core._arithmetic_runs(zz.astype(complex), f.grid.h)
+                assert list(zip(a, b)) == [(0, length)]
+        assert _max_rel(S.s_values(z), np.exp(2j * alpha) + dense_transform(S.F, z, S._cuts)) < 1e-12
+        assert _max_rel(rep.psi(zc), np.exp(-1j * alpha) + dense_transform(rep.g, zc, rep._cuts)) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.02 / 1024, -0.3 / 96, 0.04 * 9.0 / 4096, 1.0, -1.0,
+                                   math.pi / 7, 0.7390851332151607, 2.0 ** -40 * 3.0])
+    def test_chirp_phases_exact(self, t):
+        # t n^2 mod 2 pi against exact decimal arithmetic, n up to 65,535
+        n = np.arange(65536)
+        n = n if abs(t) >= 0.1 else n[(n < 300) | (n % 97 == 0) | (n > 65400)]
+        got = core._chirp_phases(t, 65536)[n]
+        with localcontext() as ctx:
+            ctx.prec = 90
+            tau = 2 * _pi_decimal()
+            tt = Decimal(t)
+            ref = []
+            for m in n.tolist():
+                x = tt * (m * m)
+                ref.append(float(x - tau * (x / tau).to_integral_value()))
+        diff = got - np.array(ref)
+        diff -= 2.0 * np.pi * np.rint(diff / (2.0 * np.pi))     # +-pi are one phase
+        assert np.max(np.abs(diff)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_validate_class_rectangle_minimum(self, seed):
+        # rows of constant Im z change the order of the psi samples, not
+        # their minimum: the reference takes the columns, densely
+        rep, _ = _kernels(seed, 1024, 0.3)
+        re, im = np.linspace(-12.0, 12.0, 81), np.linspace(0.0, 12.0, 33)
+        cols = (re[:, None] + 1j * im[None, :]).ravel()
+        ref = float(np.min(np.abs(np.exp(-0.3j) + dense_transform(rep.g, cols, rep._cuts))))
+        got = {c.name: c.measured for c in validate_class(rep).checks}
+        assert abs(got["psi nonvanishing on closed UHP sample"] - ref) <= 1e-12 * ref
+        assert got["sup supp g = gamma"] == support_supremum(rep.g)
 
 
 class TestValidators:

@@ -8,9 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dirachl
+from dirachl import core
+from dirachl.core import BoundaryParam
+from dirachl.forward import jost_kernel_direct
+from dirachl.synth import random_piecewise_potential
+from oracles import dense_transform
 
 MODULES = ["dirachl"] + [f"dirachl.{m.name}" for m in pkgutil.iter_modules(dirachl.__path__)]
 
@@ -175,3 +181,42 @@ def test_readme_layout_names_exist():
         missing += [f"{mod.__name__}.{n}" for n in re.findall(r"`(\w+)`", cells[1])
                     if not hasattr(mod, n)]
     assert not missing, f"README layout names missing in dirachl: {missing}"
+
+
+def test_chirp_route_pinned(monkeypatch):
+    # arithmetic real-step runs of z at or above core._RUN_MIN never reach
+    # the dense product; every other point does, and matches the dense oracle
+    rep = jost_kernel_direct(random_piecewise_potential(1, n=512), BoundaryParam(0.3))
+    dense = core._dense_plain
+    entries = []
+    monkeypatch.setattr(core, "_dense_plain",
+                        lambda z, s, v: entries.append(z.size * s.size) or dense(z, s, v))
+    m, nodes = core._RUN_MIN, rep.g.values.size
+    rows = (np.linspace(-12.0, 12.0, 81)[None, :] + 1j * np.linspace(0.0, 12.0, 33)[:, None]).ravel()
+    chirped = {
+        "long run": np.linspace(-40.0, 40.0, 4001),
+        "descending run at the threshold": np.linspace(7.0, -3.0, m),
+        "rows of constant Im z": rows,
+        "held-out grid": (np.arange(-120, 121) + 0.5) * (300.0 / 241.0),
+        "runs apart": np.concatenate([np.linspace(0.0, 5.0, 40), np.linspace(6.0, 30.0, 17)]),
+        "runs sharing an end point": np.concatenate([np.linspace(0.0, 5.0, 40),
+                                                     np.linspace(5.0, 30.0, m + 1)[1:]]),
+    }
+    for name, z in chirped.items():
+        entries.clear()
+        rep.psi(z)
+        assert sum(entries) == 0, f"{name}: {sum(entries)} dense entries"
+    rng = np.random.default_rng(5)
+    lin = np.linspace(-20.0, 20.0, 300)
+    densed = {
+        "scattered": rng.uniform(-30.0, 30.0, 200) + 1j * rng.uniform(0.0, 3.0, 200),
+        "short run": np.linspace(-5.0, 5.0, m - 1),
+        "complex step": (0.5 + 1j) + (0.1 + 0.05j) * np.arange(100),
+        "perturbed linspace": lin + 1e-9 * rng.standard_normal(lin.size),
+    }
+    for name, z in densed.items():
+        entries.clear()
+        got = rep.psi(z)
+        assert sum(entries) == z.size * nodes, f"{name}: {sum(entries)} dense entries"
+        ref = np.exp(-0.3j) + dense_transform(rep.g, z, rep._cuts)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12, name
