@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 SUPPORT_FLOOR_REL = 1e-12
+_PSI_RECT = 12.0    # validate_class samples psi of a JostRep on [-12, 12] x [0, 12]
+_Z_CHECK = 40.0     # and S of a ScatteringRep on [-40, 40]
 
 
 class DirachlError(Exception):
@@ -200,16 +202,17 @@ def _linear_transform(values: np.ndarray, grid: Grid, z: np.ndarray,
     """int f(s) e^{2izs} ds for the piecewise-linear interpolant of the
     samples, from the plain sum Σ_j v_j e^{2izs_j}.  At a cut node j (see
     `_cut_nodes`) the cell on each side takes that side's cubic
-    extrapolation 3v_{j∓1} - 3v_{j∓2} + v_{j∓3} in place of v_j."""
+    extrapolation 3v_{j∓1} - 3v_{j∓2} + v_{j∓3} in place of v_j.  The end
+    and cut corrections are two node sums, blocked by `_dense_plain`."""
     h, v = grid.h, values
     A, B, mu = _filon_weights(2j * z * h)
-    nodes = np.array([0, grid.n, *cuts], dtype=int)
-    e = np.exp(2j * np.outer(z, grid.left + h * nodes))
-    c = nodes[2:]
-    left = 3.0 * v[c - 1] - 3.0 * v[c - 2] + v[c - 3] - v[c]
-    right = 3.0 * v[c + 1] - 3.0 * v[c + 2] + v[c + 3] - v[c]
-    return h * (mu * plain - v[0] * B * e[:, 0] - v[-1] * A * e[:, 1]
-                + B * (e[:, 2:] @ left) + A * (e[:, 2:] @ right))
+    c = np.array(cuts, dtype=int)
+    w = np.zeros((2 + c.size, 2), dtype=complex)
+    w[0, 0], w[1, 1] = -v[0], -v[-1]
+    w[2:, 0] = 3.0 * v[c - 1] - 3.0 * v[c - 2] + v[c - 3] - v[c]
+    w[2:, 1] = 3.0 * v[c + 1] - 3.0 * v[c + 2] + v[c + 3] - v[c]
+    ends = _dense_plain(z, grid.left + h * np.array([0, grid.n, *c]), w)
+    return h * (mu * plain + B * ends[:, 0] + A * ends[:, 1])
 
 
 _RUN_MIN = 16            # arithmetic runs of z shorter than this take the dense product
@@ -312,8 +315,9 @@ def _chirp_block(v: np.ndarray, s0: float, h: float, z: np.ndarray, dz: float,
 
 def _dense_plain(z: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Σ_j v_j e^{2iz s_j} formed densely, in blocks of z that keep each
-    phase matrix near 2^14 entries (in cache)."""
-    out = np.empty(z.size, dtype=complex)
+    phase matrix near 2^14 entries (in cache); v is a vector of weights or
+    a (#nodes, k) matrix of k weight columns."""
+    out = np.empty(z.shape + v.shape[1:], dtype=complex)
     step = max(1, 2 ** 14 // s.size)
     for i in range(0, z.size, step):
         out[i:i + step] = np.exp(2j * np.outer(z[i:i + step], s)) @ v
@@ -421,22 +425,22 @@ def _cut_nodes(values: np.ndarray, structural: Sequence[int] = ()) -> tuple[int,
     return tuple(cuts)
 
 
-def support_supremum(f: SampledComplexFunction, floor_rel: float = SUPPORT_FLOOR_REL) -> float:
-    """Largest node with |f| above floor_rel * max|f| (left endpoint if none)."""
+def support_supremum(f: SampledComplexFunction) -> float:
+    """Largest node with |f| above SUPPORT_FLOOR_REL max|f| (left end if none)."""
     mags = np.abs(f.values)
     peak = mags.max()
     if peak == 0.0:
         return f.grid.left
-    idx = np.nonzero(mags > floor_rel * peak)[0]
+    idx = np.nonzero(mags > SUPPORT_FLOOR_REL * peak)[0]
     return float(f.grid.nodes()[idx[-1]])
 
 
-def support_infimum(f: SampledComplexFunction, floor_rel: float = SUPPORT_FLOOR_REL) -> float:
+def support_infimum(f: SampledComplexFunction) -> float:
     mags = np.abs(f.values)
     peak = mags.max()
     if peak == 0.0:
         return f.grid.right
-    idx = np.nonzero(mags > floor_rel * peak)[0]
+    idx = np.nonzero(mags > SUPPORT_FLOOR_REL * peak)[0]
     return float(f.grid.nodes()[idx[0]])
 
 
@@ -746,7 +750,6 @@ def _winding_from_samples(values: np.ndarray) -> tuple[int, float]:
 
 
 def validate_class(obj, *, strict: bool = True, tol: float = 1e-6,
-                   psi_rect: float = 12.0, z_check: float = 40.0,
                    n_check: int = 2001) -> ClassReport:
     """Report each class condition with the measured quantity.
 
@@ -773,8 +776,8 @@ def validate_class(obj, *, strict: bool = True, tol: float = 1e-6,
             sup = support_supremum(obj.g)
             checks.append(ClassCheck("sup supp g = gamma",
                                      abs(sup - obj.gamma) <= h + 1e-12, sup, obj.gamma))
-        re = np.linspace(-psi_rect, psi_rect, 81)
-        im = np.linspace(0.0, psi_rect, 33)
+        re = np.linspace(-_PSI_RECT, _PSI_RECT, 81)
+        im = np.linspace(0.0, _PSI_RECT, 33)
         zz = (re[None, :] + 1j * im[:, None]).ravel()     # rows of constant Im z: runs of 81
         vals = obj.psi(zz)
         mn = float(np.min(np.abs(vals)))
@@ -783,7 +786,7 @@ def validate_class(obj, *, strict: bool = True, tol: float = 1e-6,
         return ClassReport("jost", tuple(checks))
 
     if isinstance(obj, ScatteringRep):
-        z = np.linspace(-z_check, z_check, n_check)
+        z = np.linspace(-_Z_CHECK, _Z_CHECK, n_check)
         sv = obj.s_values(z)
         dev = float(np.max(np.abs(np.abs(sv) - 1.0)))
         checks.append(ClassCheck("|S| = 1 on real samples", dev <= tol, dev, tol))

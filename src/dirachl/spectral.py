@@ -4,8 +4,10 @@ Resonances are the zeros of psi in the open lower half-plane.  They are
 located by recursive rectangle subdivision: the zero count of each box is
 the winding of psi along its boundary (equivalently the contour integral
 of psi'/psi, evaluated both ways), boxes are split until they isolate a
-single cluster, and roots are polished by Newton iteration with
-differenced derivatives.  The located set feeds:
+single zero or shrink below the cluster radius, and each such box is
+polished by Newton iteration with differenced derivatives.  The box's own
+count is the zero's multiplicity (the argument principle of Delves and
+Lyness); nothing is recounted.  The located set feeds:
 
   * sector counting functions and their linear-density ratio (the zero
     count along each half-axis grows like (gamma/pi) r),
@@ -119,17 +121,17 @@ def _contour(re0, re1, im0, im1, per_edge):
     return np.concatenate([bottom, right, top, left])
 
 
-def _box_count(ev, re0, re1, im0, im1, per_edge=128, max_refine=7):
+def _box_count(ev, re0, re1, im0, im1, per_edge):
     """Zero count (with multiplicity) inside a rectangle, or None.
 
     The winding of psi along the boundary is accumulated from principal
     phase steps; the contour integral of psi'/psi (central differences
     along the contour, trapezoid in the parameter) is computed alongside
-    and both must agree on an integer, otherwise the sampling is refined.
-    Returns None when a zero sits (numerically) on the boundary or the
-    count never stabilizes, so the caller can move the boundary.
+    and both must agree on an integer, otherwise the sampling doubles (at
+    most `_REFINE_MAX` times).  Returns None when a zero sits (numerically)
+    on the boundary or the count never stabilizes, so the caller can move it.
     """
-    for attempt in range(max_refine):
+    for attempt in range(_REFINE_MAX):
         zs = _contour(re0, re1, im0, im1, per_edge)
         vals = np.atleast_1d(ev(zs))
         amax = float(np.max(np.abs(vals)))
@@ -156,19 +158,20 @@ def _box_count(ev, re0, re1, im0, im1, per_edge=128, max_refine=7):
     return None
 
 
-def _polish(ev, z0: complex, tol: float, mult: int = 1, max_iter: int = 80,
+def _polish(ev, z0: complex, tol: float, mult: int = 1,
             max_radius: float = np.inf) -> complex | None:
     """Newton with differenced derivative; the multiplicity-scaled step keeps
-    convergence fast for multiple roots.  Steps are trust-region limited and
-    the iteration reports failure (None) instead of wandering off."""
+    convergence fast for multiple roots.  Steps are trust-region limited.
+    None when no step falls below tol/10 within `_NEWTON_MAX` steps, the
+    iterate leaves max_radius, or ev overflows or raises NumericalError."""
     z = complex(z0)
     cap = max_radius if math.isfinite(max_radius) else 1e6
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX):
         delta = 1e-7 * max(1.0, abs(z))
         try:
             f, f_plus, f_minus = (complex(v) for v in ev(np.array([z, z + delta, z - delta])))
             fp = (f_plus - f_minus) / (2 * delta)
-        except Exception:
+        except (NumericalError, ArithmeticError):
             return None
         if fp == 0 or not (math.isfinite(f.real) and math.isfinite(fp.real)):
             return None
@@ -180,19 +183,11 @@ def _polish(ev, z0: complex, tol: float, mult: int = 1, max_iter: int = 80,
             return None
         if abs(step) < 0.1 * tol:
             return z
-    return z
-
-
-def _confirm(ev, z: complex, tol: float, per_edge: int = 96) -> int | None:
-    """Multiplicity of the zero at z by counting a small centered box."""
-    for side in (2e3 * tol * (1.0 + abs(z)), 2e4 * tol * (1.0 + abs(z)), 1e-4 * (1.0 + abs(z))):
-        cnt = _box_count(ev, z.real - side, z.real + side,
-                         z.imag - side, z.imag + side, per_edge)
-        if cnt is not None and cnt > 0:
-            return cnt
     return None
 
 
+_REFINE_MAX = 7       # contour samplings per box count, each doubling the last
+_NEWTON_MAX = 80      # Newton steps per polish
 _PER_EDGE = 256       # samples per edge of the whole region's contour
 _MAX_DEPTH = 60       # subdivision depth limit
 _MERGE_TOL = 1e-7     # floor of the cluster and merge radii
@@ -201,14 +196,14 @@ _MERGE_TOL = 1e-7     # floor of the cluster and merge radii
 def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> ResonanceSet:
     """Locate all zeros in the region with multiplicities.
 
-    Boxes whose count exceeds one are halved along their longer side;
-    split lines are moved off zeros (never through them, keeping the boxes
-    disjoint) by trying shifted fractions.  Every polished root is
-    confirmed by recounting a small centered box, which also fixes the
-    multiplicity; the multiplicity total must reproduce the
-    argument-principle count of the whole region.  A zero pinned to the
-    outer boundary raises a boundary-ambiguous failure rather than being
-    dropped.
+    A box counting one zero, or narrower than the cluster radius
+    64 max(tol, 1e-7), is Newton-polished from its centre; a root inside
+    the box is accepted with the box's count as multiplicity.  Every other
+    box is halved along its longer side, by split lines moved off zeros
+    (keeping the boxes disjoint), so a multiple zero splits down to the
+    cluster radius.  The multiplicity total must reproduce the count of
+    the whole region.  A zero pinned to the outer boundary raises a
+    boundary-ambiguous failure rather than being dropped.
     """
     r = region
     total = _box_count(evaluator, r.re_min, r.re_max, r.im_min, r.im_max,
@@ -227,21 +222,21 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
         width, height = re1 - re0, im1 - im0
         diam = math.hypot(width, height)
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        # opportunistic polish: accept if the confirmation count matches.
+        # Only one zero or a cluster is polished: m-fold Newton on distinct
+        # zeros cycles, or lands on one of them and miscounts it.
         # Membership must be essentially exact: split lines never pass
         # through zeros, and a loose margin would let this box claim a
-        # neighbor's zero (the confirmation count cannot tell them apart).
-        z = _polish(evaluator, center, tol, mult=cnt, max_radius=2.0 * diam)
-        eps = 1e-9 * (1.0 + diam)
-        if z is not None and (re0 - eps <= z.real <= re1 + eps
-                              and im0 - eps <= z.imag <= im1 + eps):
-            mult = _confirm(evaluator, z, tol)
-            if mult == cnt:
+        # neighbor's zero.
+        if cnt == 1 or diam < cluster:
+            z = _polish(evaluator, center, tol, mult=cnt, max_radius=2.0 * diam)
+            eps = 1e-9 * (1.0 + diam)
+            if z is not None and (re0 - eps <= z.real <= re1 + eps
+                                  and im0 - eps <= z.imag <= im1 + eps):
                 found.append((z, cnt))
                 continue
-        if diam < cluster:
-            raise NumericalError(
-                f"cluster at {center} did not resolve into a confirmed zero")
+            if diam < cluster:
+                raise NumericalError(
+                    f"cluster of {cnt} zeros at {center}: Newton found no root in it")
         if depth >= _MAX_DEPTH:
             raise NumericalError("subdivision depth limit exceeded")
         horizontal = width >= height

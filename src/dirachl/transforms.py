@@ -76,16 +76,17 @@ def _cumulative_filon(g: SampledComplexFunction, z0: complex) -> np.ndarray:
     return out
 
 
-def blaschke_modify(rep: JostRep, moves, *, source_tol: float | None = None):
+def blaschke_modify(rep: JostRep, moves):
     """Apply the rational factors and return (evaluator, new JostRep).
 
     Each move consumes one multiplicity unit of its source zero (a double
     zero moves entirely only with two identical moves).  Sources are
     verified against the representation by Newton polish; a source that is
-    not a zero would introduce a pole and is rejected, as is a target in
-    the closed upper half-plane.  The kernel is updated in closed form per
-    move (the Volterra update above), exact for the piecewise-linear
-    interpolant of g.
+    not a zero (the polish fails to converge, or converges beyond
+    max(1e-6, 25 h^2 (1 + |source|))) would introduce a pole and is
+    rejected, as is a target in the closed upper half-plane.  The kernel
+    is updated in closed form per move (the Volterra update above), exact
+    for the piecewise-linear interpolant of g.
     """
     from .spectral import _polish
 
@@ -93,10 +94,8 @@ def blaschke_modify(rep: JostRep, moves, *, source_tol: float | None = None):
              for mv in moves]
     h = rep.g.grid.h
     for mv in moves:
-        tol = source_tol
-        if tol is None:
-            # the representation's zeros carry the O(h^2) kernel error
-            tol = max(1e-6, 25.0 * h * h * (1.0 + abs(mv.source)))
+        # the representation's zeros carry the O(h^2) kernel error
+        tol = max(1e-6, 25.0 * h * h * (1.0 + abs(mv.source)))
         z = _polish(lambda zz: rep.psi(zz), mv.source, 1e-12,
                     max_radius=10 * tol + 1e-3)
         if z is None or abs(z - mv.source) > tol:

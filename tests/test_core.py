@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
@@ -260,6 +261,20 @@ class TestChirpSums:
         diff = got - np.array(ref)
         diff -= 2.0 * np.pi * np.rint(diff / (2.0 * np.pi))     # +-pi are one phase
         assert np.max(np.abs(diff)) <= 1e-15
+
+    def test_s_values_memory_bounded(self):
+        # the end and cut corrections are blocked like the plain sum: one
+        # #z x (2 + #cuts) phase matrix over 16,001 z would take 7.6 MiB
+        _, S = _kernels(0, 4096, 0.3)
+        z = np.linspace(-40.0, 40.0, 16001)
+        S.s_values(z[:2])                   # cut detection is cached on the rep
+        tracemalloc.start()
+        try:
+            S.s_values(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_validate_class_rectangle_minimum(self, seed):

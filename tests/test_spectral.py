@@ -15,6 +15,7 @@ from dirachl.forward import jost_kernel_direct, make_psi_evaluator, psi_values
 from dirachl.inverse import recover_potential, scattering_kernel
 from dirachl.spectral import (
     SearchRegion,
+    _polish,
     cartwright_type,
     count_in_sector,
     find_resonances,
@@ -72,6 +73,26 @@ class TestFindResonances:
         assert m == 2
         assert abs(z - (1 - 1j)) < 1e-8
 
+    def test_zero_at_box_centre_is_simple(self):
+        # m-fold Newton from the region's centre lands on the simple zero
+        # there at once; the box's count of 3 belongs to three zeros
+        ev = lambda z: (z + 1.5j) * (z - 2 + 0.5j) * (z + 3 + 2.5j)
+        R = find_resonances(ev, SearchRegion(-6, 6, -3, 0))
+        assert R.multiplicities().tolist() == [1, 1, 1]
+        for z, w in zip(sorted(R.zeros(), key=abs), (-1.5j, 2 - 0.5j, -3 - 2.5j)):
+            assert abs(z - w) < 1e-8
+
+    def test_polish_unconverged_is_none(self):
+        # 2-fold Newton between two simple zeros cycles and never converges
+        ev = lambda z: (z - (1 - 1j)) * (z - (1.2 - 1j))
+        assert _polish(ev, 1.13 - 1j, 1e-10, mult=2) is None
+
+    def test_polish_propagates_evaluator_bugs(self):
+        def ev(z):
+            raise KeyError("not a numerical failure")
+        with pytest.raises(KeyError):
+            _polish(ev, 1 - 1j, 1e-10)
+
     def test_region_must_be_lower(self):
         with pytest.raises(ValidationError):
             SearchRegion(-1, 1, -1, 0.5)
@@ -102,7 +123,7 @@ class TestFindResonances:
 
         box = SearchRegion(-6, 6, -3, 0)
         R = find_resonances(counted, box)
-        assert work == {"calls": 296, "points": 9285}
+        assert work == {"calls": 50, "points": 6261}
         assert R.total() == 3
         # the same potential recovered by the GLM march, which the
         # benchmark's cell-sampled search uses: its work follows rounding in

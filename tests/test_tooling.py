@@ -150,6 +150,20 @@ def test_no_scipy_imports():
     assert not found, f"scipy imported at {found}"
 
 
+def test_no_catch_all_handlers():
+    # a bare except or an except Exception turns an evaluator bug (a
+    # TypeError, a KeyError) into a silent numerical fallback
+    found = []
+    for path in sorted(Path(dirachl.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or _names(t) & {"Exception", "BaseException"} for t in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"catch-all handlers at {found}"
+
+
 def test_perfbench_spans_resolve():
     # perfbench wraps these names at run time and only reports a missing one
     path = Path(__file__).parents[1] / "perfbench" / "spans.py"
@@ -189,9 +203,11 @@ def test_chirp_route_pinned(monkeypatch):
     rep = jost_kernel_direct(random_piecewise_potential(1, n=512), BoundaryParam(0.3))
     dense = core._dense_plain
     entries = []
-    monkeypatch.setattr(core, "_dense_plain",
-                        lambda z, s, v: entries.append(z.size * s.size) or dense(z, s, v))
     m, nodes = core._RUN_MIN, rep.g.values.size
+    # the end and cut corrections are (2 + #cuts)-node sums through
+    # _dense_plain on every route: only sums over all nodes are counted
+    monkeypatch.setattr(core, "_dense_plain", lambda z, s, v: (
+        s.size == nodes and entries.append(z.size * s.size)) or dense(z, s, v))
     rows = (np.linspace(-12.0, 12.0, 81)[None, :] + 1j * np.linspace(0.0, 12.0, 33)[:, None]).ravel()
     chirped = {
         "long run": np.linspace(-40.0, 40.0, 4001),
