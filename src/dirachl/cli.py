@@ -133,8 +133,11 @@ def cmd_resonances(args) -> int:
     alpha = BoundaryParam(cfg.alpha)
     region = None
     if args.region:
-        re0, re1, im0, im1 = (float(t) for t in args.region.split(","))
-        region = spectral.SearchRegion(re0, re1, im0, im1)
+        try:
+            region = spectral.SearchRegion(*(float(t) for t in args.region.split(",")))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"--region {args.region!r}: expected four numbers "
+                                  "re_min,re_max,im_min,im_max") from exc
     R = _resonances_of(q, alpha, cfg, region)
     os.makedirs(cfg.out, exist_ok=True)
     core.dump_json(os.path.join(cfg.out, "resonances.json"), R.to_json())
@@ -181,10 +184,14 @@ def cmd_invert(args) -> int:
 
 
 def _read_moves(moves_json):
-    data = json.loads(moves_json)
-    return [transforms.ResonanceMove(complex(m["from"]["re"], m["from"]["im"]),
-                                     complex(m["to"]["re"], m["to"]["im"]))
-            for m in data]
+    try:
+        return [transforms.ResonanceMove(complex(m["from"]["re"], m["from"]["im"]),
+                                         complex(m["to"]["re"], m["to"]["im"]))
+                for m in json.loads(moves_json)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"moves: expected a JSON list like "
+                              f"[{{\"from\": {{\"re\": .., \"im\": ..}}, \"to\": {{...}}}}] "
+                              f"({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_move(args) -> int:

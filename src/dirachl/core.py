@@ -261,9 +261,11 @@ def _chirp_phases(t: float, count: int) -> np.ndarray:
 
 
 def _arithmetic_runs(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, stop, dz) of the runs z[a:b] that the chirp-z sum takes:
-    at least `_RUN_MIN` points, each within 8 eps max(|z[a]|, |z[b-1]|)
-    of z[a] + k dz with dz real, and |dz h| <= 1 (see `_chirp_phases`).
+    """(start, stop, dz) of the runs z[a:b] that the chirp-z sum takes,
+    contiguous in the order z is given (`_plain_sum` calls it on its z and
+    again on the points left over, sorted): at least `_RUN_MIN` points,
+    each within 8 eps max(|z[a]|, |z[b-1]|) of z[a] + k dz with dz real,
+    and |dz h| <= 1 (see `_chirp_phases`).
     Candidates are the stretches of near-constant np.diff(z), so two runs
     may share an end point; each is then checked against z[a] + k dz as a
     whole, so a slow drift of the step fails (and so does a run holding a
@@ -325,22 +327,33 @@ def _dense_plain(z: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _plain_sum(f: SampledComplexFunction, z: np.ndarray) -> np.ndarray:
-    """The plain sum Σ_j v_j e^{2iz s_j} over the nodes of f.  Each run of
-    `_arithmetic_runs` is a chirp-z transform, taken by `_chirp_block` in
-    near-equal pieces of at most `_CHIRP_BLOCK` points against node blocks
-    of at most `_CHIRP_BLOCK` nodes, so every FFT is at most 2^12 long
-    whatever #z and #nodes; every other point goes to `_dense_plain`."""
+    """The plain sum Σ_j v_j e^{2iz s_j} over the nodes of f.  Runs are
+    found in two passes: `_arithmetic_runs` over z in the given order, then,
+    when at least `_RUN_MIN` points are left, over those points sorted by
+    (Im z, Re z), so a lattice takes its rows in any ravel order.  Each run
+    is a chirp-z transform, taken by `_chirp_block` in near-equal pieces of
+    at most `_CHIRP_BLOCK` points against node blocks of at most
+    `_CHIRP_BLOCK` nodes, so every FFT is at most 2^12 long whatever #z and
+    #nodes; every other point goes to `_dense_plain`."""
     s, v, h = f.grid.nodes(), f.values, f.grid.h
     out = np.empty(z.size, dtype=complex)
     dense = np.ones(z.size, dtype=bool)
     kernels: dict = {}
-    for a, b, dz in zip(*_arithmetic_runs(z, h)):
-        dense[a:b] = False
-        pieces = -(-(b - a) // _CHIRP_BLOCK)
-        bounds = a + (b - a) * np.arange(pieces + 1) // pieces
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            out[lo:hi] = sum(_chirp_block(v[j:j + _CHIRP_BLOCK], s[j], h, z[lo:hi], dz, kernels)
-                             for j in range(0, v.size, _CHIRP_BLOCK))
+
+    def chirp_runs(idx: np.ndarray) -> None:
+        zi = z[idx]
+        for a, b, dz in zip(*_arithmetic_runs(zi, h)):
+            dense[idx[a:b]] = False
+            pieces = -(-(b - a) // _CHIRP_BLOCK)
+            bounds = a + (b - a) * np.arange(pieces + 1) // pieces
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                out[idx[lo:hi]] = sum(_chirp_block(v[j:j + _CHIRP_BLOCK], s[j], h, zi[lo:hi], dz, kernels)
+                                      for j in range(0, v.size, _CHIRP_BLOCK))
+
+    chirp_runs(np.arange(z.size))
+    rest = np.flatnonzero(dense)
+    if rest.size >= _RUN_MIN:
+        chirp_runs(rest[np.lexsort((z[rest].real, z[rest].imag))])
     out[dense] = _dense_plain(z[dense], s, v)
     return out
 

@@ -1,5 +1,11 @@
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread, set before numpy is first imported: OpenBLAS threading of
+# the oracles' small-matrix solves costs more than it saves
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

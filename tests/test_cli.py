@@ -94,6 +94,18 @@ class TestResonances:
                     "--region=-5,5,-2,1", "--out", str(tmp_path))
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("region", ["1,2,3", "a,b,c,d"])
+    def test_malformed_region_exit_2(self, workdir, tmp_path, capsys, region):
+        # a wrong count or a non-number is a validation error naming the
+        # flag, not a traceback
+        rc = cli.main(["resonances", str(workdir / "potential.json"),
+                       f"--region={region}", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "validation"
+        assert "--region" in err["error"]["message"]
+        assert "re_min,re_max,im_min,im_max" in err["error"]["message"]
+
     def test_zero_potential_empty(self, tmp_path):
         obj = {"gamma": 1.0, "n": 64, "samples": [[0.0, 0.0]] * 65}
         src = tmp_path / "zero.json"
@@ -235,6 +247,18 @@ class TestPipelines:
         r = run_cli("move", str(workdir / "potential.json"), moves, "--out", str(out))
         assert r.returncode == 0, r.stderr
         assert (out / "potential.json").exists()
+
+    @pytest.mark.parametrize("moves", ['[{"from": {"re": 1.0, "im": -1.0}',
+                                       '[{"from": {"re": 1.0}, "to": {"re": 1.2, "im": -1.0}}]',
+                                       '[{"from": {"re": 1.0, "im": -1.0}, "to": {"im": -1.0}}]'])
+    def test_malformed_moves_exit_2(self, workdir, tmp_path, capsys, moves):
+        # bad JSON or a missing "im"/"re" key is a validation error naming
+        # the argument and its shape, not a traceback
+        rc = cli.main(["move", str(workdir / "potential.json"), moves, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "validation"
+        assert err["error"]["message"].startswith("moves: expected a JSON list")
 
 
 class TestConfig:

@@ -30,7 +30,7 @@ from dirachl.forward import jost_kernel_direct
 from dirachl.inverse import invert_wiener, scattering_kernel
 from dirachl.synth import constant_potential, random_piecewise_potential
 
-from oracles import brute_transform, dense_transform, segment_transform
+from oracles import brute_transform, dense_plain_sum, dense_transform, segment_transform
 
 
 def sampled(left, right, n, fn):
@@ -242,6 +242,44 @@ class TestChirpSums:
                 assert list(zip(a, b)) == [(0, length)]
         assert _max_rel(S.s_values(z), np.exp(2j * alpha) + dense_transform(S.F, z, S._cuts)) < 1e-12
         assert _max_rel(rep.psi(zc), np.exp(-1j * alpha) + dense_transform(rep.g, zc, rep._cuts)) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 9), alpha=st.floats(0.0, 3.0), n=st.integers(8, 512).map(lambda m: 8 * m),
+           rows=st.integers(1, 12), cols=st.integers(16, 90), start=st.floats(-40.0, 40.0),
+           step=st.floats(1e-3, 0.5), ims=st.lists(st.floats(-3.0, 12.0), min_size=2, max_size=2),
+           shuffle=st.integers(0, 2 ** 32 - 1))
+    def test_permuted_lattices_match_dense(self, seed, alpha, n, rows, cols, start, step, ims, shuffle):
+        # a lattice in any order: its rows are runs once sorted by (Im z, Re z)
+        rep, S = _kernels(seed, n, alpha)
+        im = np.linspace(min(ims), max(ims), rows)
+        z = (start + step * np.arange(cols)[None, :] + 1j * im[:, None]).ravel()
+        z = np.random.default_rng(shuffle).permutation(z)
+        assert _max_rel(rep.psi(z), np.exp(-1j * alpha) + dense_transform(rep.g, z, rep._cuts)) < 1e-12
+        # S takes the lattice moved up by 3i: below the real axis F's sum
+        # grows like e^{2 |Im z| t_max} (e^48 at Im z = -3) and cancels, and
+        # the chirp and dense sums differ by up to 3e-12 relative to |S| there
+        z = z + 3j
+        assert _max_rel(S.s_values(z), np.exp(2j * alpha) + dense_transform(S.F, z, S._cuts)) < 1e-12
+
+    def test_run_values_independent_of_neighbours(self):
+        # the given-order pass sees a run alone or among other points alike:
+        # its sums are bit-identical, and a NaN falls to the dense product
+        rep, _ = _kernels(1, 1024, 0.3)
+        run = np.linspace(-10.0, 10.0, 200) + 0.5j
+        alone = core._plain_sum(rep.g, run)
+        rng = np.random.default_rng(2)
+        scattered = rng.uniform(-30.0, 30.0, 40) + 1j * rng.uniform(-2.0, 3.0, 40)
+        for before, after in ((scattered, scattered[::-1]),
+                              (np.full(20, np.nan + 0j), np.append(scattered[:5], 1.0 + np.nan * 1j)),
+                              (run[::7], rng.permutation(run))):
+            got = core._plain_sum(rep.g, np.concatenate([before, run, after]))
+            assert np.array_equal(got[before.size:before.size + run.size], alone)
+            others = np.concatenate([before, after])
+            rest = np.concatenate([got[:before.size], got[before.size + run.size:]])
+            ref = dense_plain_sum(rep.g, others)
+            finite = np.isfinite(others)
+            assert np.all(np.isnan(rest[~finite]))
+            assert _max_rel(rest[finite], ref[finite]) < 1e-12
 
     @pytest.mark.parametrize("t", [0.02 / 1024, -0.3 / 96, 0.04 * 9.0 / 4096, 1.0, -1.0,
                                    math.pi / 7, 0.7390851332151607, 2.0 ** -40 * 3.0])

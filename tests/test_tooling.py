@@ -198,8 +198,9 @@ def test_readme_layout_names_exist():
 
 
 def test_chirp_route_pinned(monkeypatch):
-    # arithmetic real-step runs of z at or above core._RUN_MIN never reach
-    # the dense product; every other point does, and matches the dense oracle
+    # arithmetic real-step runs of z at or above core._RUN_MIN, in the given
+    # order or in (Im z, Re z) order, never reach the dense product; every
+    # other point does, and matches the dense oracle
     rep = jost_kernel_direct(random_piecewise_potential(1, n=512), BoundaryParam(0.3))
     dense = core._dense_plain
     entries = []
@@ -209,6 +210,10 @@ def test_chirp_route_pinned(monkeypatch):
     monkeypatch.setattr(core, "_dense_plain", lambda z, s, v: (
         s.size == nodes and entries.append(z.size * s.size)) or dense(z, s, v))
     rows = (np.linspace(-12.0, 12.0, 81)[None, :] + 1j * np.linspace(0.0, 12.0, 33)[:, None]).ravel()
+    # the spectra benchmark's rectangle: columns of 9 with an imaginary step,
+    # whose rows are found among the points sorted by (Im z, Re z)
+    columns = (3.0 + np.linspace(-5.0, 5.0, 41)[:, None]
+               + 1j * (-1.5 + np.linspace(-1.0, 1.0, 9)[None, :])).ravel()
     chirped = {
         "long run": np.linspace(-40.0, 40.0, 4001),
         "descending run at the threshold": np.linspace(7.0, -3.0, m),
@@ -217,6 +222,8 @@ def test_chirp_route_pinned(monkeypatch):
         "runs apart": np.concatenate([np.linspace(0.0, 5.0, 40), np.linspace(6.0, 30.0, 17)]),
         "runs sharing an end point": np.concatenate([np.linspace(0.0, 5.0, 40),
                                                      np.linspace(5.0, 30.0, m + 1)[1:]]),
+        "rectangle in column order": columns,
+        "permuted linspace": np.random.default_rng(3).permutation(np.linspace(-20.0, 20.0, 300)),
     }
     for name, z in chirped.items():
         entries.clear()
