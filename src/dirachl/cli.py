@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: forward, resonances, invert, move, shift, reflect, canonical,
-check, synth.  Inputs and outputs are the JSON shapes documented in the
-README plus header-carrying CSV files.  Flag precedence is command line >
-config file (--config, JSON) > defaults.  Exit codes: 0 success, 1
-numerical failure, 2 usage or validation error (including unreadable
-input); failures emit one machine-readable JSON object on stderr.
+Subcommands: synth, shift, reflect, forward, invert, move, check,
+resonances, canonical.  Inputs and outputs are the JSON shapes documented
+in the README plus header-carrying CSV files.  One table drives the
+flags: `FLAGS` gives each flag's type and default, and `COMMANDS` lists
+the flags each subcommand reads (besides --out and --config).  A flag or
+--config key that the subcommand does not read is a usage error.  Flag
+precedence is command line > config file (--config, JSON) > defaults.
+Exit codes: 0 success, 1 numerical failure, 2 usage or validation error
+(including unreadable input); failures emit one machine-readable JSON
+object on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,63 +29,38 @@ from .core import (
     DirachlError,
     NumericalError,
     Potential,
-    ResonanceSet,
     ScatteringRep,
     JostRep,
     ValidationError,
     make_grid,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "FLAGS", "COMMANDS"]
+
+# flag -> (type, default); a --config key is the flag's name without "--"
+FLAGS = {
+    "gamma": (float, 1.0),
+    "alpha": (float, 0.0),
+    "n": (int, 1024),
+    "zwindow": (float, 20.0),       # real-axis window for psi/S/hermite CSV output
+    "tmax": (float, None),          # scattering-kernel horizon (default 8 gamma of the input)
+    "rcut": (float, 60.0),
+    "tol": (float, 1e-9),
+    "region": (str, None),          # re_min,re_max,im_min,im_max (default from rcut and gamma)
+    "seed": (int, 0),
+    "pieces": (int, 8),
+    "max-amp": (float, 2.0),
+    "out": (str, "."),
+}
 
 
-@dataclass
-class RunConfig:
-    gamma: float = 1.0
-    alpha: float = 0.0
-    n: int = 1024
-    zmax: float | None = None       # Fourier band for kernel extraction
-    zwindow: float = 20.0           # real-axis window for psi/S CSV output
-    tmax: float | None = None       # scattering-kernel horizon (default 8 gamma of the input)
-    rcut: float = 60.0
-    tol: float = 1e-9
-    seed: int = 0
-    out: str = "."
+class _UsageError(ValidationError):
+    """A flag, --config key or argument the subcommand does not take."""
 
 
-# type of each RunConfig field, for its flag and its --config key
-_FIELD_TYPES = {"gamma": float, "alpha": float, "n": int, "zmax": float,
-                "zwindow": float, "tmax": float, "rcut": float, "tol": float,
-                "seed": int, "out": str}
-
-
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        data = _read_input(args.config, dict)
-        unknown = sorted(set(data) - set(_FIELD_TYPES))
-        if unknown:
-            raise ValidationError(f"unknown key(s) {unknown} in --config {args.config}")
-        for name, value in data.items():
-            typ = _FIELD_TYPES[name]
-            if type(value) not in ((int, float) if typ is float else (typ,)):
-                raise ValidationError(
-                    f"--config key {name!r} must be {typ.__name__}, got {value!r}")
-            setattr(cfg, name, typ(value))
-    for name in _FIELD_TYPES:
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    if cfg.tol <= 0:
-        raise ValidationError("tolerances must be positive")
-    return cfg
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _read_input(path, decode):
@@ -97,90 +75,63 @@ def _read_potential(path) -> Potential:
     return _read_input(path, Potential.from_json)
 
 
+def _save(out: str, files: dict) -> int:
+    """Write each file under `out`, a dict as JSON and a (header, rows) pair
+    as CSV; returns the success exit code."""
+    os.makedirs(out, exist_ok=True)
+    for name, data in files.items():
+        path = os.path.join(out, name)
+        if isinstance(data, dict):
+            core.dump_json(path, data)
+            continue
+        header, rows = data
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    return 0
+
+
+def cmd_synth(args) -> int:
+    q = synth.random_piecewise_potential(args.seed, gamma=args.gamma, n=args.n,
+                                         n_pieces=args.pieces, max_amp=args.max_amp)
+    return _save(args.out, {"potential.json": q.to_json()})
+
+
+def cmd_shift(args) -> int:
+    qk = transforms.shift_potential(_read_potential(args.potential), args.k)
+    return _save(args.out, {"potential.json": qk.to_json()})
+
+
+def cmd_reflect(args) -> int:
+    qo = transforms.reflect_potential(_read_potential(args.potential), BoundaryParam(args.alpha))
+    return _save(args.out, {"potential.json": qo.to_json()})
+
+
 def cmd_forward(args) -> int:
-    cfg = _load_config(args)
     q = _read_potential(args.potential)
-    alpha = BoundaryParam(cfg.alpha)
-    os.makedirs(cfg.out, exist_ok=True)
-    zs = np.linspace(-cfg.zwindow, cfg.zwindow, 4 * cfg.n + 1)
+    alpha = BoundaryParam(args.alpha)
+    zs = np.linspace(-args.zwindow, args.zwindow, 4 * q.grid.n + 1)
     psi = forward.psi_values(q, alpha, zs.astype(complex))
-    _write_csv(os.path.join(cfg.out, "psi.csv"),
-               ["x", "z_re", "z_im", "value_re", "value_im"],
-               [[0.0, z, 0.0, v.real, v.imag] for z, v in zip(zs, psi)])
-    sv = np.conj(psi) / psi
-    _write_csv(os.path.join(cfg.out, "smatrix.csv"),
-               ["x", "z_re", "z_im", "value_re", "value_im"],
-               [[0.0, z, 0.0, v.real, v.imag] for z, v in zip(zs, sv)])
-    if cfg.zmax is not None:
-        rep = forward.jost_kernel(q, alpha, z_max=cfg.zmax)
-    else:
-        rep = forward.jost_kernel_direct(q, alpha)
-    core.dump_json(os.path.join(cfg.out, "jostrep.json"), rep.to_json())
-    return 0
-
-
-def _resonances_of(q, alpha, cfg, region=None) -> ResonanceSet:
-    ev = forward.make_psi_evaluator(q, alpha)
-    if region is None:
-        depth = min(6.0, 0.9 * forward._growth_cap(q.gamma))
-        region = spectral.SearchRegion(-cfg.rcut * 1.05, cfg.rcut * 1.05, -depth, 0.0)
-    return spectral.find_resonances(ev, region, tol=cfg.tol)
-
-
-def cmd_resonances(args) -> int:
-    cfg = _load_config(args)
-    q = _read_potential(args.potential)
-    alpha = BoundaryParam(cfg.alpha)
-    region = None
-    if args.region:
-        try:
-            region = spectral.SearchRegion(*(float(t) for t in args.region.split(",")))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"--region {args.region!r}: expected four numbers "
-                                  "re_min,re_max,im_min,im_max") from exc
-    R = _resonances_of(q, alpha, cfg, region)
-    os.makedirs(cfg.out, exist_ok=True)
-    core.dump_json(os.path.join(cfg.out, "resonances.json"), R.to_json())
-
-    rows = []
-    for r in np.linspace(cfg.rcut / 8, cfg.rcut, 16):
-        rp, rm = spectral.levinson_ratio(R, q.gamma, r)
-        rows.append([r, rp, rm])
-    _write_csv(os.path.join(cfg.out, "levinson.csv"),
-               ["r", "ratio_plus", "ratio_minus"], rows)
-
-    fd = spectral.forbidden_domain_check(R, q.gamma, eps=0.1)
-    _write_csv(os.path.join(cfg.out, "forbidden.csv"),
-               ["z_re", "z_im", "mult", "slack"],
-               [[z.real, z.imag, m, s]
-                for (z, m), s in zip(R.entries, fd.slack)])
-
-    grid = make_grid(-10.0, 10.0, 400)
-    prof = spectral.phase_profile(R, q.gamma, alpha, grid, cfg.rcut,
-                                  z_limit=0.9 * cfg.rcut)
-    _write_csv(os.path.join(cfg.out, "phase.csv"),
-               ["z", "phi", "dphi"],
-               [[z, p, d] for z, p, d in zip(grid.nodes(), prof.phi, prof.dphi)])
-    return 0
+    header = ["x", "z_re", "z_im", "value_re", "value_im"]
+    return _save(args.out, {
+        "psi.csv": (header, ([0.0, z, 0.0, v.real, v.imag] for z, v in zip(zs, psi))),
+        "smatrix.csv": (header, ([0.0, z, 0.0, v.real, v.imag]
+                                 for z, v in zip(zs, np.conj(psi) / psi))),
+        "jostrep.json": forward.jost_kernel_direct(q, alpha).to_json()})
 
 
 def cmd_invert(args) -> int:
-    cfg = _load_config(args)
     data = _read_input(args.data, lambda obj: (
         ScatteringRep.from_json(obj) if "t_max" in obj else JostRep.from_json(obj)))
-    os.makedirs(cfg.out, exist_ok=True)
-    if isinstance(data, ScatteringRep):
-        S = data
-    else:
-        S = inverse.scattering_kernel(data, t_max=cfg.tmax)
+    S = data if isinstance(data, ScatteringRep) else inverse.scattering_kernel(data, t_max=args.tmax)
     qhat, rec = inverse.recover_potential(S, with_report=True)
-    core.dump_json(os.path.join(cfg.out, "potential.json"), qhat.to_json())
-    _write_csv(os.path.join(cfg.out, "diagnostics.csv"),
-               ["quantity", "value"],
-               [["support", rec.support],
-                ["clamp_magnitude", rec.clamp_magnitude],
-                ["glm_residual", rec.init_residual]])
-    return 0
+    return _save(args.out, {
+        "potential.json": qhat.to_json(),
+        "diagnostics.csv": (["quantity", "value"],
+                            [["support", rec.support],
+                             ["clamp_magnitude", rec.clamp_magnitude],
+                             ["glm_residual", rec.init_residual]])})
 
 
 def _read_moves(moves_json):
@@ -195,68 +146,21 @@ def _read_moves(moves_json):
 
 
 def cmd_move(args) -> int:
-    cfg = _load_config(args)
     q = _read_potential(args.potential)
-    alpha = BoundaryParam(cfg.alpha)
     if os.path.exists(args.moves):
         with open(args.moves) as fh:
             moves = _read_moves(fh.read())
     else:
         moves = _read_moves(args.moves)
-    qnew = transforms.move_resonances(q, alpha, moves, t_max=cfg.tmax)
-    os.makedirs(cfg.out, exist_ok=True)
-    core.dump_json(os.path.join(cfg.out, "potential.json"), qnew.to_json())
-    return 0
-
-
-def cmd_shift(args) -> int:
-    cfg = _load_config(args)
-    q = _read_potential(args.potential)
-    qk = transforms.shift_potential(q, args.k)
-    os.makedirs(cfg.out, exist_ok=True)
-    core.dump_json(os.path.join(cfg.out, "potential.json"), qk.to_json())
-    return 0
-
-
-def cmd_reflect(args) -> int:
-    cfg = _load_config(args)
-    q = _read_potential(args.potential)
-    qo = transforms.reflect_potential(q, BoundaryParam(cfg.alpha))
-    os.makedirs(cfg.out, exist_ok=True)
-    core.dump_json(os.path.join(cfg.out, "potential.json"), qo.to_json())
-    return 0
-
-
-def cmd_canonical(args) -> int:
-    cfg = _load_config(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    if args.mode == "to-hamiltonian":
-        q = _read_potential(args.data)
-        H = can.hamiltonian_from_potential(q)
-        core.dump_json(os.path.join(cfg.out, "hamiltonian.json"), H.to_json())
-    elif args.mode == "to-potential":
-        H = _read_input(args.data, can.Hamiltonian.from_json)
-        q = can.potential_from_hamiltonian(H)
-        core.dump_json(os.path.join(cfg.out, "potential.json"), q.to_json())
-    elif args.mode == "hermite":
-        q = _read_potential(args.data)
-        ev = can.make_hermite_evaluator(q)
-        zs = np.linspace(-cfg.zwindow, cfg.zwindow, 2 * cfg.n + 1)
-        vals = ev(zs.astype(complex))
-        _write_csv(os.path.join(cfg.out, "hermite.csv"),
-                   ["z_re", "z_im", "e_re", "e_im"],
-                   [[z, 0.0, v.real, v.imag] for z, v in zip(zs, vals)])
-    else:
-        raise ValidationError(f"unknown canonical mode {args.mode!r}")
-    return 0
+    qnew = transforms.move_resonances(q, BoundaryParam(args.alpha), moves, t_max=args.tmax)
+    return _save(args.out, {"potential.json": qnew.to_json()})
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args)
     q = _read_potential(args.potential)
-    alpha = BoundaryParam(cfg.alpha)
+    alpha = BoundaryParam(args.alpha)
     rep = forward.jost_kernel_direct(q, alpha)
-    S = inverse.scattering_kernel(rep, t_max=cfg.tmax)
+    S = inverse.scattering_kernel(rep, t_max=args.tmax)
     lines = []
     ok = True
     s_tol, decayed = inverse.unimodularity_tolerance(S)
@@ -285,101 +189,137 @@ def cmd_check(args) -> int:
         lines.append(f"[{'pass' if good else 'FAIL'}] {name}: residual {val:.3e}")
     for line in lines:
         print(line)
-    os.makedirs(cfg.out, exist_ok=True)
-    core.dump_json(os.path.join(cfg.out, "check.json"),
-                   {"pass": ok, "lines": lines})
+    _save(args.out, {"check.json": {"pass": ok, "lines": lines}})
     print("CHECK", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    q = synth.random_piecewise_potential(cfg.seed, gamma=cfg.gamma, n=cfg.n,
-                                         n_pieces=args.pieces, max_amp=args.max_amp)
-    os.makedirs(cfg.out, exist_ok=True)
-    core.dump_json(os.path.join(cfg.out, "potential.json"), q.to_json())
-    return 0
+def cmd_resonances(args) -> int:
+    if args.tol <= 0:
+        raise ValidationError(f"--tol must be positive, got {args.tol!r}")
+    q = _read_potential(args.potential)
+    alpha = BoundaryParam(args.alpha)
+    if args.region is None:
+        depth = min(6.0, 0.9 * forward._growth_cap(q.gamma))
+        region = spectral.SearchRegion(-args.rcut * 1.05, args.rcut * 1.05, -depth, 0.0)
+    else:
+        try:
+            region = spectral.SearchRegion(*(float(t) for t in args.region.split(",")))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"--region {args.region!r}: expected four numbers "
+                                  "re_min,re_max,im_min,im_max") from exc
+    R = spectral.find_resonances(forward.make_psi_evaluator(q, alpha), region, tol=args.tol)
+    fd = spectral.forbidden_domain_check(R, q.gamma, eps=0.1)
+    grid = make_grid(-10.0, 10.0, 400)
+    prof = spectral.phase_profile(R, q.gamma, alpha, grid, args.rcut,
+                                  z_limit=0.9 * args.rcut)
+    return _save(args.out, {
+        "resonances.json": R.to_json(),
+        "levinson.csv": (["r", "ratio_plus", "ratio_minus"],
+                         [[r, *spectral.levinson_ratio(R, q.gamma, r)]
+                          for r in np.linspace(args.rcut / 8, args.rcut, 16)]),
+        "forbidden.csv": (["z_re", "z_im", "mult", "slack"],
+                          [[z.real, z.imag, m, s] for (z, m), s in zip(R.entries, fd.slack)]),
+        "phase.csv": (["z", "phi", "dphi"],
+                      [[z, p, d] for z, p, d in zip(grid.nodes(), prof.phi, prof.dphi)])})
 
 
-def _add_common(p):
-    for name, typ in _FIELD_TYPES.items():
-        p.add_argument(f"--{name}", type=typ, default=None)
-    p.add_argument("--config", type=str, default=None)
+def cmd_canonical(args) -> int:
+    if args.mode == "to-hamiltonian":
+        H = can.hamiltonian_from_potential(_read_potential(args.data))
+        files = {"hamiltonian.json": H.to_json()}
+    elif args.mode == "to-potential":
+        H = _read_input(args.data, can.Hamiltonian.from_json)
+        files = {"potential.json": can.potential_from_hamiltonian(H).to_json()}
+    else:
+        q = _read_potential(args.data)
+        zs = np.linspace(-args.zwindow, args.zwindow, 2 * q.grid.n + 1)
+        vals = can.make_hermite_evaluator(q)(zs.astype(complex))
+        files = {"hermite.csv": (["z_re", "z_im", "e_re", "e_im"],
+                                 [[z, 0.0, v.real, v.imag] for z, v in zip(zs, vals)])}
+    return _save(args.out, files)
+
+
+_POTENTIAL = {"potential": {}}
+# subcommand -> (handler, help, positional arguments, flags read besides --out)
+COMMANDS = {
+    "synth": (cmd_synth, "seeded random piecewise-constant potential", {},
+              ("gamma", "n", "seed", "pieces", "max-amp")),
+    "shift": (cmd_shift, "multiply by e^{2ikx}", {**_POTENTIAL, "k": {"type": float}}, ()),
+    "reflect": (cmd_reflect, "reflect resonances across the imaginary axis", _POTENTIAL,
+                ("alpha",)),
+    "forward": (cmd_forward, "psi, S and the Jost kernel from a potential", _POTENTIAL,
+                ("alpha", "zwindow")),
+    "invert": (cmd_invert, "recover a potential from scattering data",
+               {"data": {"help": "ScatteringRep or JostRep JSON file"}}, ("tmax",)),
+    "move": (cmd_move, "resonance surgery",
+             {**_POTENTIAL, "moves": {"help": "JSON list like "
+                                      '[{"from":{"re":..,"im":..},"to":{"re":..,"im":..}}] '
+                                      "or a file"}},
+             ("alpha", "tmax")),
+    "check": (cmd_check, "class membership and identity checks", _POTENTIAL, ("alpha", "tmax")),
+    "resonances": (cmd_resonances, "locate resonances and phase data", _POTENTIAL,
+                   ("alpha", "rcut", "tol", "region")),
+    "canonical": (cmd_canonical, "canonical-system conversions",
+                  {"mode": {"choices": ["to-hamiltonian", "to-potential", "hermite"]},
+                   "data": {}}, ("zwindow",)),
+}
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The subcommand's arguments, each flag it reads set from the command
+    line, else from --config, else from `FLAGS`."""
+    ap = _Parser(prog="dirachl", description="Half-line Dirac resonance scattering",
+                 allow_abbrev=False)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (fn, help_, positionals, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for pos, kw in positionals.items():
+            p.add_argument(pos, **kw)
+        row = (*flags, "out")
+        for flag in row:
+            p.add_argument(f"--{flag}", type=FLAGS[flag][0])
+        p.add_argument("--config")
+        p.set_defaults(fn=fn, flags=row)
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        takes = " ".join(f"--{flag}" for flag in (*args.flags, "config"))
+        raise _UsageError(f"dirachl {args.cmd}: unrecognized argument(s) {' '.join(extra)}; "
+                          f"its flags are {takes}")
+    data = _read_input(args.config, dict) if args.config else {}
+    foreign = sorted(set(data) - set(args.flags))
+    if foreign:
+        raise _UsageError(f"--config {args.config}: dirachl {args.cmd} does not read "
+                          f"key(s) {foreign}; its keys are {list(args.flags)}")
+    for flag in args.flags:
+        typ, value = FLAGS[flag]
+        if flag in data:
+            value = data[flag]
+            if type(value) not in ((int, float) if typ is float else (typ,)):
+                raise ValidationError(
+                    f"--config key {flag!r} must be {typ.__name__}, got {value!r}")
+            value = typ(value)
+        dest = flag.replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    return args
+
+
+# exit kind and code per error class, most specific first
+_FAILURES = ((_UsageError, "usage", 2), (ValidationError, "validation", 2),
+             (NumericalError, "numerical", 1), (DirachlError, "error", 1))
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="dirachl",
-                                 description="Half-line Dirac resonance scattering")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("forward", help="psi, S and the Jost kernel from a potential")
-    p.add_argument("potential")
-    _add_common(p)
-    p.set_defaults(fn=cmd_forward)
-
-    p = sub.add_parser("resonances", help="locate resonances and phase data")
-    p.add_argument("potential")
-    p.add_argument("--region", type=str, default=None,
-                   help="re_min,re_max,im_min,im_max")
-    _add_common(p)
-    p.set_defaults(fn=cmd_resonances)
-
-    p = sub.add_parser("invert", help="recover a potential from scattering data")
-    p.add_argument("data", help="ScatteringRep or JostRep JSON file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_invert)
-
-    p = sub.add_parser("move", help="resonance surgery")
-    p.add_argument("potential")
-    p.add_argument("moves", help="JSON list like "
-                   '[{"from":{"re":..,"im":..},"to":{"re":..,"im":..}}] or a file')
-    _add_common(p)
-    p.set_defaults(fn=cmd_move)
-
-    p = sub.add_parser("shift", help="multiply by e^{2ikx}")
-    p.add_argument("potential")
-    p.add_argument("k", type=float)
-    _add_common(p)
-    p.set_defaults(fn=cmd_shift)
-
-    p = sub.add_parser("reflect", help="reflect resonances across the imaginary axis")
-    p.add_argument("potential")
-    _add_common(p)
-    p.set_defaults(fn=cmd_reflect)
-
-    p = sub.add_parser("canonical", help="canonical-system conversions")
-    p.add_argument("mode", choices=["to-hamiltonian", "to-potential", "hermite"])
-    p.add_argument("data")
-    _add_common(p)
-    p.set_defaults(fn=cmd_canonical)
-
-    p = sub.add_parser("check", help="class membership and identity checks")
-    p.add_argument("potential")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("synth", help="seeded random piecewise-constant potential")
-    p.add_argument("--pieces", type=int, default=8)
-    p.add_argument("--max-amp", dest="max_amp", type=float, default=2.0)
-    _add_common(p)
-    p.set_defaults(fn=cmd_synth)
-
-    args = ap.parse_args(argv)
     try:
+        args = _parse(argv)
         return args.fn(args)
-    except ValidationError as exc:
-        kind = "parse" if str(exc).startswith("parse:") else "validation"
-        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(json.dumps({"error": {"kind": "numerical", "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
     except DirachlError as exc:
-        print(json.dumps({"error": {"kind": "error", "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
+        kind, code = next((kind, code) for cls, kind, code in _FAILURES if isinstance(exc, cls))
+        if kind == "validation" and str(exc).startswith("parse:"):
+            kind = "parse"
+        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -341,6 +341,8 @@ def _plain_sum(f: SampledComplexFunction, z: np.ndarray) -> np.ndarray:
     kernels: dict = {}
 
     def chirp_runs(idx: np.ndarray) -> None:
+        if idx.size < _RUN_MIN:
+            return
         zi = z[idx]
         for a, b, dz in zip(*_arithmetic_runs(zi, h)):
             dense[idx[a:b]] = False
@@ -352,8 +354,7 @@ def _plain_sum(f: SampledComplexFunction, z: np.ndarray) -> np.ndarray:
 
     chirp_runs(np.arange(z.size))
     rest = np.flatnonzero(dense)
-    if rest.size >= _RUN_MIN:
-        chirp_runs(rest[np.lexsort((z[rest].real, z[rest].imag))])
+    chirp_runs(rest[np.lexsort((z[rest].real, z[rest].imag))])
     out[dense] = _dense_plain(z[dense], s, v)
     return out
 

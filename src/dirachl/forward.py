@@ -82,13 +82,13 @@ def _growth_cap(gamma: float, im_cap: float | None = None) -> float:
     return DEFAULT_IM_CAP_SCALE / gamma if im_cap is None else im_cap
 
 
-def _check_im_cap(gamma: float, z, im_cap: float | None = None) -> None:
-    cap = _growth_cap(gamma, im_cap)
+def _check_im_cap(gamma: float, z) -> None:
+    cap = _growth_cap(gamma)
     worst = float(np.max(np.abs(np.imag(z)), initial=0.0))
     if worst > cap:
         raise NumericalError(
             f"|Im z| = {worst:.3g} exceeds the growth cap {cap:.3g} "
-            f"(= {DEFAULT_IM_CAP_SCALE}/gamma by default); e^(2 gamma |Im z|) would overflow")
+            f"(= {DEFAULT_IM_CAP_SCALE}/gamma); e^(2 gamma |Im z|) would overflow")
 
 
 def _expm_traceless(b00, b01, b10, t):
@@ -218,11 +218,11 @@ def _propagate_rk4(q: Potential, z: np.ndarray) -> np.ndarray:
     return u
 
 
-def integrate_jost(q: Potential, z: complex, im_cap: float | None = None) -> np.ndarray:
+def integrate_jost(q: Potential, z: complex) -> np.ndarray:
     """f(0, z) as a 2x2 array, by fourth-order backward integration from
     x = gamma."""
     zz = np.array([complex(z)])
-    _check_im_cap(q.gamma, zz, im_cap)
+    _check_im_cap(q.gamma, zz)
     return _propagate_rk4(q, zz)[0]
 
 
@@ -254,9 +254,8 @@ def make_psi_evaluator(q: Potential, alpha: BoundaryParam):
     return ev
 
 
-def jost_function(q: Potential, alpha: BoundaryParam, z: complex,
-                  im_cap: float | None = None) -> complex:
-    return complex(_psi_from_f(integrate_jost(q, z, im_cap=im_cap), alpha))
+def jost_function(q: Potential, alpha: BoundaryParam, z: complex) -> complex:
+    return complex(_psi_from_f(integrate_jost(q, z), alpha))
 
 
 def scattering_value(q: Potential, alpha: BoundaryParam, z: float) -> complex:

@@ -53,11 +53,12 @@ class TestSynth:
 class TestForward:
     def test_outputs(self, workdir, tmp_path):
         out = tmp_path / "fwd"
-        r = run_cli("forward", str(workdir / "potential.json"), "--n", "512",
-                    "--out", str(out))
+        r = run_cli("forward", str(workdir / "potential.json"), "--out", str(out))
         assert r.returncode == 0, r.stderr
         psi_lines = (out / "psi.csv").read_text().splitlines()
         assert psi_lines[0] == "x,z_re,z_im,value_re,value_im"
+        # 4n + 1 points for the input's n = 512
+        assert len(psi_lines) == 1 + 4 * 512 + 1
         s_lines = (out / "smatrix.csv").read_text().splitlines()
         vals = np.array([[float(t) for t in row.split(",")] for row in s_lines[1:]])
         mags = np.hypot(vals[:, 3], vals[:, 4])
@@ -138,14 +139,6 @@ class TestPipelines:
         assert r.returncode == 0, r.stderr
         vals = load_samples(out / "potential.json")
         assert np.max(np.abs(vals)) < 1e-12
-
-    def test_forward_fourier_kernel_flag(self, workdir, tmp_path):
-        out = tmp_path / "fz"
-        r = run_cli("forward", str(workdir / "potential.json"),
-                    "--zmax", str(float(400 * np.pi)), "--out", str(out))
-        assert r.returncode == 0, r.stderr
-        rep = json.loads((out / "jostrep.json").read_text())
-        assert rep["n"] == 512
 
     def test_invert_round_trip(self, workdir, tmp_path):
         fwd = tmp_path / "fwd"
@@ -283,7 +276,7 @@ class TestConfig:
                     "--out", str(tmp_path))
         assert r.returncode == 2, r.stderr
         err = json.loads(r.stderr.strip().splitlines()[-1])
-        assert err["error"]["kind"] == "validation"
+        assert err["error"]["kind"] == "usage"
         assert "imcap" in err["error"]["message"]
         r = run_cli("resonances", str(workdir / "potential.json"), "--imcap", "10",
                     "--out", str(tmp_path))
@@ -305,3 +298,42 @@ class TestConfig:
         assert r.returncode == 0, r.stderr
         obj = json.loads((tmp_path / "ok" / "potential.json").read_text())
         assert obj["n"] == 64 and obj["gamma"] == 2.0
+
+
+# positional arguments that get each subcommand past argument parsing
+_POSITIONALS = {"synth": [], "shift": ["p.json", "0"], "move": ["p.json", "[]"],
+                "canonical": ["hermite", "p.json"]}
+
+
+def _usage_error(capsys):
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["kind"] == "usage"
+    return err["error"]["message"]
+
+
+class TestUsage:
+    def test_removed_kernel_band_flag(self, workdir, tmp_path, capsys):
+        assert cli.main(["forward", str(workdir / "potential.json"), "--zmax", "1000",
+                         "--out", str(tmp_path)]) == 2
+        assert "--zmax" in _usage_error(capsys)
+
+    def test_missing_positional_exit_2(self, capsys):
+        assert cli.main(["shift", "p.json"]) == 2
+        assert "k" in _usage_error(capsys)
+        assert cli.main([]) == 2
+        _usage_error(capsys)
+
+    @pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+    def test_each_subcommand_takes_its_row_only(self, cmd, tmp_path, capsys):
+        # every flag outside the subcommand's row is refused, on the command
+        # line (shift --alpha) and as a --config key (resonances with
+        # {"seed": 1}), before any input is read
+        flags = {*cli.COMMANDS[cmd][3], "out"}
+        positionals = _POSITIONALS.get(cmd, ["p.json"])
+        cfg = tmp_path / "cfg.json"
+        for flag in sorted(set(cli.FLAGS) - flags):
+            assert cli.main([cmd, *positionals, f"--{flag}", "1"]) == 2, flag
+            assert f"--{flag}" in _usage_error(capsys)
+            cfg.write_text(json.dumps({flag: 1}))
+            assert cli.main([cmd, *positionals, "--config", str(cfg)]) == 2, flag
+            assert repr(flag) in _usage_error(capsys)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dirachl
-from dirachl import core
+from dirachl import cli, core
 from dirachl.core import BoundaryParam
 from dirachl.forward import jost_kernel_direct
 from dirachl.synth import random_piecewise_potential
@@ -243,3 +243,31 @@ def test_chirp_route_pinned(monkeypatch):
         assert sum(entries) == z.size * nodes, f"{name}: {sum(entries)} dense entries"
         ref = np.exp(-0.3j) + dense_transform(rep.g, z, rep._cuts)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12, name
+    # below _RUN_MIN points no run can exist: neither pass looks for one
+    z = np.array([0.5, 1.0, 1.5])
+    want = rep.psi(z)
+    searched, runs = [], core._arithmetic_runs
+    monkeypatch.setattr(core, "_arithmetic_runs", lambda *a: searched.append(a) or runs(*a))
+    assert np.array_equal(rep.psi(z), want)
+    assert not searched, "a 3-point call looked for arithmetic runs"
+
+
+def test_cli_handlers_read_their_flags():
+    # each cmd_* handler reads exactly its subcommand's row of cli.COMMANDS,
+    # plus --out, from its arguments: a flag that nothing reads cannot come
+    # back, and a flag a handler reads cannot go missing from the table
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = {fn.name: fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")}
+    for cmd, (fn, _, positionals, flags) in cli.COMMANDS.items():
+        node = handlers.pop(fn.__name__)
+        arg = node.args.args[0].arg
+        uses = [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == arg]
+        attrs = [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == arg]
+        # the arguments are never passed on whole, where reads would hide
+        assert len(uses) == len(attrs), f"{fn.__name__} passes {arg} on"
+        reads = {n.attr for n in attrs} - set(positionals)
+        row = {f.replace("-", "_") for f in (*flags, "out")}
+        assert reads == row, f"{cmd} reads {sorted(reads)}, its row is {sorted(row)}"
+    assert not handlers, f"handlers of no subcommand: {sorted(handlers)}"
