@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: synth, shift, reflect, forward, invert, move, check,
-resonances, canonical.  Inputs and outputs are the JSON shapes documented
-in the README plus header-carrying CSV files.  One table drives the
-flags: `FLAGS` gives each flag's type and default, and `COMMANDS` lists
-the flags each subcommand reads (besides --out and --config).  A flag or
---config key that the subcommand does not read is a usage error.  Flag
-precedence is command line > config file (--config, JSON) > defaults.
+resonances, canonical (modes to-hamiltonian, to-potential, hermite).
+Inputs and outputs are the JSON shapes documented in the README plus
+header-carrying CSV files.  One table drives the flags: `FLAGS` gives
+each flag's type and default, and `COMMANDS` lists the flags each
+subcommand, or each mode of canonical, reads (besides --out and
+--config).  A flag or --config key that the subcommand does not read is a
+usage error; `invert` refuses --tmax for a ScatteringRep input, which
+carries its own t_max.  Flag precedence is command line > config file
+(--config, JSON) > defaults.
 Exit codes: 0 success, 1 numerical failure, 2 usage or validation error
 (including unreadable input); failures emit one machine-readable JSON
 object on stderr.
@@ -124,6 +127,10 @@ def cmd_forward(args) -> int:
 def cmd_invert(args) -> int:
     data = _read_input(args.data, lambda obj: (
         ScatteringRep.from_json(obj) if "t_max" in obj else JostRep.from_json(obj)))
+    if args.tmax is not None and isinstance(data, ScatteringRep):
+        raise ValidationError(
+            f"--tmax sets the horizon of the scattering kernel built from a JostRep; "
+            f"{args.data} is a ScatteringRep with its own t_max = {data.t_max:g}: drop --tmax")
     S = data if isinstance(data, ScatteringRep) else inverse.scattering_kernel(data, t_max=args.tmax)
     qhat, rec = inverse.recover_potential(S, with_report=True)
     return _save(args.out, {
@@ -224,24 +231,27 @@ def cmd_resonances(args) -> int:
                       [[z, p, d] for z, p, d in zip(grid.nodes(), prof.phi, prof.dphi)])})
 
 
-def cmd_canonical(args) -> int:
-    if args.mode == "to-hamiltonian":
-        H = can.hamiltonian_from_potential(_read_potential(args.data))
-        files = {"hamiltonian.json": H.to_json()}
-    elif args.mode == "to-potential":
-        H = _read_input(args.data, can.Hamiltonian.from_json)
-        files = {"potential.json": can.potential_from_hamiltonian(H).to_json()}
-    else:
-        q = _read_potential(args.data)
-        zs = np.linspace(-args.zwindow, args.zwindow, 2 * q.grid.n + 1)
-        vals = can.make_hermite_evaluator(q)(zs.astype(complex))
-        files = {"hermite.csv": (["z_re", "z_im", "e_re", "e_im"],
-                                 [[z, 0.0, v.real, v.imag] for z, v in zip(zs, vals)])}
-    return _save(args.out, files)
+def cmd_to_hamiltonian(args) -> int:
+    H = can.hamiltonian_from_potential(_read_potential(args.data))
+    return _save(args.out, {"hamiltonian.json": H.to_json()})
+
+
+def cmd_to_potential(args) -> int:
+    H = _read_input(args.data, can.Hamiltonian.from_json)
+    return _save(args.out, {"potential.json": can.potential_from_hamiltonian(H).to_json()})
+
+
+def cmd_hermite(args) -> int:
+    q = _read_potential(args.data)
+    zs = np.linspace(-args.zwindow, args.zwindow, 2 * q.grid.n + 1)
+    vals = can.make_hermite_evaluator(q)(zs.astype(complex))
+    return _save(args.out, {"hermite.csv": (["z_re", "z_im", "e_re", "e_im"],
+                                            [[z, 0.0, v.real, v.imag] for z, v in zip(zs, vals)])})
 
 
 _POTENTIAL = {"potential": {}}
-# subcommand -> (handler, help, positional arguments, flags read besides --out)
+# subcommand -> (handler, help, positional arguments, flags read besides --out);
+# "canonical MODE" rows are the modes of one subcommand, each with its own flags
 COMMANDS = {
     "synth": (cmd_synth, "seeded random piecewise-constant potential", {},
               ("gamma", "n", "seed", "pieces", "max-amp")),
@@ -260,9 +270,12 @@ COMMANDS = {
     "check": (cmd_check, "class membership and identity checks", _POTENTIAL, ("alpha", "tmax")),
     "resonances": (cmd_resonances, "locate resonances and phase data", _POTENTIAL,
                    ("alpha", "rcut", "tol", "region")),
-    "canonical": (cmd_canonical, "canonical-system conversions",
-                  {"mode": {"choices": ["to-hamiltonian", "to-potential", "hermite"]},
-                   "data": {}}, ("zwindow",)),
+    "canonical to-hamiltonian": (cmd_to_hamiltonian, "canonical-system Hamiltonian of a potential",
+                                 {"data": {}}, ()),
+    "canonical to-potential": (cmd_to_potential, "potential of a canonical-system Hamiltonian",
+                               {"data": {}}, ()),
+    "canonical hermite": (cmd_hermite, "Hermite-Biehler function on the real axis",
+                          {"data": {}}, ("zwindow",)),
 }
 
 
@@ -272,24 +285,34 @@ def _parse(argv) -> argparse.Namespace:
     ap = _Parser(prog="dirachl", description="Half-line Dirac resonance scattering",
                  allow_abbrev=False)
     sub = ap.add_subparsers(dest="cmd", required=True)
+    modes = {}
     for name, (fn, help_, positionals, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        cmd, _, mode = name.partition(" ")
+        if mode:
+            if cmd not in modes:
+                group = [m.partition(" ")[2] for m in COMMANDS if m.startswith(cmd + " ")]
+                modes[cmd] = sub.add_parser(
+                    cmd, help=f"modes: {', '.join(group)}", allow_abbrev=False
+                ).add_subparsers(dest="mode", required=True)
+            p = modes[cmd].add_parser(mode, help=help_, allow_abbrev=False)
+        else:
+            p = sub.add_parser(name, help=help_, allow_abbrev=False)
         for pos, kw in positionals.items():
             p.add_argument(pos, **kw)
         row = (*flags, "out")
         for flag in row:
             p.add_argument(f"--{flag}", type=FLAGS[flag][0])
         p.add_argument("--config")
-        p.set_defaults(fn=fn, flags=row)
+        p.set_defaults(fn=fn, flags=row, name=name)
     args, extra = ap.parse_known_args(argv)
     if extra:
         takes = " ".join(f"--{flag}" for flag in (*args.flags, "config"))
-        raise _UsageError(f"dirachl {args.cmd}: unrecognized argument(s) {' '.join(extra)}; "
+        raise _UsageError(f"dirachl {args.name}: unrecognized argument(s) {' '.join(extra)}; "
                           f"its flags are {takes}")
     data = _read_input(args.config, dict) if args.config else {}
     foreign = sorted(set(data) - set(args.flags))
     if foreign:
-        raise _UsageError(f"--config {args.config}: dirachl {args.cmd} does not read "
+        raise _UsageError(f"--config {args.config}: dirachl {args.name} does not read "
                           f"key(s) {foreign}; its keys are {list(args.flags)}")
     for flag in args.flags:
         typ, value = FLAGS[flag]

@@ -29,7 +29,12 @@ marches the transformation kernel along characteristics, which keeps
 O(h^2) accuracy up to the support edges and feeds the inverse pipeline.
 Its trapezoid step, `_characteristic_step`, is the one step of the
 characteristic pair in the package: the GLM continuation in `inverse`
-marches the same pair upward with it.
+marches the same pair upward with it.  Both boundary columns of the
+kernel march are known before it starts, so the march goes in blocks of
+`_MARCH_BLOCK` levels: the transfers of all blocks (polynomials in the node
+shift, a (B + 1)-tap filter per entry) are built together by B vectorised
+steps, and each block costs a few convolutions of the line instead of B
+Python-level steps.
 """
 
 from __future__ import annotations
@@ -417,6 +422,59 @@ def _characteristic_step(d, o, d_sh, o_sh, a, b):
     return d_new, r + b * d_new
 
 
+_MARCH_BLOCK = 32    # march levels per transfer (measured against 16, 24, 48 and 64)
+
+
+def _block_transfers(a, b, edge, diag, first):
+    """What blocks of L march levels do to a line, for all blocks at once.
+
+    a and b have shape (L, nb): the coefficients of each block's levels in
+    march order; the first block has only its first `first` levels.  edge
+    has shape (L + 1, 2, nb): the known s = 0 node of each block's start
+    line and of the line after each level; diag is the known diagonal node.
+    Returns polynomials in the node shift, coefficients by power, with
+    shape (nb, 4, 2, L + 1) for (block, column, row (d, o), power).
+    Columns 0 and 1 are the 2x2 transfer P that carries the start line's
+    interior, less its free part: d stays at its node and o moves up one
+    node per level.  The caller adds that part exactly; rounded, a
+    coefficient next to 1 that every block of a piece shares would add the
+    same error block after block.  Column 2 is what the edge nodes put on
+    the block's end line, counted from its s = 0 node; column 3 is what the
+    diagonal nodes put there, counted from the start line's diagonal
+    position.
+
+    A level is one `_characteristic_step` of all these polynomials at once,
+    each power stepped with the next lower one as its neighbour along the
+    characteristic.  Stepping the free part gives it back, moved, plus the
+    step of a unit d_sh (column 0) or of a unit o (column 1) at its power
+    and the next one; those two taps come from one `_characteristic_step`
+    of unit vectors for all levels.  An edge node takes its first step
+    through the neighbour term only, and a diagonal node through its own
+    power only: its other term lands on the next line's boundary node,
+    which is known and is written over it.
+    """
+    L, nb = a.shape
+    # the step of a unit d_sh and of a unit o, as (level, row, 1, block)
+    unit = np.eye(2).reshape(2, 2, 1, 1)
+    d_new, o_new = _characteristic_step(0.0, unit[1], unit[0], 0.0, a, b)
+    tap_d, tap_o = np.stack([d_new, o_new], axis=2)[..., None, :]
+    v = np.zeros((2, L + 2, 4, nb), dtype=complex)    # row 0 holds power -1: zero
+    diag = diag[:, None]
+    v[:, 1, 2] = edge[0]
+    v[:, 1, 3] = diag
+    # all blocks, and all but the first one past its `first` levels
+    every, later = zip(*((x, x[..., 1:]) for x in (v, a, b, tap_d, tap_o, edge)))
+    for lvl in range(L):
+        w, a_w, b_w, tap_dw, tap_ow, edge_w = every if lvl < first else later
+        w[0, 1:lvl + 3], w[1, 1:lvl + 3] = _characteristic_step(
+            w[0, 1:lvl + 3], w[1, 1:lvl + 3], w[0, :lvl + 2], w[1, :lvl + 2], a_w[lvl], b_w[lvl])
+        w[:, 1:3, 0] += tap_dw[lvl]
+        w[:, lvl + 1:lvl + 3, 1] += tap_ow[lvl]
+        w[:, 1, 2] = edge_w[lvl + 1]
+        w[:, lvl + 2, 3] = diag
+    return np.ascontiguousarray(v[:, 1:].transpose(3, 2, 0, 1))
+
+
 def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
     """Kernel g(s) = e^{-i alpha} G11(0, s) - e^{i alpha} G21(0, s) from the
     transformation kernel; second-order accurate up to the support edges.
@@ -429,8 +487,18 @@ def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
     with boundary value G21(x, 0) = -conj(q(x)) and zero diagonal data on
     x + s = gamma.  The pair is marched down from x = gamma to x = 0 with
     `_characteristic_step` along the x lines and the characteristics
-    x + s = const, with q at the cell mean; the s = 0 node takes its o from
-    the data and the new diagonal node s = gamma - x its d = 0.
+    x + s = const, with q at the cell mean.  Both boundary columns are known
+    before the march: the s = 0 node takes its o from the data and its d
+    from d(x - h) = d(x) + a (o(x) + o(x - h)), and the diagonal node is
+    (0, o(gamma)).  So a block of B = `_MARCH_BLOCK` levels is a fixed
+    linear map of its start line plus known boundary terms.  The maps of
+    all blocks are built together in B vectorised steps
+    (`_block_transfers`), and each is applied to the line as (B + 1)-tap
+    convolutions plus its free part, a shift of the o row by B nodes, added
+    exactly.  The march starts from the two known nodes of the line
+    x = gamma - h; the first block takes the (n - 2) % B + 1 levels that do
+    not fill whole blocks.  This is the per-level march with its sums
+    reordered; the buffers are O(n B).
     """
     n, h = q.grid.n, q.grid.h
     amps, chirps = q.cell_values()
@@ -439,22 +507,43 @@ def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
     a_cell = -0.5 * h * cell_at
     b_cell = np.conj(a_cell)
     o_edge = -np.conj(_node_values(q))          # G21(x, 0)
-
-    # (d, o) = (G11, G21) on the line x = gamma: the single node s = 0
-    d = np.zeros(1, dtype=complex)
-    o = o_edge[-1:]
+    a_list, o_list = a_cell.tolist(), o_edge.tolist()
+    d_list = [0j] * (n + 1)                     # G11(x, 0), summed from x = gamma down
     for i in range(n - 1, -1, -1):
-        a, b = a_cell[i], b_cell[i]
-        d_new = np.empty(d.size + 1, dtype=complex)
-        o_new = np.empty(d.size + 1, dtype=complex)
-        d_new[1:-1], o_new[1:-1] = _characteristic_step(d[1:], o[1:], d[:-1], o[:-1], a, b)
-        o_new[0] = o_edge[i]
-        d_new[0] = d[0] + a * (o[0] + o_new[0])
-        d_new[-1] = 0.0
-        o_new[-1] = o[-1] + b * d[-1]
-        d, o = d_new, o_new
+        d_list[i] = d_list[i + 1] + a_list[i] * (o_list[i + 1] + o_list[i])
+    d_edge = np.array(d_list)
+    diag = np.array([0.0, o_edge[n]], dtype=complex)
+
+    # rows (d, o) = (G11, G21) on the line x = gamma - h: its s = 0 node and
+    # its diagonal node
+    line = np.array([[d_edge[n - 1], 0.0], [o_edge[n - 1], o_edge[n]]])
+    if n > 1:
+        count = -(-(n - 1) // _MARCH_BLOCK)
+        first = n - 1 - (count - 1) * _MARCH_BLOCK
+        size = _MARCH_BLOCK if count > 1 else first
+        # line index of each block's start line (row 0) and after each level
+        start = n - 1 - np.r_[0, first + _MARCH_BLOCK * np.arange(count - 1)]
+        lines = start - np.arange(size + 1)[:, None]
+        transfers = _block_transfers(a_cell[lines[1:]], b_cell[lines[1:]],
+                                     np.stack([d_edge[lines], o_edge[lines]], axis=1),
+                                     diag, first)
+        for k, t in enumerate(transfers):
+            grow = first if k == 0 else _MARCH_BLOCK
+            t = t[..., :grow + 1]
+            m = line.shape[1]
+            new = np.zeros((2, m + grow), dtype=complex)
+            if m > 2:
+                inner = line[:, 1:-1]
+                for r in range(2):
+                    new[r, 1:-1] = np.convolve(t[0, r], inner[0]) + np.convolve(t[1, r], inner[1])
+                # P's free part, exactly: d stays, o moves up `grow` nodes
+                new[0, 1:m - 1] += inner[0]
+                new[1, 1 + grow:m - 1 + grow] += inner[1]
+            new[:, :grow + 1] += t[2]
+            new[:, m - 1:] += t[3]
+            line = new
     ea = np.exp(-1j * alpha.alpha)
-    g = ea * d - np.conj(ea) * o
+    g = ea * line[0] - np.conj(ea) * line[1]
     return JostRep(alpha, q.gamma, SampledComplexFunction(q.grid, g))
 
 

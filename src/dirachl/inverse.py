@@ -27,7 +27,8 @@ line is solved once, by a numpy-only unrestarted GMRES (`_gmres`) with
 FFT convolution mat-vecs, and continued upward along characteristics
 with the trapezoid step of the forward transformation-kernel march
 (`forward._characteristic_step`), reading q(x) from the boundary as it
-goes.
+goes.  Each step's coefficients come from the q just read, so this march
+goes one line at a time; it runs in place on preallocated line buffers.
 The Wiener identity above is one lower-triangular Toeplitz solve, by a
 power-series inverse with FFT products.  No step forms an n x n matrix.
 """
@@ -313,22 +314,46 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
         d/dx d = conj(q) o,   (d/dx - d/ds) o = q d,
 
     the forward kernel's pair run the other way, and is marched with the
-    same `_characteristic_step`.  The cell value of q is corrected once per
-    step: a predictor pass at the s = 0 node alone gives q at the next
-    node, and the full line is then stepped with the mean of the two.
+    closed form of `_characteristic_step`.  The cell value of q is corrected
+    once per step: a predictor `_characteristic_step` at the s = 0 node
+    alone, on Python complex numbers, gives q at the next node, and the full
+    line is then stepped with the mean of the two.  q comes from the line
+    itself, so the coefficients are not known ahead and the march goes one
+    line at a time; it runs in place, on two line buffers and two work
+    buffers with `out=` arithmetic and one 1/(1 - ab) per step.
     """
     n = om.k.grid.n
     h = om.k.grid.h
     d = np.conj(a0)
-    o = b0
+    o = np.array(b0, dtype=complex)
+    p = np.empty(n, dtype=complex)
+    r = np.empty(n, dtype=complex)
     qhat = np.empty(n + 1, dtype=complex)
-    qhat[0] = -o[0]
+    q_i = -complex(o[0])
+    qhat[0] = q_i
     for i in range(n):
-        b = 0.5 * h * qhat[i]
-        _, o0 = _characteristic_step(d[0], o[0], d[1], o[1], np.conj(b), b)
-        b = 0.5 * h * (0.5 * (qhat[i] - o0))    # h/2 times the corrected cell value
-        d, o = _characteristic_step(d[:-1], o[:-1], d[1:], o[1:], np.conj(b), b)
-        qhat[i + 1] = -o[0]
+        m = n - i                                # nodes on the new line
+        b = 0.5 * h * q_i
+        d0, d1 = d[:2].tolist()
+        o0, o1 = o[:2].tolist()
+        _, o_pred = _characteristic_step(d0, o0, d1, o1, b.conjugate(), b)
+        b = 0.5 * h * (0.5 * (q_i - o_pred))     # h/2 times the corrected cell value
+        a = b.conjugate()
+        # _characteristic_step(d[:m], o[:m], d[1:], o[1:], a, b), written
+        # over the old line: p = d + a o, r = o_sh + b d_sh,
+        # d' = (p + a r) / (1 - a b), o' = r + b d'
+        p_m, r_m, d_m, o_m = p[:m], r[:m], d[:m], o[:m]
+        np.multiply(o_m, a, out=p_m)
+        p_m += d_m
+        np.multiply(d[1:m + 1], b, out=r_m)
+        r_m += o[1:m + 1]
+        np.multiply(r_m, a, out=d_m)
+        d_m += p_m
+        d_m *= 1.0 / (1.0 - a * b)
+        np.multiply(d_m, b, out=o_m)
+        o_m += r_m
+        q_i = -complex(o[0])
+        qhat[i + 1] = q_i
     return qhat
 
 

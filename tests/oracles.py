@@ -8,7 +8,10 @@ very fine trapezoid sums.  The GLM reference solves each row system
 densely (O(n^3) per node), and the Wiener reference marches node by node.
 The scattering-phase reference sums the zeros one at a time in Python
 loops, with the modeled tail in fixed 256-row blocks.  Kernel transforms
-form every phase e^{2izs} explicitly, with no chirp-z route.
+form every phase e^{2izs} explicitly, with no chirp-z route.  The two
+characteristic marches are the per-line loops the library once ran, on
+its one step formula `forward._characteristic_step`; the kernel loop also
+runs in extended precision.
 """
 
 from __future__ import annotations
@@ -305,6 +308,64 @@ def recover_dense(om) -> np.ndarray:
     """q(x_j) = -G12(x_j, 0) from an independent dense solve at every node."""
     h = om.k.grid.h
     return np.array([-solve_glm(om, j * h).g12[0] for j in range(om.k.grid.n + 1)])
+
+
+# ---------------------------------------------------------------------------
+# characteristic marches one line at a time: the per-level loops the library
+# once used, with fresh line arrays per step
+# ---------------------------------------------------------------------------
+
+def march_kernel_loop(q, alpha: float, dtype=complex) -> np.ndarray:
+    """Jost kernel g by the transformation-kernel march, one
+    `_characteristic_step` per line from x = gamma down.  The coefficients
+    and boundary data are formed in float64; with dtype=np.clongdouble the
+    march itself runs in extended precision, which measures the rounding
+    of the float64 march."""
+    from dirachl.forward import _characteristic_step, _node_values
+
+    n, h = q.grid.n, q.grid.h
+    amps, chirps = q.cell_values()
+    nodes = q.grid.nodes()
+    cell_at = amps * np.exp(2j * chirps * 0.5 * (nodes[:-1] + nodes[1:]))
+    a_cell = (-0.5 * h * cell_at).astype(dtype)
+    b_cell = np.conj(a_cell)
+    o_edge = (-np.conj(_node_values(q))).astype(dtype)
+
+    d = np.zeros(1, dtype=dtype)
+    o = o_edge[-1:]
+    for i in range(n - 1, -1, -1):
+        a, b = a_cell[i], b_cell[i]
+        d_new = np.empty(d.size + 1, dtype=dtype)
+        o_new = np.empty(d.size + 1, dtype=dtype)
+        d_new[1:-1], o_new[1:-1] = _characteristic_step(d[1:], o[1:], d[:-1], o[:-1], a, b)
+        o_new[0] = o_edge[i]
+        d_new[0] = d[0] + a * (o[0] + o_new[0])
+        d_new[-1] = 0.0
+        o_new[-1] = o[-1] + b * d[-1]
+        d, o = d_new, o_new
+    ea = np.exp(-1j * np.asarray(alpha, dtype=dtype))
+    return ea * d - np.conj(ea) * o
+
+
+def march_recovery_loop(om, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """q(x) = -G12(x, 0) by continuing the x = 0 GLM line upward one
+    `_characteristic_step` at a time: a predictor step of the s = 0 node
+    alone, then the full line with the corrected cell value."""
+    from dirachl.forward import _characteristic_step
+
+    n = om.k.grid.n
+    h = om.k.grid.h
+    d = np.conj(a0)
+    o = b0
+    qhat = np.empty(n + 1, dtype=complex)
+    qhat[0] = -o[0]
+    for i in range(n):
+        b = 0.5 * h * qhat[i]
+        _, o0 = _characteristic_step(d[0], o[0], d[1], o[1], np.conj(b), b)
+        b = 0.5 * h * (0.5 * (qhat[i] - o0))
+        d, o = _characteristic_step(d[:-1], o[:-1], d[1:], o[1:], np.conj(b), b)
+        qhat[i + 1] = -o[0]
+    return qhat
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,22 @@ class TestPipelines:
         vals = load_samples(out / "potential.json")
         assert np.max(np.abs(vals)) < 1e-12
 
+    def test_invert_refuses_tmax_for_scattering_input(self, tmp_path, capsys):
+        # a ScatteringRep carries its own t_max: --tmax, on the command line
+        # or in --config, is refused instead of ignored
+        obj = {"alpha": 0.4, "gamma": 1.0, "t_max": 4.0, "n": 320,
+               "samples": [[0.0, 0.0]] * 321}
+        src = tmp_path / "slim.json"
+        src.write_text(json.dumps(obj))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tmax": 99}))
+        for extra in (["--tmax", "99"], ["--config", str(cfg)]):
+            assert cli.main(["invert", str(src), *extra, "--out", str(tmp_path / "o")]) == 2
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+            assert err["kind"] == "validation"
+            assert "--tmax" in err["message"] and "t_max = 4" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_invert_round_trip(self, workdir, tmp_path):
         fwd = tmp_path / "fwd"
         r = run_cli("forward", str(workdir / "potential.json"), "--out", str(fwd))
@@ -301,8 +317,7 @@ class TestConfig:
 
 
 # positional arguments that get each subcommand past argument parsing
-_POSITIONALS = {"synth": [], "shift": ["p.json", "0"], "move": ["p.json", "[]"],
-                "canonical": ["hermite", "p.json"]}
+_POSITIONALS = {"synth": [], "shift": ["p.json", "0"], "move": ["p.json", "[]"]}
 
 
 def _usage_error(capsys):
@@ -323,17 +338,17 @@ class TestUsage:
         assert cli.main([]) == 2
         _usage_error(capsys)
 
-    @pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+    @pytest.mark.parametrize("cmd", list(cli.COMMANDS), ids=lambda cmd: cmd.replace(" ", "-"))
     def test_each_subcommand_takes_its_row_only(self, cmd, tmp_path, capsys):
         # every flag outside the subcommand's row is refused, on the command
-        # line (shift --alpha) and as a --config key (resonances with
-        # {"seed": 1}), before any input is read
+        # line (shift --alpha, canonical to-hamiltonian --zwindow) and as a
+        # --config key (resonances with {"seed": 1}), before any input is read
         flags = {*cli.COMMANDS[cmd][3], "out"}
-        positionals = _POSITIONALS.get(cmd, ["p.json"])
+        argv = [*cmd.split(), *_POSITIONALS.get(cmd, ["p.json"])]
         cfg = tmp_path / "cfg.json"
         for flag in sorted(set(cli.FLAGS) - flags):
-            assert cli.main([cmd, *positionals, f"--{flag}", "1"]) == 2, flag
+            assert cli.main([*argv, f"--{flag}", "1"]) == 2, flag
             assert f"--{flag}" in _usage_error(capsys)
             cfg.write_text(json.dumps({flag: 1}))
-            assert cli.main([cmd, *positionals, "--config", str(cfg)]) == 2, flag
+            assert cli.main([*argv, "--config", str(cfg)]) == 2, flag
             assert repr(flag) in _usage_error(capsys)

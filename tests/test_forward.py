@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dirachl import forward
 from dirachl.core import BoundaryParam, NumericalError, Piece, Potential, ValidationError, quadrature
 from dirachl.forward import (
     _band_adjoint,
@@ -23,7 +24,7 @@ from dirachl.forward import (
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
 from dirachl.transforms import shift_potential
 
-from oracles import f0_constant, f0_pieces, propagate_sequential, psi_constant
+from oracles import f0_constant, f0_pieces, march_kernel_loop, propagate_sequential, psi_constant
 
 
 class TestIntegrateJost:
@@ -340,6 +341,71 @@ class TestDirectKernel:
             bound = kernel_estimate(q, 0.0).bound
             norm = rep.g.norm_l1() + rep.g.norm_l2()
             assert norm <= bound + 1e-6
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    @pytest.mark.parametrize("seed, k", [(1, 0.0), (7, 0.0), (7, 3.3)])
+    def test_rounding_against_extended_loop(self, n, seed, k):
+        # the blocked march sums in another order than the per-line loop: its
+        # rounding error, measured against the loop run in extended precision,
+        # is at most 3x the float64 loop's own
+        q = random_piecewise_potential(seed, n=n)
+        if k:
+            q = shift_potential(q, k)
+        exact = march_kernel_loop(q, 0.3, np.clongdouble)
+        scale = float(np.max(np.abs(exact)))
+        err_loop = float(np.max(np.abs(march_kernel_loop(q, 0.3) - exact))) / scale
+        err = float(np.max(np.abs(jost_kernel_direct(q, BoundaryParam(0.3)).g.values - exact))) / scale
+        assert err <= 3.0 * err_loop
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), alpha=st.floats(0.0, 3.0),
+           chirp=st.one_of(st.just(0.0), st.floats(-8.0, 8.0)),
+           pieces=st.integers(1, 8), cells=st.integers(1, 256), sampled=st.booleans())
+    @example(seed=1, alpha=0.3, chirp=0.0, pieces=1, cells=1, sampled=False)
+    @example(seed=1, alpha=0.3, chirp=0.0, pieces=1, cells=31, sampled=True)
+    @example(seed=7, alpha=0.3, chirp=3.3, pieces=3, cells=11, sampled=False)
+    @example(seed=1455, alpha=0.0, chirp=6.5, pieces=6, cells=256, sampled=True)
+    def test_property_rounding_against_extended_loop(self, seed, alpha, chirp, pieces,
+                                                     cells, sampled):
+        # n from 1 to 2048, below, at and off multiples of the block size;
+        # the floor covers n where both errors are a few ulps.  The last
+        # example is a sampled chirp whose transfers repeat block after block
+        q = random_piecewise_potential(seed, n=pieces * cells, n_pieces=pieces)
+        if chirp:
+            q = shift_potential(q, chirp)
+        if sampled:
+            q = Potential(q.gamma, q.samples)
+        g = jost_kernel_direct(q, BoundaryParam(alpha)).g.values
+        exact = march_kernel_loop(q, alpha, np.clongdouble)
+        loop = march_kernel_loop(q, alpha)
+        scale = float(np.max(np.abs(exact)))
+        err_loop = float(np.max(np.abs(loop - exact))) / scale
+        assert float(np.max(np.abs(g - exact))) / scale <= 3.0 * err_loop + 1e-15
+        # the s = 0 column is the loop's own scalar sum
+        assert g[0] == loop[0]
+
+    def test_steps_per_block_pinned(self, monkeypatch):
+        # one vectorised step per level of a block, for all blocks at once,
+        # and one for the taps of all levels: a march stepping line by line
+        # would make n = 4096 calls
+        calls = []
+        step = forward._characteristic_step
+        monkeypatch.setattr(forward, "_characteristic_step",
+                            lambda *args: calls.append(1) or step(*args))
+        jost_kernel_direct(random_piecewise_potential(1, n=4096), BoundaryParam(0.3))
+        assert 0 < len(calls) <= forward._MARCH_BLOCK + 1
+
+    def test_peak_memory_bounded(self):
+        # O(n B) buffers: the whole (n + 1)^2 triangle would be 512 MiB
+        q = random_piecewise_potential(3, n=4096)
+        jost_kernel_direct(q, BoundaryParam(0.3))
+        tracemalloc.start()
+        try:
+            jost_kernel_direct(q, BoundaryParam(0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestKernelEstimate:

@@ -1,15 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirachl import inverse
 from dirachl.core import (
     BoundaryParam,
     NumericalError,
+    Potential,
     SampledComplexFunction,
     ScatteringRep,
     fourier_eval,
@@ -30,9 +32,10 @@ from dirachl.inverse import (
 )
 from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import constant_potential, random_piecewise_potential
+from dirachl.transforms import shift_potential
 
 from conftest import rel_l2
-from oracles import recover_dense, solve_glm, wiener_loop
+from oracles import march_recovery_loop, recover_dense, solve_glm, wiener_loop
 
 
 def zero_rep(alpha=0.3, n=512):
@@ -320,6 +323,51 @@ class TestRecovery:
         d_q = rel_l2(q, qb.samples.values - qa.samples.values + q.samples.values)
         assert d_f < 0.15
         assert d_q < 0.05
+
+
+class TestRecoveryMarch:
+    # the in-place recovery march against the per-line loop it replaced,
+    # on the q -> g -> F -> q pipeline.  Amplitudes and chirps stay within
+    # the grid's resolution (|q| h <= 1/8, |k| h <= 1/4): on coarser grids
+    # the recovered q grows like e^n, and the comparison would measure that
+    # growth instead of the march
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), alpha=st.floats(0.0, 3.0),
+           chirp=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+           pieces=st.integers(1, 8), cells=st.integers(1, 256), sampled=st.booleans())
+    @example(seed=1, alpha=0.3, chirp=0.0, pieces=1, cells=1, sampled=False)
+    @example(seed=1, alpha=0.3, chirp=0.0, pieces=1, cells=31, sampled=True)
+    @example(seed=7, alpha=0.3, chirp=0.4, pieces=3, cells=11, sampled=False)
+    @example(seed=7, alpha=1.1, chirp=-0.25, pieces=8, cells=256, sampled=False)
+    def test_matches_loop(self, seed, alpha, chirp, pieces, cells, sampled):
+        n = pieces * cells
+        q = random_piecewise_potential(seed, n=n, n_pieces=pieces, max_amp=min(2.0, n / 8))
+        if chirp:
+            q = shift_potential(q, chirp * min(8.0, n / 4))
+        if sampled:
+            q = Potential(q.gamma, q.samples)
+        rep = jost_kernel_direct(q, BoundaryParam(alpha))
+        # any scattering kernel serves the comparison: the tail guard of the
+        # Wiener inverse is about the pipeline's accuracy at small n
+        om = omega_kernel(scattering_kernel(rep, invert_wiener(rep, tail_tol=1.0)))
+        a0, b0, _ = _solve_glm_line0(om)
+        want = march_recovery_loop(om, a0, b0)
+        got = inverse._march_recovery(om, a0, b0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_peak_memory_bounded(self):
+        # the GLM line, its Krylov basis and two march lines: no (n + 1)^2
+        # triangle, which at n = 4096 would be 256 MiB per entry
+        S = scattering_kernel(jost_kernel_direct(random_piecewise_potential(3, n=4096),
+                                                 BoundaryParam(0.3)))
+        recover_potential(S)
+        tracemalloc.start()
+        try:
+            recover_potential(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestUnimodularityTolerance:

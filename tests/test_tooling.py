@@ -252,10 +252,45 @@ def test_chirp_route_pinned(monkeypatch):
     assert not searched, "a 3-point call looked for arithmetic runs"
 
 
+# fields of a node whose code runs on some paths only
+_SOME_PATHS = {ast.If: ("body", "orelse"), ast.IfExp: ("body", "orelse"),
+               ast.While: ("body", "orelse"), ast.For: ("body", "orelse"),
+               ast.Try: ("handlers", "orelse"), ast.Lambda: ("body",),
+               ast.ListComp: ("elt", "generators"), ast.SetComp: ("elt", "generators"),
+               ast.GeneratorExp: ("elt", "generators"),
+               ast.DictComp: ("key", "value", "generators")}
+
+
+def _reads_on_every_path(node, arg):
+    """Attributes of the name `arg` read on every path through `node`: not
+    inside a branch, loop body, exception handler, comprehension or lambda,
+    nor after the first operand of `and`/`or`."""
+    reads = set()
+
+    def visit(n, every):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == arg:
+            if every:
+                reads.add(n.attr)
+            return
+        some = _SOME_PATHS.get(type(n), ())
+        for field, value in ast.iter_fields(n):
+            children = value if isinstance(value, list) else [value]
+            for i, child in enumerate(children):
+                if isinstance(child, ast.AST):
+                    later = isinstance(n, ast.BoolOp) and i > 0
+                    visit(child, every and field not in some and not later)
+
+    for stmt in node.body:
+        visit(stmt, True)
+    return reads
+
+
 def test_cli_handlers_read_their_flags():
     # each cmd_* handler reads exactly its subcommand's row of cli.COMMANDS,
     # plus --out, from its arguments: a flag that nothing reads cannot come
-    # back, and a flag a handler reads cannot go missing from the table
+    # back, and a flag a handler reads cannot go missing from the table.
+    # Each flag of the row is read on every path through the handler, so a
+    # flag read in one mode or for one input kind only cannot hide in a row
     tree = ast.parse(Path(cli.__file__).read_text())
     handlers = {fn.name: fn for fn in tree.body
                 if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")}
@@ -270,4 +305,6 @@ def test_cli_handlers_read_their_flags():
         reads = {n.attr for n in attrs} - set(positionals)
         row = {f.replace("-", "_") for f in (*flags, "out")}
         assert reads == row, f"{cmd} reads {sorted(reads)}, its row is {sorted(row)}"
+        some = row - _reads_on_every_path(node, arg)
+        assert not some, f"{cmd} reads {sorted(some)} on some paths only"
     assert not handlers, f"handlers of no subcommand: {sorted(handlers)}"
