@@ -197,22 +197,31 @@ def _filon_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, B, A + B
 
 
-def _linear_transform(values: np.ndarray, grid: Grid, z: np.ndarray,
-                      plain: np.ndarray, cuts: Sequence[int]) -> np.ndarray:
-    """int f(s) e^{2izs} ds for the piecewise-linear interpolant of the
-    samples, from the plain sum Σ_j v_j e^{2izs_j}.  At a cut node j (see
-    `_cut_nodes`) the cell on each side takes that side's cubic
-    extrapolation 3v_{j∓1} - 3v_{j∓2} + v_{j∓3} in place of v_j.  The end
-    and cut corrections are two node sums, blocked by `_dense_plain`."""
-    h, v = grid.h, values
-    A, B, mu = _filon_weights(2j * z * h)
+def _linear_transform(grid: Grid, z: np.ndarray, cuts: Sequence[int], filon=None,
+                      keep_phases: bool = False):
+    """int f(s) e^{2izs} ds for the piecewise-linear interpolant of samples
+    on `grid`, as a function of the values v and their plain sum
+    Σ_j v_j e^{2izs_j}.  At a cut node j (see `_cut_nodes`) the cell on each
+    side takes that side's cubic extrapolation 3v_{j∓1} - 3v_{j∓2} + v_{j∓3}
+    in place of v_j.  The Filon weights (`filon`, if given) and the end and
+    cut nodes are built once; each call adds two sums over those nodes, by
+    the #z × (2 + #cuts) phase matrix kept here (`keep_phases`) or formed
+    again per call in blocks of z (`_dense_plain`)."""
+    h = grid.h
+    A, B, mu = _filon_weights(2j * z * h) if filon is None else filon
     c = np.array(cuts, dtype=int)
-    w = np.zeros((2 + c.size, 2), dtype=complex)
-    w[0, 0], w[1, 1] = -v[0], -v[-1]
-    w[2:, 0] = 3.0 * v[c - 1] - 3.0 * v[c - 2] + v[c - 3] - v[c]
-    w[2:, 1] = 3.0 * v[c + 1] - 3.0 * v[c + 2] + v[c + 3] - v[c]
-    ends = _dense_plain(z, grid.left + h * np.array([0, grid.n, *c]), w)
-    return h * (mu * plain + B * ends[:, 0] + A * ends[:, 1])
+    s = grid.left + h * np.array([0, grid.n, *c])
+    phases = np.exp(2j * np.outer(z, s)) if keep_phases else None
+
+    def transform(v: np.ndarray, plain: np.ndarray) -> np.ndarray:
+        w = np.zeros((2 + c.size, 2), dtype=complex)
+        w[0, 0], w[1, 1] = -v[0], -v[-1]
+        w[2:, 0] = 3.0 * v[c - 1] - 3.0 * v[c - 2] + v[c - 3] - v[c]
+        w[2:, 1] = 3.0 * v[c + 1] - 3.0 * v[c + 2] + v[c + 3] - v[c]
+        ends = _dense_plain(z, s, w) if phases is None else phases @ w
+        return h * (mu * plain + B * ends[:, 0] + A * ends[:, 1])
+
+    return transform
 
 
 _RUN_MIN = 16            # arithmetic runs of z shorter than this take the dense product
@@ -363,7 +372,7 @@ def _transform(f: SampledComplexFunction, z, cuts: Sequence[int]) -> np.ndarray 
     """`_linear_transform` at arbitrary z, from `_plain_sum`."""
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = _linear_transform(f.values, f.grid, zz, _plain_sum(f, zz), cuts)
+    out = _linear_transform(f.grid, zz, cuts)(f.values, _plain_sum(f, zz))
     return complex(out[0]) if scalar else out
 
 

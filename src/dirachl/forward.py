@@ -52,7 +52,7 @@ from .core import (
     SampledComplexFunction,
     ValidationError,
 )
-from .core import _cut_nodes, _linear_transform
+from .core import _cut_nodes, _filon_weights, _linear_transform
 
 __all__ = [
     "KernelBound",
@@ -320,9 +320,11 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     held-out real grid.
 
     z is sampled at multiples of pi/(2 gamma), clipped at 0.7 of the grid
-    Nyquist rate, so each pass is a pair of 2n-point FFTs.  `psi_samples`,
-    if given, is psi at those points (to invert an externally modified
-    Jost function); there is no held-out check then.
+    Nyquist rate.  At most 4 cut rounds of 60 passes; the band's Filon
+    weights are built once per call and its end phases once per round, so
+    a pass is two 2n-point FFTs and one (2 + #cuts)-column product.
+    `psi_samples`, if given, is psi at those points (to invert an
+    externally modified Jost function); there is no held-out check then.
     """
     gamma = q.gamma
     if z_max is None:
@@ -360,10 +362,12 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     # cuts are detected between rounds only (early iterates ring enough to
     # flip the detector); every kernel tried settled within 3 rounds
     target = 0.2 * min(residual_tol, 1e-4)
+    filon = _filon_weights(2j * zs * h)
     cuts: tuple[int, ...] = ()
     for _ in range(4):
+        model = _linear_transform(q.grid, zs, cuts, filon, keep_phases=True)
         for _ in range(60):
-            defect = ghat - _linear_transform(g_vals, q.grid, zs, _band_sum(g_vals, zs.size), cuts)
+            defect = ghat - model(g_vals, _band_sum(g_vals, zs.size))
             g_vals = g_vals + (dz / np.pi) * _band_adjoint(w * defect, n)
             if float(np.max(np.abs(defect))) < target:
                 break

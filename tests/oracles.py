@@ -111,12 +111,13 @@ def dense_plain_sum(f, z) -> np.ndarray:
 
 
 def dense_transform(f, z, cuts=()) -> np.ndarray:
-    """The library's cut-node model of int f(s) e^{2izs} ds
-    (`core._linear_transform`) on the plain sum of `dense_plain_sum`."""
+    """The library's cut-node model of int f(s) e^{2izs} ds: the
+    transform `core._linear_transform` builds for (grid, z, cuts), applied
+    to the values of f and their plain sum from `dense_plain_sum`."""
     from dirachl.core import _linear_transform
 
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    return _linear_transform(f.values, f.grid, zz, dense_plain_sum(f, zz), cuts)
+    return _linear_transform(f.grid, zz, cuts)(f.values, dense_plain_sum(f, zz))
 
 
 def segment_transform(f, z, structural=()) -> np.ndarray:

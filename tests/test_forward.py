@@ -251,6 +251,25 @@ class TestJostKernel:
         held = np.linspace(-1100.0, 1100.0, 201)
         assert np.max(np.abs(rep.psi(held) - psi_values(q, al, held + 0j))) < 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_psi_samples_match_default(self, seed):
+        # samples of psi at the band points are exactly what the default
+        # call computes for itself: the same kernel to the last bit
+        q = random_piecewise_potential(seed, n=1024)
+        al = BoundaryParam(0.3)
+        zs = fourier_band(q.gamma, q.grid.h, 400.0 * np.pi / q.gamma, 2 * q.grid.n)
+        rep = jost_kernel(q, al, psi_samples=psi_values(q, al, zs.astype(complex)))
+        assert np.array_equal(rep.g.values, jost_kernel(q, al).g.values)
+
+    def test_psi_samples_shape_checked(self):
+        q = random_piecewise_potential(1, n=256)
+        al = BoundaryParam(0.0)
+        zs = fourier_band(q.gamma, q.grid.h, 400.0 * np.pi / q.gamma, 2 * q.grid.n)
+        psi = psi_values(q, al, zs.astype(complex))
+        for bad in (psi[:-1], psi[:, None], np.append(psi, psi[0])):
+            with pytest.raises(ValidationError, match="psi_samples must have shape"):
+                jost_kernel(q, al, psi_samples=bad)
+
     def test_band_sums_match_dense(self):
         n, gamma = 1024, 1.0
         zs = fourier_band(gamma, gamma / n, 400.0 * np.pi, 2 * n)

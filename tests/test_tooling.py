@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dirachl
-from dirachl import cli, core
+from dirachl import cli, core, forward
 from dirachl.core import BoundaryParam
 from dirachl.forward import jost_kernel_direct
 from dirachl.synth import random_piecewise_potential
@@ -250,6 +250,37 @@ def test_chirp_route_pinned(monkeypatch):
     monkeypatch.setattr(core, "_arithmetic_runs", lambda *a: searched.append(a) or runs(*a))
     assert np.array_equal(rep.psi(z), want)
     assert not searched, "a 3-point call looked for arithmetic runs"
+
+
+def test_kernel_extraction_work_pinned(monkeypatch):
+    # jost_kernel's passes share what depends only on the band z and the
+    # cut nodes: the Filon weights once per call, the end phases once per
+    # cut round; no pass forms phases through _dense_plain
+    q = random_piecewise_potential(1, n=1024)
+    events = []
+
+    def counted(mod, name, tag):
+        inner = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, **k: events.append((tag, a)) or inner(*a, **k))
+
+    counted(forward, "_band_sum", "pass")
+    counted(forward, "_cut_nodes", "round")
+    counted(forward, "_linear_transform", "phases")
+    counted(core, "_dense_plain", "dense")
+    counted(core, "_filon_weights", "filon")
+    if hasattr(forward, "_filon_weights"):     # imported there by name
+        counted(forward, "_filon_weights", "filon")
+    forward.jost_kernel(q, BoundaryParam(0.3))
+    tags = [tag for tag, _ in events]
+    first, last = tags.index("pass"), len(tags) - 1 - tags[::-1].index("pass")
+    rounds = tags.count("round")
+    assert rounds >= 1 and tags.count("pass") == 60 * rounds
+    assert tags.count("phases") == rounds
+    assert "dense" not in tags[first:last + 1], "a pass formed phases through _dense_plain"
+    band = forward.fourier_band(q.gamma, q.grid.h, 400.0 * np.pi / q.gamma, 2 * q.grid.n)
+    sizes = sorted(a[0].size for tag, a in events if tag == "filon")
+    # the band's once, and the held-out rep.psi's (241 points) once
+    assert sizes == [241, band.size], sizes
 
 
 # fields of a node whose code runs on some paths only
