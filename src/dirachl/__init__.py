@@ -20,7 +20,6 @@ from .core import (
     make_grid,
     potential_from_values,
     quadrature,
-    convolve_halfline,
     validate_class,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "make_grid",
     "potential_from_values",
     "quadrature",
-    "convolve_halfline",
     "validate_class",
 ]
 

@@ -39,10 +39,8 @@ from .core import (
 from .forward import _check_im_cap, _mul2, _propagate_exact, _segment_factors
 
 __all__ = [
-    "MatrixPotential",
     "Hamiltonian",
     "FundamentalMatrix",
-    "matrix_potential",
     "fundamental_matrix",
     "canonical_values",
     "hamiltonian_from_potential",
@@ -51,18 +49,6 @@ __all__ = [
     "hermite_biehler",
     "make_hermite_evaluator",
 ]
-
-
-@dataclass(frozen=True)
-class MatrixPotential:
-    """Real symmetric traceless matrix data (q1, q2) with q = -q2 + i q1."""
-
-    grid: Grid
-    q1: np.ndarray
-    q2: np.ndarray
-
-    def complex_potential(self) -> np.ndarray:
-        return -self.q2 + 1j * self.q1
 
 
 @dataclass(frozen=True)
@@ -139,11 +125,6 @@ def _t_conjugate(a, b, c, d) -> np.ndarray:
     out[..., 1, 0] = 0.5j * ((b + d) - (a + c))
     out[..., 1, 1] = 0.5 * ((a + d) + (b + c))
     return out
-
-
-def matrix_potential(q: Potential) -> MatrixPotential:
-    vals = q.samples.values
-    return MatrixPotential(q.grid, np.imag(vals).copy(), -np.real(vals).copy())
 
 
 def fundamental_matrix(q: Potential, z: complex) -> FundamentalMatrix:

@@ -202,8 +202,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_resonances(args) -> int:
-    if args.tol <= 0:
-        raise ValidationError(f"--tol must be positive, got {args.tol!r}")
     q = _read_potential(args.potential)
     alpha = BoundaryParam(args.alpha)
     if args.region is None:

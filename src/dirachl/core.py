@@ -3,13 +3,13 @@
 Everything downstream works with complex-valued functions sampled on
 uniform grids: potentials q on [0, gamma], Fourier kernels g of the Jost
 function on [0, gamma], scattering kernels F on [-gamma, t_max].  This
-module provides the containers, trapezoid quadrature, grid-aligned
-convolution, an exact Fourier transform of the piecewise-linear
-interpolant (plain trapezoid picks up an O((zh)^2) phase error that is
-fatal for the tighter agreement checks; arithmetic runs of z take its
-plain sum as a chirp-z FFT convolution), and the class-membership
-validators for potentials, Jost representations and scattering
-representations.
+module provides the containers, trapezoid quadrature, the FFT
+convolution of sampled sequences, an exact Fourier transform of the
+piecewise-linear interpolant (plain trapezoid picks up an O((zh)^2)
+phase error that is fatal for the tighter agreement checks; arithmetic
+runs of z take its plain sum as a chirp-z FFT convolution), and the
+class-membership validators for potentials, Jost representations and
+scattering representations.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "ClassReport",
     "make_grid",
     "quadrature",
-    "convolve_halfline",
     "fourier_eval",
     "support_supremum",
     "support_infimum",
@@ -87,10 +86,10 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return self.left + self.h * np.arange(self.n + 1)
 
-    def index_of(self, x: float, tol: float = 1e-9) -> int:
-        """Index of the node coinciding with x; error if x is off-grid."""
+    def index_of(self, x: float) -> int:
+        """Index of the node within 1e-9 max(1, |x|) of x; error if x is off-grid."""
         j = round((x - self.left) / self.h)
-        if j < 0 or j > self.n or abs(self.left + j * self.h - x) > tol * max(1.0, abs(x)):
+        if j < 0 or j > self.n or abs(self.left + j * self.h - x) > 1e-9 * max(1.0, abs(x)):
             raise ValidationError(f"{x} is not a node of {self}")
         return int(j)
 
@@ -116,20 +115,16 @@ class SampledComplexFunction:
             raise ValidationError("samples must be finite")
 
     def norm_l2(self) -> float:
-        return float(np.sqrt(max(quadrature_real(self.grid, np.abs(self.values) ** 2), 0.0)))
+        return float(np.sqrt(max(np.dot(_trapezoid_weights(self.grid), np.abs(self.values) ** 2), 0.0)))
 
     def norm_l1(self) -> float:
-        return float(quadrature_real(self.grid, np.abs(self.values)))
+        return float(np.dot(_trapezoid_weights(self.grid), np.abs(self.values)))
 
 
 def _trapezoid_weights(grid: Grid) -> np.ndarray:
     w = np.full(grid.n + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
     return w
-
-
-def quadrature_real(grid: Grid, values: np.ndarray) -> float:
-    return float(np.dot(_trapezoid_weights(grid), values))
 
 
 def quadrature(f: SampledComplexFunction) -> complex:
@@ -146,40 +141,6 @@ def _convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     a, b = a[:m], b[:m]
     size = 1 << (a.size + b.size - 2).bit_length()
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:m]
-
-
-def convolve_halfline(a: SampledComplexFunction, b: SampledComplexFunction) -> SampledComplexFunction:
-    """Discrete (a*b)(s) = int a(t) b(s-t) dt on matching grid spacings.
-
-    Node values are exact for the piecewise-linear interpolants of the
-    inputs: hat * hat is the cubic B-spline, whose integer samples weight
-    the plain discrete convolution (`_convolve`, an FFT product) by
-    (1, 4, 1)/6.  The result lives on [a.left+b.left, a.right+b.right];
-    supports add, so compactly supported inputs stay compactly supported
-    (and sharp support edges cost nothing, unlike trapezoid weighting).
-    """
-    ha, hb = a.grid.h, b.grid.h
-    if abs(ha - hb) > 1e-12 * max(ha, hb):
-        raise ValidationError("convolution requires identical grid spacing")
-    h = ha
-    av, bv = a.values, b.values
-    na, nb = a.grid.n, b.grid.n
-    total = na + nb
-    padded = np.pad(_convolve(av, bv, total + 1), 1)
-    vals = h * (padded[:-2] + 4.0 * padded[1:-1] + padded[2:]) / 6.0
-    # the B-spline identity extends both inputs by half-hat ramps beyond
-    # their supports; subtract those ramp contributions to keep the edges
-    # sharp (exactness for the edge-truncated interpolants)
-    corr = np.zeros(total + 1, dtype=complex)
-    corr[:nb] += av[0] * h * (bv[:nb] / 3.0 + bv[1:nb + 1] / 6.0)
-    corr[na + 1:] += av[na] * h * (bv[:nb] / 6.0 + bv[1:nb + 1] / 3.0)
-    corr[:na] += bv[0] * h * (av[:na] / 3.0 + av[1:na + 1] / 6.0)
-    corr[nb + 1:] += bv[nb] * h * (av[:na] / 6.0 + av[1:na + 1] / 3.0)
-    corr[nb] += av[0] * bv[nb] * h / 3.0
-    corr[na] += av[na] * bv[0] * h / 3.0
-    vals = vals - corr
-    grid = Grid(a.grid.left + b.grid.left, a.grid.right + b.grid.right, total)
-    return SampledComplexFunction(grid, vals)
 
 
 def _filon_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -583,12 +544,10 @@ class Potential:
         return Potential(gamma, _samples_from_json(obj, 0.0, gamma), pieces)
 
 
-def potential_from_values(gamma: float, values: Sequence[complex] | np.ndarray,
-                          pieces: tuple[Piece, ...] | None = None) -> Potential:
+def potential_from_values(gamma: float, values: Sequence[complex] | np.ndarray) -> Potential:
     vals = np.asarray(values, dtype=complex)
     return Potential(float(gamma),
-                     SampledComplexFunction(make_grid(0.0, float(gamma), len(vals) - 1), vals),
-                     pieces)
+                     SampledComplexFunction(make_grid(0.0, float(gamma), len(vals) - 1), vals))
 
 
 @dataclass(frozen=True)
@@ -615,13 +574,6 @@ class JostRep:
         """e^{-i alpha} plus the transform of g, with the transform split at
         detected jump nodes (kernels of piecewise potentials jump with them)."""
         return self.alpha.phase + _transform(self.g, z, self._cuts)
-
-    def distance(self, other: "JostRep") -> float:
-        """Kernel L2 distance, the natural metric on this class."""
-        if self.g.grid.n != other.g.grid.n:
-            raise ValidationError("kernel grids differ")
-        diff = SampledComplexFunction(self.g.grid, self.g.values - other.g.values)
-        return diff.norm_l2()
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha.alpha, "gamma": self.gamma, **_samples_to_json(self.g)}
@@ -772,33 +724,31 @@ def _winding_from_samples(values: np.ndarray) -> tuple[int, float]:
     return int(round(-total / (2 * np.pi))), float(np.max(np.abs(steps), initial=0.0))
 
 
-def validate_class(obj, *, strict: bool = True, tol: float = 1e-6,
-                   n_check: int = 2001) -> ClassReport:
+def validate_class(obj, *, tol: float = 1e-6, n_check: int = 2001) -> ClassReport:
     """Report each class condition with the measured quantity.
 
-    Potentials: finite L2 norm, and (strict) support supremum equal to gamma
-    within one cell.  Jost representations: kernel support plus
-    non-vanishing of psi on a sampled rectangle of the closed upper
-    half-plane.  Scattering representations: unimodularity of S on a real
-    sample grid, zero winding, finite kernel norms.
+    Potentials: finite L2 norm and support supremum equal to gamma within
+    one cell.  Jost representations: the same support condition on the
+    kernel plus non-vanishing of psi on a sampled rectangle of the closed
+    upper half-plane.  Scattering representations: unimodularity of S on
+    `n_check` real samples within `tol`, zero winding, finite kernel norms
+    and support infimum equal to -gamma within one cell.
     """
     checks: list[ClassCheck] = []
     if isinstance(obj, Potential):
         h = obj.grid.h
         nrm = obj.norm_l2()
         checks.append(ClassCheck("finite L2 norm", math.isfinite(nrm), nrm, math.inf))
-        if strict:
-            sup = support_supremum(obj.samples)
-            checks.append(ClassCheck("sup supp q = gamma",
-                                     abs(sup - obj.gamma) <= h + 1e-12, sup, obj.gamma))
+        sup = support_supremum(obj.samples)
+        checks.append(ClassCheck("sup supp q = gamma",
+                                 abs(sup - obj.gamma) <= h + 1e-12, sup, obj.gamma))
         return ClassReport("potential", tuple(checks))
 
     if isinstance(obj, JostRep):
         h = obj.g.grid.h
-        if strict:
-            sup = support_supremum(obj.g)
-            checks.append(ClassCheck("sup supp g = gamma",
-                                     abs(sup - obj.gamma) <= h + 1e-12, sup, obj.gamma))
+        sup = support_supremum(obj.g)
+        checks.append(ClassCheck("sup supp g = gamma",
+                                 abs(sup - obj.gamma) <= h + 1e-12, sup, obj.gamma))
         re = np.linspace(-_PSI_RECT, _PSI_RECT, 81)
         im = np.linspace(0.0, _PSI_RECT, 33)
         zz = (re[None, :] + 1j * im[:, None]).ravel()     # rows of constant Im z: runs of 81
@@ -819,11 +769,10 @@ def validate_class(obj, *, strict: bool = True, tol: float = 1e-6,
         l1, l2 = obj.F.norm_l1(), obj.F.norm_l2()
         checks.append(ClassCheck("F in L1 and L2",
                                  math.isfinite(l1) and math.isfinite(l2), l1 + l2, math.inf))
-        if strict:
-            inf = support_infimum(obj.F)
-            h = obj.F.grid.h
-            checks.append(ClassCheck("inf supp F = -gamma",
-                                     abs(inf + obj.gamma) <= h + 1e-12, inf, -obj.gamma))
+        inf = support_infimum(obj.F)
+        h = obj.F.grid.h
+        checks.append(ClassCheck("inf supp F = -gamma",
+                                 abs(inf + obj.gamma) <= h + 1e-12, inf, -obj.gamma))
         return ClassReport("scattering", tuple(checks))
 
     raise ValidationError(f"no class validator for {type(obj)!r}")

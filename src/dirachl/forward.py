@@ -60,7 +60,6 @@ __all__ = [
     "jost_function",
     "psi_values",
     "make_psi_evaluator",
-    "scattering_value",
     "jost_kernel",
     "jost_kernel_direct",
     "kernel_estimate",
@@ -82,12 +81,14 @@ class KernelBound:
         return math.exp(self.eta) * (1.0 + self.zeta) - 1.0
 
 
-def _growth_cap(gamma: float, im_cap: float | None = None) -> float:
-    """Largest |Im z| at which solutions are evaluated (default 50/gamma)."""
-    return DEFAULT_IM_CAP_SCALE / gamma if im_cap is None else im_cap
+def _growth_cap(gamma: float) -> float:
+    """Largest |Im z| at which solutions are evaluated, 50/gamma."""
+    return DEFAULT_IM_CAP_SCALE / gamma
 
 
 def _check_im_cap(gamma: float, z) -> None:
+    if not np.isfinite(z).all():
+        raise ValidationError("z must be finite")
     cap = _growth_cap(gamma)
     worst = float(np.max(np.abs(np.imag(z)), initial=0.0))
     if worst > cap:
@@ -263,16 +264,6 @@ def jost_function(q: Potential, alpha: BoundaryParam, z: complex) -> complex:
     return complex(_psi_from_f(integrate_jost(q, z), alpha))
 
 
-def scattering_value(q: Potential, alpha: BoundaryParam, z: float) -> complex:
-    """S(z) = conj(psi(z)) / psi(z) for real z; unimodular by construction."""
-    if abs(np.imag(complex(z))) > 1e-12:
-        raise ValidationError("scattering matrix is defined on the real axis")
-    psi = psi_values(q, alpha, float(np.real(z)))
-    if abs(psi) < 1e-13:
-        raise NumericalError("psi vanishes on the real axis: input violates the Jost class")
-    return complex(np.conj(psi) / psi)
-
-
 # ---------------------------------------------------------------------------
 # Fourier kernel of psi
 # ---------------------------------------------------------------------------
@@ -306,18 +297,26 @@ def _band_adjoint(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(buf)[: n + 1]
 
 
-def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
-                residual_tol: float = 1e-4, psi_samples=None) -> JostRep:
+_HELD_OUT_TOL = 1e-4    # max |psi error| of the extracted kernel on the held-out grid
+# A pass ends its round once the defect on the whole band is below this.
+# The correction is tapered to 0 on the band's outer tenth, where the
+# defect never shrinks, so a nonzero kernel runs all 60 passes of every
+# round; the stop exists for a zero kernel, whose first pass meets it.
+_STOP_DEFECT = 2e-5
+
+
+def jost_kernel(q: Potential, alpha: BoundaryParam, psi_samples=None) -> JostRep:
     """Kernel g by windowed Fourier inversion of real-axis samples of psi.
 
     psi - e^{-i alpha} is the one-sided transform of g.  The first estimate
     integrates (1/pi) int (psi(z) - e^{-i alpha}) e^{-2izs} dz over
-    [-z_max, z_max] with a raised-cosine taper on the outer tenth; the
-    band limit smears the support edges over ~pi/(2 z_max), so the edge
-    cells are rebuilt from the interior.  Defect-correction passes then fit
-    g in the model `JostRep.psi` evaluates, split at the jump nodes of the
-    fit once they settle; psi must then match within `residual_tol` on a
-    held-out real grid.
+    [-z_max, z_max], z_max = 400 pi/gamma, with a raised-cosine taper on
+    the outer tenth; the band limit smears the support edges over
+    ~pi/(2 z_max), so the edge cells are rebuilt from the interior.
+    Defect-correction passes then fit g in the model `JostRep.psi`
+    evaluates, split at the jump nodes of the fit once they settle, until
+    the band's defect is below `_STOP_DEFECT`; psi must then match within
+    `_HELD_OUT_TOL` on a held-out real grid.
 
     z is sampled at multiples of pi/(2 gamma), clipped at 0.7 of the grid
     Nyquist rate.  At most 4 cut rounds of 60 passes; the band's Filon
@@ -327,13 +326,8 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     externally modified Jost function); there is no held-out check then.
     """
     gamma = q.gamma
-    if z_max is None:
-        z_max = 400.0 * math.pi / gamma
-    if z_max * gamma < 100.0 * math.pi - 1e-9:
-        raise ValidationError("z_max must be at least 100*pi/gamma")
-
     n, h = q.grid.n, q.grid.h
-    zs = fourier_band(gamma, h, z_max, 2 * n)
+    zs = fourier_band(gamma, h, 400.0 * math.pi / gamma, 2 * n)
     z_use = float(zs[-1])
     dz = math.pi / (2.0 * gamma)
     if psi_samples is None:
@@ -361,7 +355,6 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
 
     # cuts are detected between rounds only (early iterates ring enough to
     # flip the detector); every kernel tried settled within 3 rounds
-    target = 0.2 * min(residual_tol, 1e-4)
     filon = _filon_weights(2j * zs * h)
     cuts: tuple[int, ...] = ()
     for _ in range(4):
@@ -369,7 +362,7 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
         for _ in range(60):
             defect = ghat - model(g_vals, _band_sum(g_vals, zs.size))
             g_vals = g_vals + (dz / np.pi) * _band_adjoint(w * defect, n)
-            if float(np.max(np.abs(defect))) < target:
+            if float(np.max(np.abs(defect))) < _STOP_DEFECT:
                 break
         found = _cut_nodes(g_vals)
         if found == cuts:
@@ -384,13 +377,10 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, z_max: float | None = None,
     if psi_samples is None:
         held = (np.arange(-120, 121) + 0.5) * (z_use / 241.0)
         resid = float(np.max(np.abs(rep.psi(held) - psi_values(q, alpha, held.astype(complex)))))
-        if resid > residual_tol:
-            advice = ("refine n (z was clipped at 0.7 of the grid's Nyquist rate)"
-                      if z_max > _BAND_CLIP * math.pi / (2.0 * h)
-                      else "increase z_max or refine n")
+        if resid > _HELD_OUT_TOL:
             raise NumericalError(
-                f"kernel reconstruction residual {resid:.3e} exceeds {residual_tol:.1e} "
-                f"at z up to {z_use:.4g}; {advice}")
+                f"kernel reconstruction residual {resid:.3e} exceeds {_HELD_OUT_TOL:.1e} "
+                f"at z up to {z_use:.4g}; refine n")
     return rep
 
 

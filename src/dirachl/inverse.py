@@ -110,8 +110,10 @@ def _series_inverse(c: np.ndarray, m: int) -> np.ndarray:
     return b
 
 
-def invert_wiener(rep: JostRep, t_h: float | None = None,
-                  tail_tol: float = 0.1) -> WienerInverse:
+_TAIL_TOL = 0.1    # largest relative tail mass of h accepted at T_h
+
+
+def invert_wiener(rep: JostRep, t_h: float | None = None) -> WienerInverse:
     """Solve the causal convolution identity for h as one lower-triangular
     Toeplitz system.
 
@@ -148,10 +150,10 @@ def invert_wiener(rep: JostRep, t_h: float | None = None,
     tail_start = 3 * (n_h + 1) // 4
     total = float(np.linalg.norm(hv)) or 1.0
     tail = float(np.linalg.norm(hv[tail_start:])) / total
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise NumericalError(
             f"tail mass {tail:.3e} of the reciprocal kernel at T_h = {t_h:.3g} "
-            f"exceeds {tail_tol:.1e}; increase T_h")
+            f"exceeds {_TAIL_TOL:.1e}; increase T_h")
     return WienerInverse(rep.alpha, hfun, tail)
 
 
@@ -166,6 +168,8 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     gamma = rep.gamma
     if t_max is None:
         t_max = 8.0 * gamma
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max!r}")
     if wi is None:
         wi = invert_wiener(rep, max(t_max, 8.0 * gamma))
     hstep = rep.g.grid.h
@@ -244,6 +248,7 @@ def omega_kernel(S: ScatteringRep) -> OmegaKernel:
 
 
 _KRYLOV_MAX = 80    # Krylov vectors before the line solve gives up (5 MiB at n = 4096)
+_GLM_RESIDUAL_TOL = 1e-10    # largest block residual of the x = 0 line solve
 
 
 def _gmres(matvec, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
@@ -273,13 +278,13 @@ def _gmres(matvec, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
         basis[k] = w / hess[k, k - 1]
 
 
-def _solve_glm_line0(om: OmegaKernel, residual_tol: float = 1e-10):
+def _solve_glm_line0(om: OmegaKernel):
     """GLM row (G11, G12)(0, .) from the composed single-unknown equation
     b - A conj(A) b = -k0, solved by `_gmres`.  A is the
     trapezoid-weighted Hankel operator (A v)_i = sum_j w_j k(s_i + t_j) v_j,
     applied as one FFT convolution (`_convolve`).  Raises NumericalError,
     with the iteration count and the block residual, when GMRES stops
-    without converging or the block residual exceeds residual_tol."""
+    without converging or the block residual exceeds `_GLM_RESIDUAL_TOL`."""
     kv = om.k.values
     n = om.k.grid.n
     w = _trapezoid_weights(om.k.grid)
@@ -297,11 +302,11 @@ def _solve_glm_line0(om: OmegaKernel, residual_tol: float = 1e-10):
     r1 = np.max(np.abs(a + apply_A(b, np.conj(kv))))
     r2 = np.max(np.abs(b + apply_A(a, kv) + kv))
     resid = float(max(r1, r2) / max(1.0, float(np.max(np.abs(kv)))))
-    if not converged or resid > residual_tol:
+    if not converged or resid > _GLM_RESIDUAL_TOL:
         state = "converged" if converged else "did not converge"
         raise NumericalError(
             f"GLM line solve at x = 0 failed: GMRES {state} in {its} iterations, "
-            f"block residual {resid:.3e} (tolerance {residual_tol:.1e})")
+            f"block residual {resid:.3e} (tolerance {_GLM_RESIDUAL_TOL:.1e})")
     return a, b, resid
 
 
@@ -357,8 +362,7 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     return qhat
 
 
-def recover_potential(S: ScatteringRep, residual_tol: float = 1e-10,
-                      with_report: bool = False):
+def recover_potential(S: ScatteringRep, with_report: bool = False):
     """Recover q(x) = -G12(x, 0) on [0, gamma] from a scattering representation.
 
     The GLM is solved once at x = 0 and the kernel continued upward along
@@ -367,7 +371,7 @@ def recover_potential(S: ScatteringRep, residual_tol: float = 1e-10,
     """
     om = omega_kernel(S)
     n = om.k.grid.n
-    a0, b0, resid = _solve_glm_line0(om, residual_tol)
+    a0, b0, resid = _solve_glm_line0(om)
     qv = _march_recovery(om, a0, b0)
 
     sf = SampledComplexFunction(make_grid(0.0, S.gamma, n), qv)

@@ -179,7 +179,7 @@ def _polish(ev, z0: complex, tol: float, mult: int = 1,
         if abs(step) > 0.5 * cap:
             step *= 0.5 * cap / abs(step)
         z = z - step
-        if abs(z - z0) > max_radius:
+        if not abs(z - z0) <= max_radius:     # NaN included
             return None
         if abs(step) < 0.1 * tol:
             return z
@@ -205,6 +205,8 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     the whole region.  A zero pinned to the outer boundary raises a
     boundary-ambiguous failure rather than being dropped.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     r = region
     total = _box_count(evaluator, r.re_min, r.re_max, r.im_min, r.im_max,
                        _PER_EDGE)
@@ -470,15 +472,15 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
     return PhaseProfile(grid, phi, dphi, r_cut, phi0, slope, spread)
 
 
-def cartwright_type(evaluator, gamma: float,
-                    im_cap: float | None = None) -> tuple[float, float]:
+def cartwright_type(evaluator, gamma: float) -> tuple[float, float]:
     """Exponential-type indicators from log |psi(+-iy)| slopes.
 
-    Least-squares slope over a geometric ladder of y; expected (0, 2 gamma)
+    Least-squares slope over a geometric ladder of 14 values of y up to 0.9
+    of the growth cap `DEFAULT_IM_CAP_SCALE`/gamma; expected (0, 2 gamma)
     for a kernel supported on [0, gamma].  On overflow the ladder is
     shortened (with fewer than 4 usable points the call fails).
     """
-    cap = 0.9 * _growth_cap(gamma, im_cap)
+    cap = 0.9 * _growth_cap(gamma)
     ys = np.geomspace(max(2.0 / gamma, cap / 128.0), cap, 14)
     taus = []
     for sign in (+1.0, -1.0):

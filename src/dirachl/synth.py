@@ -33,8 +33,9 @@ def sampled_from_pieces(gamma: float, n: int, pieces: tuple[Piece, ...]) -> Pote
     return Potential(gamma, SampledComplexFunction(grid, vals), tuple(pieces))
 
 
-def constant_potential(c: complex, gamma: float = 1.0, n: int = 1024) -> Potential:
-    return sampled_from_pieces(gamma, n, (Piece(0.0, gamma, complex(c)),))
+def constant_potential(c: complex, n: int = 1024) -> Potential:
+    """q = c on [0, 1], one exact piece."""
+    return sampled_from_pieces(1.0, n, (Piece(0.0, 1.0, complex(c)),))
 
 
 def random_piecewise_potential(seed: int, gamma: float = 1.0, n: int = 1024,
@@ -43,6 +44,8 @@ def random_piecewise_potential(seed: int, gamma: float = 1.0, n: int = 1024,
     the disk of radius max_amp; deterministic per seed.  The last piece is
     kept away from zero so the support supremum genuinely sits at gamma.
     """
+    if n_pieces < 1:
+        raise ValidationError(f"the piece count must be at least 1, got {n_pieces}")
     if n % n_pieces != 0:
         raise ValidationError("n must be divisible by the piece count")
     rng = np.random.default_rng(seed)

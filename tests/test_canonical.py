@@ -12,7 +12,6 @@ from dirachl.canonical import (
     hamiltonian_from_potential,
     hermite_biehler,
     make_hermite_evaluator,
-    matrix_potential,
     potential_from_hamiltonian,
 )
 from dirachl.core import (
@@ -46,22 +45,6 @@ def cell_sampled_potential(n=512):
 def chirped_potential(n=1024):
     return sampled_from_pieces(1.0, n, (Piece(0.0, 0.375, 1.1 - 0.4j, 3.0),
                                         Piece(0.375, 1.0, -0.6 + 0.8j, -2.5)))
-
-
-class TestMatrixPotential:
-    def test_zero(self):
-        mp = matrix_potential(constant_potential(0.0, n=64))
-        assert np.max(np.abs(mp.q1)) == 0.0 and np.max(np.abs(mp.q2)) == 0.0
-
-    def test_imaginary_unit(self):
-        mp = matrix_potential(constant_potential(1j, n=64))
-        assert np.allclose(mp.q1, 1.0)
-        assert np.max(np.abs(mp.q2)) == 0.0
-
-    def test_round_trip_identity(self):
-        q = smooth_potential(n=128)
-        mp = matrix_potential(q)
-        assert np.array_equal(mp.complex_potential(), q.samples.values)
 
 
 class TestFundamentalMatrix:

@@ -352,3 +352,44 @@ class TestUsage:
             cfg.write_text(json.dumps({flag: 1}))
             assert cli.main([*argv, "--config", str(cfg)]) == 2, flag
             assert repr(flag) in _usage_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    # synth seed 0 at n = 128 and its Jost kernel
+    d = tmp_path_factory.mktemp("probe")
+    assert cli.main(["synth", "--seed", "0", "--n", "128", "--out", str(d)]) == 0
+    assert cli.main(["forward", str(d / "potential.json"), "--out", str(d)]) == 0
+    return {"p": str(d / "potential.json"), "rep": str(d / "jostrep.json")}
+
+
+# each call with the fragment its error message names; {p} and {rep} stand
+# for the probe's files
+_BAD_VALUES = [("check {p} --tmax -1", "t_max"), ("check {p} --tmax nan", "t_max"),
+               ("invert {rep} --tmax -1", "t_max"), ("invert {rep} --tmax nan", "t_max"),
+               ("move {p} [] --tmax -1", "t_max"), ("move {p} [] --tmax nan", "t_max"),
+               ("synth --pieces 0", "piece count"),
+               ("resonances {p} --tol nan", "tol"), ("resonances {p} --tol 0", "tol"),
+               ("forward {p} --zwindow nan", "z must be finite"),
+               ("canonical hermite {p} --zwindow nan", "z must be finite")]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("line, names", _BAD_VALUES, ids=[line for line, _ in _BAD_VALUES])
+    def test_refused_as_validation(self, probe, tmp_path, capsys, line, names):
+        # values that once ended in a traceback (an IndexError for a
+        # negative --tmax) or in a misleading numerical error (a NaN --tol
+        # as "subdivision depth limit exceeded", a NaN --zwindow as an
+        # overflow) are refused by the library call that reads them
+        out = tmp_path / "o"
+        assert cli.main([*line.format(**probe).split(), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert names in err["message"]
+        assert not out.exists()
+
+    def test_zero_tmax_is_legal(self, probe, tmp_path):
+        # the GLM reads F on [-gamma, 0] only
+        assert cli.main(["invert", probe["rep"], "--tmax", "0", "--out", str(tmp_path)]) == 0
+        a, b = load_samples(Path(probe["p"])), load_samples(tmp_path / "potential.json")
+        assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-2

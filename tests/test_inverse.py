@@ -57,7 +57,9 @@ class TestWiener:
         # tail guard is off, since some drawn potentials need a longer T_h
         q = random_piecewise_potential(seed, n=n, n_pieces=pieces)
         rep = jost_kernel_direct(q, BoundaryParam(av))
-        wi = invert_wiener(rep, tail_tol=1.0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(inverse, "_TAIL_TOL", 1.0)
+            wi = invert_wiener(rep)
         ref = wiener_loop(rep.g.values, rep.g.grid.h, av, wi.h.grid.n)
         assert np.max(np.abs(wi.h.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -103,11 +105,12 @@ class TestWiener:
         smooth = (s > 1.2) & (s < 7.0)
         assert np.max(np.abs(hv[smooth] - wi.h.values[smooth])) < 1e-4
 
-    def test_tail_guard(self):
+    def test_tail_guard(self, monkeypatch):
         q = constant_potential(1.0, n=512)
         rep = jost_kernel_direct(q, BoundaryParam(0.0))
+        monkeypatch.setattr(inverse, "_TAIL_TOL", 1e-4)
         with pytest.raises(NumericalError, match="increase T_h"):
-            invert_wiener(rep, 2.0, tail_tol=1e-4)
+            invert_wiener(rep, 2.0)
 
 
 class TestScatteringKernel:
@@ -217,8 +220,10 @@ class TestGlm:
     def test_gmres_failure_raises(self, monkeypatch):
         q = constant_potential(1.0, n=128)
         S = potential_to_scattering(q, BoundaryParam(0.0), t_max=6.0)
-        with pytest.raises(NumericalError, match=r"GMRES converged in \d+ iterations, block residual"):
-            recover_potential(S, residual_tol=1e-30)
+        with monkeypatch.context() as m, pytest.raises(
+                NumericalError, match=r"GMRES converged in \d+ iterations, block residual"):
+            m.setattr(inverse, "_GLM_RESIDUAL_TOL", 1e-30)
+            recover_potential(S)
         # one Krylov vector cannot reach 1e-13 on this kernel
         monkeypatch.setattr(inverse, "_KRYLOV_MAX", 1)
         with pytest.raises(NumericalError,
@@ -349,7 +354,9 @@ class TestRecoveryMarch:
         rep = jost_kernel_direct(q, BoundaryParam(alpha))
         # any scattering kernel serves the comparison: the tail guard of the
         # Wiener inverse is about the pipeline's accuracy at small n
-        om = omega_kernel(scattering_kernel(rep, invert_wiener(rep, tail_tol=1.0)))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(inverse, "_TAIL_TOL", 1.0)
+            om = omega_kernel(scattering_kernel(rep, invert_wiener(rep)))
         a0, b0, _ = _solve_glm_line0(om)
         want = march_recovery_loop(om, a0, b0)
         got = inverse._march_recovery(om, a0, b0)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dirachl import forward
 from dirachl.core import (
     BoundaryParam,
     NumericalError,
@@ -347,8 +348,11 @@ class TestCartwright:
         assert abs(tp) < 0.05
         assert abs(tm - 2.0) < 0.1
 
-    def test_longer_ladder_improves(self, unit_potential, alpha0):
+    def test_longer_ladder_improves(self, monkeypatch, unit_potential, alpha0):
         ev = make_psi_evaluator(unit_potential, alpha0)
-        _, tm_short = cartwright_type(ev, 1.0, im_cap=12.0)
-        _, tm_long = cartwright_type(ev, 1.0, im_cap=50.0)
+        _, tm_long = cartwright_type(ev, 1.0)
+        # the ladder runs to 0.9 of the growth cap, 50/gamma; a cap of 12
+        # shortens it
+        monkeypatch.setattr(forward, "DEFAULT_IM_CAP_SCALE", 12.0)
+        _, tm_short = cartwright_type(ev, 1.0)
         assert abs(tm_long - 2.0) < abs(tm_short - 2.0)

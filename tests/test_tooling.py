@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import math
 import os
 import pkgutil
 import re
@@ -339,3 +340,44 @@ def test_cli_handlers_read_their_flags():
         some = row - _reads_on_every_path(node, arg)
         assert not some, f"{cmd} reads {sorted(some)} on some paths only"
     assert not handlers, f"handlers of no subcommand: {sorted(handlers)}"
+
+
+def _defaulted(fn):
+    """(position, name) of each parameter of `fn` that has a default; a
+    keyword-only one has position None, and a method's position does not
+    count self."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    shift = 1 if pos and pos[0].arg in ("self", "cls") else 0
+    out = [(i - shift, pos[i].arg) for i in range(first, len(pos))]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def test_defaults_have_callers():
+    # every defaulted parameter of a dirachl function is set, by keyword or
+    # by position, by some call in the library, the benchmark or the
+    # acceptance suite: a default nothing overrides is a fixed value, which
+    # belongs in the code, not in the signature
+    root = Path(__file__).parents[1]
+    callers = [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py"),
+               root / "tests" / "test_acceptance.py"]
+    passed = {}     # callee name -> (keywords, most positional arguments)
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            kws, most = passed.setdefault(name, (set(), 0))
+            kws.update(k.arg for k in node.keywords if k.arg)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            passed[name] = (kws, math.inf if starred else max(most, len(node.args)))
+    unset = []
+    for path in sorted((root / "src" / "dirachl").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            kws, most = passed.get(fn.name, (set(), 0))
+            unset += [f"{path.stem}.{fn.name}({name})" for i, name in _defaulted(fn)
+                      if name not in kws and (i is None or most <= i)]
+    assert not unset, f"defaults that no call sets: {unset}"
