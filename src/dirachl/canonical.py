@@ -148,14 +148,13 @@ def fundamental_matrix(q: Potential, z: complex) -> FundamentalMatrix:
 
 
 def canonical_values(q: Potential, z: np.ndarray) -> np.ndarray:
-    """M(gamma, z) = T e^{i gamma z sigma3} f(0, z)^{-1} T^{-1} batched over z,
-    with f(0, z) from `_propagate_exact`; det f = 1, so the inverse is the
-    adjugate."""
+    """M(gamma, z) = T e^{i gamma z sigma3} f(0, z)^{-1} T^{-1} batched over z.
+    `_propagate_exact` gives P = f(0, z) e^{-i gamma z sigma3}, whose inverse
+    is the middle factor; det P = 1, so that is the adjugate."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_im_cap(q.gamma, zz)
-    f, ph = _propagate_exact(q, zz), np.exp(1j * q.gamma * zz)
-    return _t_conjugate(f[..., 1, 1] * ph, -f[..., 0, 1] * ph,
-                        -f[..., 1, 0] / ph, f[..., 0, 0] / ph)
+    p = _propagate_exact(q, zz)
+    return _t_conjugate(p[..., 1, 1], -p[..., 0, 1], -p[..., 1, 0], p[..., 0, 0])
 
 
 def hamiltonian_from_potential(q: Potential) -> Hamiltonian:

@@ -585,6 +585,12 @@ class JostRep:
                        _samples_from_json(obj, 0.0, gamma))
 
 
+def _check_t_max(t_max: float) -> None:
+    """The horizon of a scattering kernel must be finite and nonnegative."""
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max!r}")
+
+
 @dataclass(frozen=True)
 class ScatteringRep:
     """Scattering matrix as e^{2i alpha} plus the Fourier transform of F.
@@ -599,6 +605,7 @@ class ScatteringRep:
     F: SampledComplexFunction
 
     def __post_init__(self):
+        _check_t_max(self.t_max)
         gr = self.F.grid
         if abs(gr.left + self.gamma) > 1e-9 * self.gamma or abs(gr.right - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValidationError("scattering kernel must live on [-gamma, t_max]")
@@ -624,6 +631,7 @@ class ScatteringRep:
     def from_json(obj: dict) -> "ScatteringRep":
         gamma = float(obj["gamma"])
         t_max = float(obj["t_max"])
+        _check_t_max(t_max)     # before its grid, which a bad t_max can break
         return ScatteringRep(BoundaryParam(float(obj["alpha"])), gamma, t_max,
                              _samples_from_json(obj, -gamma, t_max))
 

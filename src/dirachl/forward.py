@@ -8,18 +8,25 @@ half-plane, and S(z) = conj(psi(z)) / psi(z) on the real axis.
 
 `psi_values` multiplies exact per-segment propagators: each piece (or,
 for a bare sampled potential, each cell) has a constant coefficient matrix
-after a chirp gauge, so its exponential has a closed 2x2 form,
+B after a chirp gauge, so its exponential has a closed 2x2 form,
 `_segment_factors`, the one per-segment propagator of the package (the
-canonical-system matrices of `canonical` are its T-conjugates).  For z in
-blocks of at most 2^16 (segment, z) pairs, the exponentials of all
-segments are formed at once as four entry arrays and multiplied pairwise
-in a log-depth tree of elementwise 2x2 products, so a call costs no
-Python step per segment.  The exact product has no z*h stability ceiling,
-which matters when psi is sampled far out on the real axis for Fourier
-inversion of the kernel.  The classical fourth-order one-step scheme on
-the potential grid (`integrate_jost`, `jost_function`,
-`psi_values(method="rk4")`) is kept as the independently derived
-reference the acceptance suite pins against the closed-form oracle.
+canonical-system matrices of `canonical` are its T-conjugates).  B is
+traceless, so exp(t B) = cosh(t lam) I + (sinh(t lam)/lam) B with
+lam^2 = -det B.  Both coefficients are entire in mu = (t lam)^2: for
+short segments (|mu| <= 0.05 over a whole block, as for cells) they are
+six-term Horner series in mu, with no sqrt and no transcendental; long
+pieces take cosh and sinh.  For z in blocks of at most 2^13 (segment, z)
+pairs, the exponentials of all segments are formed at once as four entry
+arrays and multiplied pairwise in a log-depth tree of elementwise 2x2
+products, so a call costs no Python step per segment.  The product stops
+short of the terminal value e^{i z gamma sigma3}: psi needs only its first
+column times e^{i z gamma}, and `canonical` needs none of it.  The exact
+product has no z*h stability ceiling, which matters when psi is sampled
+far out on the real axis for Fourier inversion of the kernel.  The
+classical fourth-order one-step scheme on the potential grid
+(`integrate_jost`, `jost_function`, `psi_values(method="rk4")`) is kept as
+the independently derived reference the acceptance suite pins against the
+closed-form oracle.
 
 The kernel g with psi(z) = e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds is
 produced two ways: `jost_kernel` fits g to real-axis psi values by FFT
@@ -97,26 +104,72 @@ def _check_im_cap(gamma: float, z) -> None:
             f"(= {DEFAULT_IM_CAP_SCALE}/gamma); e^(2 gamma |Im z|) would overflow")
 
 
+# cosh(t lam) and sinh(t lam)/lam are entire in mu = t^2 lam^2.  Where
+# every pair of a block has |mu| <= 0.05, six Horner terms leave a remainder
+# below 0.05^6/12! = 3.3e-17, and the exponential costs about 55 ns per pair
+# against about 140 ns for the closed form (96 cells x 682 z, the minimum of
+# interleaved runs on one pinned core).  The bound sits well above the
+# cell-sampled resonance searches' |mu| (at most 0.0067 at n = 96); the
+# exact-piece searches (8 pieces, |mu| up to 3.2) keep the closed form on
+# 96 % of their calls.
+_SERIES_MU_MAX = 0.05
+_SERIES_TERMS = 6
+_COSH_TERMS = tuple(1.0 / math.factorial(2 * j) for j in reversed(range(_SERIES_TERMS)))
+_SINHC_TERMS = tuple(1.0 / math.factorial(2 * j + 1) for j in reversed(range(_SERIES_TERMS)))
+
+
+def _horner(coeffs, mu):
+    """sum_j c_j mu^j with the coefficients given highest power first."""
+    acc = coeffs[0] * mu
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= mu
+    acc += coeffs[-1]
+    return acc
+
+
 def _expm_traceless(b00, b01, b10, t):
-    """exp(t B) for B = [[b00, b01], [b10, -b00]] by the cosh/sinh closed
-    form, elementwise over broadcast entry arrays; returns its four entries
-    (e00, e01, e10, e11)."""
-    # for traceless B, -det(B) = b00^2 + b01 b10
-    lam = np.sqrt(b00 * b00 + b01 * b10 + 0j)
-    tl = t * lam
-    ch = np.cosh(tl)
-    small = np.abs(tl) < 1e-6
-    lam_safe = np.where(small, 1.0, lam)
-    sh_over = np.where(small, t * (1.0 + tl ** 2 / 6.0), np.sinh(tl) / lam_safe)
-    shb = sh_over * b00
-    return ch + shb, sh_over * b01, sh_over * b10, ch - shb
+    """exp(t B) for B = [[b00, b01], [b10, -b00]], elementwise over broadcast
+    entry arrays; returns its four entries (e00, e01, e10, e11).
+
+    exp(t B) = cosh(t lam) I + (sinh(t lam)/lam) B with lam^2 = b00^2 +
+    b01 b10 (= -det B).  When max|t|^2 (max|b00|^2 + max|b01 b10|), a bound
+    on every |mu| = |t lam|^2, is at most `_SERIES_MU_MAX`, both functions
+    are Horner series in mu, with no sqrt and no transcendental; otherwise
+    they take the closed form, whose sinh/lam is a two-term series below
+    |t lam| = 1e-6.  The choice is one per call, not per pair."""
+    lam2 = b00 * b00 + b01 * b10
+    bound = float(np.max(t * t)) * (float(np.max(np.abs(b00))) ** 2
+                                    + float(np.max(np.abs(b01 * b10))))
+    if bound <= _SERIES_MU_MAX:
+        mu = (t * t) * lam2
+        ch = _horner(_COSH_TERMS, mu)
+        sh_over = _horner(_SINHC_TERMS, mu)
+        sh_over *= t
+    else:
+        lam = np.sqrt(lam2 + 0j)
+        tl = t * lam
+        ch = np.cosh(tl)
+        small = np.abs(tl) < 1e-6
+        lam_safe = np.where(small, 1.0, lam)
+        sh_over = np.where(small, t * (1.0 + tl ** 2 / 6.0), np.sinh(tl) / lam_safe)
+    # fresh arrays are the dearest step here, so the last ones are reused
+    e01, e10 = sh_over * b01, sh_over * b10
+    sh_over *= b00
+    e00 = ch + sh_over
+    ch -= sh_over
+    return e00, e01, e10, ch
 
 
 def _mul2(m, r):
-    """Elementwise 2x2 product m r of entry tuples (m00, m01, m10, m11)."""
+    """Elementwise 2x2 product m r of entry tuples (m00, m01, m10, m11),
+    entry arrays of one shape; each sum is formed in place."""
     a, b, c, d = m
     e, f, g, h = r
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    out = a * e, a * f, c * e, c * f
+    for o, x, y in zip(out, (b, b, d, d), (g, h, g, h)):
+        o += x * y
+    return out
 
 
 def _tree_product(m):
@@ -161,14 +214,21 @@ def _segment_factors(lo, hi, amp, k, z):
     return e00 * diag, e01 * off, e10 * np.conj(off), e11 * np.conj(diag)
 
 
-_PAIRS_PER_BLOCK = 1 << 16     # (segment, z) pairs held at once
+# (segment, z) pairs held at once.  Per pair, 2^13 took 58 ns against 83
+# for 2^16 on 96 cells x 512 z, 69 against 92 on 1024 cells x 500 z and 112
+# against 153 on 8 pieces x 4096 z, but 106 against 98 on 4096 cells x 100 z
+# (minimum of interleaved runs on one pinned core with a 2 MiB L2 cache);
+# 2^12 and 2^14 lost on the first three.
+_PAIRS_PER_BLOCK = 1 << 13
 
 
 def _propagate_exact(q: Potential, z: np.ndarray) -> np.ndarray:
-    """f(0, z): the ordered product of the `_segment_factors` of `_segments`
-    times the terminal value e^{i z gamma sigma3}.
+    """f(0, z) e^{-i z gamma sigma3}: the ordered product of the
+    `_segment_factors` of `_segments`, without the terminal value
+    f(gamma, z) = e^{i z gamma sigma3}.  psi needs only its first column
+    times e^{i z gamma}; `canonical` needs it without the phase.
 
-    For z in blocks of at most 2^16 (segment, z) pairs, all segment
+    For z in blocks of at most 2^13 (segment, z) pairs, all segment
     exponentials are formed at once and reduced by `_tree_product`, so an
     exactly piecewise potential costs one exponential per piece and a
     sampled one one per cell, with no Python step per segment.
@@ -181,8 +241,6 @@ def _propagate_exact(q: Potential, z: np.ndarray) -> np.ndarray:
         blk = f[b0: b0 + step]
         blk[:, 0, 0], blk[:, 0, 1], blk[:, 1, 0], blk[:, 1, 1] = \
             _tree_product(_segment_factors(lo, hi, amp, k, zf[b0: b0 + step]))
-    f[:, :, 0] *= np.exp(1j * q.gamma * zf)[:, None]
-    f[:, :, 1] *= np.exp(-1j * q.gamma * zf)[:, None]
     if not np.all(np.isfinite(f.view(float))):
         raise NumericalError("Jost propagation overflowed; reduce |Im z|")
     return f.reshape(np.shape(z) + (2, 2))
@@ -237,19 +295,19 @@ def _psi_from_f(f: np.ndarray, alpha: BoundaryParam) -> np.ndarray:
     return ea * f[..., 0, 0] - np.conj(ea) * f[..., 1, 0]
 
 
-_PROPAGATORS = {"exact": _propagate_exact, "rk4": _propagate_rk4}
-
-
 def psi_values(q: Potential, alpha: BoundaryParam, z,
                method: str = "exact") -> np.ndarray | complex:
     """Vectorized Jost function.  method 'exact' multiplies closed-form
     segment exponentials; 'rk4' is the fourth-order reference scheme."""
-    if method not in _PROPAGATORS:
+    if method not in ("exact", "rk4"):
         raise ValidationError(f"unknown method {method!r}")
     scalar = np.isscalar(z)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _check_im_cap(q.gamma, zz)
-    vals = _psi_from_f(_PROPAGATORS[method](q, zz), alpha)
+    if method == "exact":
+        vals = np.exp(1j * q.gamma * zz) * _psi_from_f(_propagate_exact(q, zz), alpha)
+    else:
+        vals = _psi_from_f(_propagate_rk4(q, zz), alpha)
     return complex(vals[0]) if scalar else vals
 
 

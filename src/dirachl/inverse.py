@@ -52,7 +52,7 @@ from .core import (
     support_infimum,
     support_supremum,
 )
-from .core import SUPPORT_FLOOR_REL, _convolve, _trapezoid_weights
+from .core import SUPPORT_FLOOR_REL, _check_t_max, _convolve, _trapezoid_weights
 from .forward import _characteristic_step, jost_kernel_direct
 
 __all__ = [
@@ -168,8 +168,7 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     gamma = rep.gamma
     if t_max is None:
         t_max = 8.0 * gamma
-    if not (math.isfinite(t_max) and t_max >= 0.0):
-        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max!r}")
+    _check_t_max(t_max)
     if wi is None:
         wi = invert_wiener(rep, max(t_max, 8.0 * gamma))
     hstep = rep.g.grid.h

@@ -7,7 +7,11 @@ of psi'/psi, evaluated both ways), boxes are split until they isolate a
 single zero or shrink below the cluster radius, and each such box is
 polished by Newton iteration with differenced derivatives.  The box's own
 count is the zero's multiplicity (the argument principle of Delves and
-Lyness); nothing is recounted.  The located set feeds:
+Lyness); nothing is recounted.  Each box carries psi on its boundary
+lattice: a split line runs along a lattice node, the two halves slice
+their outer sides from the box and share the line, and a side is
+refined by its midpoints, so no contour point is evaluated twice and a
+split costs one psi call.  The located set feeds:
 
   * sector counting functions and their linear-density ratio (the zero
     count along each half-axis grows like (gamma/pi) r),
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,51 +116,164 @@ def winding_number(values: np.ndarray) -> int:
 # argument-principle zero search
 # ---------------------------------------------------------------------------
 
-def _contour(re0, re1, im0, im1, per_edge):
-    """Closed counterclockwise rectangle boundary, corner-aligned."""
-    t = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-    bottom = re0 + t * (re1 - re0) + 1j * im0
-    right = re1 + 1j * (im0 + t * (im1 - im0))
-    top = re1 - t * (re1 - re0) + 1j * im1
-    left = re0 + 1j * (im1 - t * (im1 - im0))
-    return np.concatenate([bottom, right, top, left])
+class _Box(NamedTuple):
+    """A rectangle with psi on its boundary lattice.  xs and ys are the
+    increasing node coordinates; bottom and top hold psi at xs + i ys[0] and
+    xs + i ys[-1], left and right at xs[0] + i ys and xs[-1] + i ys.  NaN
+    marks the midpoints of a doubled side until they are evaluated."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    bottom: np.ndarray
+    top: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
-def _box_count(ev, re0, re1, im0, im1, per_edge):
-    """Zero count (with multiplicity) inside a rectangle, or None.
+class _Lattice:
+    """psi at the search's lattice nodes, each evaluated once.  A call looks
+    its points up by value and passes the new ones to the evaluator in one
+    call.  Most points of a split are new, but a doubled side may repeat
+    the midpoints that the box across it, or an earlier split attempt, has
+    doubled already, and a split line may cross the line of a failed
+    attempt."""
+
+    def __init__(self, ev):
+        self.ev, self.known = ev, {}
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        keys = z.tolist()
+        new = [k for k in dict.fromkeys(keys) if k not in self.known]
+        if len(new) == len(keys):       # all new, as most points are
+            vals = np.atleast_1d(self.ev(z))
+            self.known.update(zip(keys, vals.tolist()))
+            return vals
+        if new:
+            self.known.update(zip(new, np.atleast_1d(self.ev(np.array(new))).tolist()))
+        return np.array([self.known[k] for k in keys], dtype=complex)
+
+
+def _fill(lattice: _Lattice, boxes) -> None:
+    """Evaluate every NaN side node of the boxes in one lattice call; a side
+    that two boxes share (a split line) is taken once."""
+    slots = []
+    for b in boxes:
+        for vals, x, y in ((b.bottom, b.xs, b.ys[0]), (b.top, b.xs, b.ys[-1]),
+                           (b.left, b.xs[0], b.ys), (b.right, b.xs[-1], b.ys)):
+            hole = np.isnan(vals)
+            if hole.any() and not any(vals is v for v, *_ in slots):
+                slots.append((vals, hole, (x + 1j * y)[hole]))
+    if not slots:
+        return
+    got = lattice(np.concatenate([z for *_, z in slots]))
+    at = 0
+    for vals, hole, z in slots:
+        vals[hole] = got[at: at + z.size]
+        at += z.size
+
+
+def _doubled(c: np.ndarray, mid) -> np.ndarray:
+    """c with mid (one value per interval) inserted between its entries."""
+    out = np.empty(2 * c.size - 1, dtype=c.dtype)
+    out[::2], out[1::2] = c, mid
+    return out
+
+
+def _refined(b: _Box, along_x: bool, along_y: bool) -> _Box:
+    """The box with its xs and/or ys lattice doubled; the new nodes are NaN."""
+    if along_x:
+        b = b._replace(xs=_doubled(b.xs, 0.5 * (b.xs[:-1] + b.xs[1:])),
+                       bottom=_doubled(b.bottom, np.nan), top=_doubled(b.top, np.nan))
+    if along_y:
+        b = b._replace(ys=_doubled(b.ys, 0.5 * (b.ys[:-1] + b.ys[1:])),
+                       left=_doubled(b.left, np.nan), right=_doubled(b.right, np.nan))
+    return b
+
+
+def _split(b: _Box, horizontal: bool, m: int) -> list[_Box]:
+    """The two halves of a box on either side of its m-th x node
+    (horizontal) or y node.  They slice their outer sides from the box and
+    share the split line, whose interior is NaN; a side with fewer than
+    `_PER_EDGE` // 2 intervals is doubled until it has that many."""
+    if horizontal:
+        line = np.full(b.ys.size, np.nan, dtype=complex)
+        line[0], line[-1] = b.bottom[m], b.top[m]
+        kids = [_Box(b.xs[:m + 1], b.ys, b.bottom[:m + 1], b.top[:m + 1], b.left, line),
+                _Box(b.xs[m:], b.ys, b.bottom[m:], b.top[m:], line, b.right)]
+    else:
+        line = np.full(b.xs.size, np.nan, dtype=complex)
+        line[0], line[-1] = b.left[m], b.right[m]
+        kids = [_Box(b.xs, b.ys[:m + 1], b.bottom, line, b.left[:m + 1], b.right[:m + 1]),
+                _Box(b.xs, b.ys[m:], line, b.top, b.left[m:], b.right[m:])]
+    for i, k in enumerate(kids):
+        while min(k.xs.size, k.ys.size) - 1 < _PER_EDGE // 2:
+            k = _refined(k, k.xs.size - 1 < _PER_EDGE // 2, k.ys.size - 1 < _PER_EDGE // 2)
+        kids[i] = k
+    return kids
+
+
+def _ring(b: _Box) -> tuple[np.ndarray, np.ndarray]:
+    """The box's boundary nodes, each once, counterclockwise from its lower
+    left corner, and psi there."""
+    z = np.concatenate([b.xs[:-1] + 1j * b.ys[0], b.xs[-1] + 1j * b.ys[:-1],
+                        b.xs[:0:-1] + 1j * b.ys[-1], b.xs[0] + 1j * b.ys[:0:-1]])
+    return z, np.concatenate([b.bottom[:-1], b.right[:-1], b.top[:0:-1], b.left[:0:-1]])
+
+
+def _on_boundary(vals: np.ndarray) -> bool:
+    """psi (numerically) vanishes, at the scale of its largest value, or is
+    not finite on the contour."""
+    mags = np.abs(vals)
+    return not np.all(np.isfinite(vals.view(float))) or float(np.min(mags)) < 1e-12 * float(np.max(mags))
+
+
+def _count(z: np.ndarray, vals: np.ndarray) -> int | None:
+    """Zero count (with multiplicity) inside a closed contour, or None.
 
     The winding of psi along the boundary is accumulated from principal
     phase steps; the contour integral of psi'/psi (central differences
-    along the contour, trapezoid in the parameter) is computed alongside
-    and both must agree on an integer, otherwise the sampling doubles (at
-    most `_REFINE_MAX` times).  Returns None when a zero sits (numerically)
-    on the boundary or the count never stabilizes, so the caller can move it.
-    """
+    along the contour, trapezoid in the parameter) is computed alongside,
+    and both must agree on an integer."""
+    # each array padded with its last point in front and its first behind
+    zc = np.concatenate((z[-1:], z, z[:1]))
+    vc = np.concatenate((vals[-1:], vals, vals[:1]))
+    steps = np.angle(vc[2:] / vals)
+    # central-difference log-derivative contour integral
+    integrand = (vc[2:] - vc[:-2]) / (zc[2:] - zc[:-2]) / vals
+    dz = zc[2:] - z
+    integral = np.sum(0.5 * (integrand + np.concatenate((integrand[1:], integrand[:1]))) * dz) / (2j * np.pi)
+    w_unwrap = steps.sum() / (2.0 * np.pi)
+    n_unwrap = int(round(w_unwrap))
+    ok = (np.max(np.abs(steps)) < 2.2
+          and abs(w_unwrap - n_unwrap) < 0.2
+          and abs(integral.real - n_unwrap) < 0.35
+          and abs(integral.imag) < 0.35)
+    return n_unwrap if ok else None
+
+
+def _settle(lattice: _Lattice, boxes: list[_Box]) -> tuple[list[int | None], list[_Box]]:
+    """Zero counts of the boxes and the boxes at the lattices that gave them.
+
+    A box whose count does not settle has its lattice doubled, at most
+    `_REFINE_MAX` samplings in all; the new nodes of every box go into one
+    lattice call per round.  A box whose psi vanishes on its boundary, or
+    whose count never settles, gets None, and then the others stop, so the
+    caller can move the boxes."""
+    counts: list[int | None] = [None] * len(boxes)
+    live = list(range(len(boxes)))
     for attempt in range(_REFINE_MAX):
-        zs = _contour(re0, re1, im0, im1, per_edge)
-        vals = np.atleast_1d(ev(zs))
-        amax = float(np.max(np.abs(vals)))
-        mn = float(np.min(np.abs(vals)))
-        if not np.all(np.isfinite(vals.view(float))) or mn < 1e-12 * max(1.0, amax):
-            return None
-        ratio = np.roll(vals, -1) / vals
-        steps = np.angle(ratio)
-        # central-difference log-derivative contour integral
-        znext, zprev = np.roll(zs, -1), np.roll(zs, 1)
-        dpsi = (np.roll(vals, -1) - np.roll(vals, 1)) / (znext - zprev)
-        integrand = dpsi / vals
-        dz = znext - zs
-        integral = np.sum(0.5 * (integrand + np.roll(integrand, -1)) * dz) / (2j * np.pi)
-        w_unwrap = steps.sum() / (2.0 * np.pi)
-        n_unwrap = int(round(w_unwrap))
-        ok = (np.max(np.abs(steps)) < 2.2
-              and abs(w_unwrap - n_unwrap) < 0.2
-              and abs(integral.real - n_unwrap) < 0.35
-              and abs(integral.imag) < 0.35)
-        if ok:
-            return n_unwrap
-        per_edge *= 2
-    return None
+        _fill(lattice, [boxes[i] for i in live])
+        rings = {i: _ring(boxes[i]) for i in live}
+        if any(_on_boundary(vals) for _, vals in rings.values()):
+            break
+        for i, ring in rings.items():
+            counts[i] = _count(*ring)
+        live = [i for i in live if counts[i] is None]
+        if not live or attempt == _REFINE_MAX - 1:
+            break
+        for i in live:
+            boxes[i] = _refined(boxes[i], True, True)
+    return counts, boxes
 
 
 def _polish(ev, z0: complex, tol: float, mult: int = 1,
@@ -163,7 +281,9 @@ def _polish(ev, z0: complex, tol: float, mult: int = 1,
     """Newton with differenced derivative; the multiplicity-scaled step keeps
     convergence fast for multiple roots.  Steps are trust-region limited.
     None when no step falls below tol/10 within `_NEWTON_MAX` steps, the
-    iterate leaves max_radius, or ev overflows or raises NumericalError."""
+    iterate leaves max_radius, or ev overflows or raises NumericalError.
+    An iterate where ev is exactly zero is the root: at a multiple root the
+    differenced derivative is zero there too."""
     z = complex(z0)
     cap = max_radius if math.isfinite(max_radius) else 1e6
     for _ in range(_NEWTON_MAX):
@@ -173,6 +293,8 @@ def _polish(ev, z0: complex, tol: float, mult: int = 1,
             fp = (f_plus - f_minus) / (2 * delta)
         except (NumericalError, ArithmeticError):
             return None
+        if f == 0:
+            return z
         if fp == 0 or not (math.isfinite(f.real) and math.isfinite(fp.real)):
             return None
         step = mult * f / fp
@@ -186,11 +308,14 @@ def _polish(ev, z0: complex, tol: float, mult: int = 1,
     return None
 
 
-_REFINE_MAX = 7       # contour samplings per box count, each doubling the last
+_REFINE_MAX = 7       # samplings per box count, each doubling the last lattice
 _NEWTON_MAX = 80      # Newton steps per polish
-_PER_EDGE = 256       # samples per edge of the whole region's contour
+_PER_EDGE = 256       # lattice intervals per side of the whole region
 _MAX_DEPTH = 60       # subdivision depth limit
 _MERGE_TOL = 1e-7     # floor of the cluster and merge radii
+# irrational-leaning fractions keep split lines off symmetric zero
+# configurations (an exactly centered zero defeats bisection)
+_SPLIT_FRACS = (0.51237346, 0.47621925, 0.54902211, 0.43812087, 0.57354779, 0.41752249)
 
 
 def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> ResonanceSet:
@@ -204,23 +329,35 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     cluster radius.  The multiplicity total must reproduce the count of
     the whole region.  A zero pinned to the outer boundary raises a
     boundary-ambiguous failure rather than being dropped.
+
+    Each box carries psi on its boundary lattice (`_Box`), starting from
+    `_PER_EDGE` intervals per side of the region.  A split line sits on the
+    lattice node nearest its fraction of the side; the halves slice their
+    outer sides from the box and share the line, so a split evaluates only
+    the line and the midpoints that keep every side at `_PER_EDGE` // 2
+    intervals or more, in one call.  A count that does not settle doubles
+    the lattice by midpoints.  No contour point is evaluated twice.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     r = region
-    total = _box_count(evaluator, r.re_min, r.re_max, r.im_min, r.im_max,
-                       _PER_EDGE)
+    n = _PER_EDGE + 1
+    root = _Box(np.linspace(r.re_min, r.re_max, n), np.linspace(r.im_min, r.im_max, n),
+                *(np.full(n, np.nan, dtype=complex) for _ in range(4)))
+    lattice = _Lattice(evaluator)
+    (total,), (root,) = _settle(lattice, [root])
     if total is None:
         raise NumericalError(
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
             "region boundary; adjust the region")
     found: list[tuple[complex, int]] = []
-    stack = [((r.re_min, r.re_max, r.im_min, r.im_max), total, 0)]
+    stack = [(root, total, 0)]
     cluster = 64.0 * max(tol, _MERGE_TOL)
     while stack:
-        (re0, re1, im0, im1), cnt, depth = stack.pop()
+        box, cnt, depth = stack.pop()
         if cnt == 0:
             continue
+        re0, re1, im0, im1 = box.xs[0], box.xs[-1], box.ys[0], box.ys[-1]
         width, height = re1 - re0, im1 - im0
         diam = math.hypot(width, height)
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
@@ -242,18 +379,14 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
         if depth >= _MAX_DEPTH:
             raise NumericalError("subdivision depth limit exceeded")
         horizontal = width >= height
-        # irrational-leaning fractions keep split lines off symmetric zero
-        # configurations (an exactly centered zero defeats bisection)
-        for frac in (0.51237346, 0.47621925, 0.54902211, 0.43812087,
-                     0.57354779, 0.41752249):
-            if horizontal:
-                mid = re0 + frac * width
-                kids = [(re0, mid, im0, im1), (mid, re1, im0, im1)]
-            else:
-                mid = im0 + frac * height
-                kids = [(re0, re1, im0, mid), (re0, re1, mid, im1)]
-            counts = [_box_count(evaluator, *k, _PER_EDGE // 2)
-                      for k in kids]
+        nodes = box.xs if horizontal else box.ys
+        tried = {0, nodes.size - 1}
+        for frac in _SPLIT_FRACS:
+            m = int(np.argmin(np.abs(nodes - (nodes[0] + frac * (nodes[-1] - nodes[0])))))
+            if m in tried:
+                continue
+            tried.add(m)
+            counts, kids = _settle(lattice, _split(box, horizontal, m))
             if None not in counts and sum(counts) == cnt:
                 for k, c in zip(kids, counts):
                     stack.append((k, c, depth + 1))

@@ -117,9 +117,8 @@ class TestFundamentalMatrix:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         z = np.linspace(-20.0, 20.0, 41) + 0.4j
         for q in (unit_potential, cell_sampled_potential(), chirped_potential()):
-            f, ph = _propagate_exact(q, z), np.exp(1j * q.gamma * z)
-            X = np.stack((f[:, 1, 1] * ph, -f[:, 0, 1] * ph,
-                          -f[:, 1, 0] / ph, f[:, 0, 0] / ph), -1).reshape(-1, 2, 2)
+            p = _propagate_exact(q, z)      # f(0, z) e^{-i gamma z sigma3}
+            X = np.stack((p[:, 1, 1], -p[:, 0, 1], -p[:, 1, 0], p[:, 0, 0]), -1).reshape(-1, 2, 2)
             want = T_FRAME @ X @ np.conj(T_FRAME).T
             scale = np.max(np.abs(want), axis=(1, 2))[:, None, None]
             assert np.max(np.abs(canonical_values(q, z) - want) / scale) <= 1e-14

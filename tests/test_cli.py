@@ -156,6 +156,19 @@ class TestPipelines:
             assert "--tmax" in err["message"] and "t_max = 4" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_invert_refuses_negative_tmax_in_file(self, tmp_path, capsys):
+        # a kernel grid that stops short of s = 0 is refused when the file is
+        # read, with the cause named, not later by the GLM solve
+        obj = {"alpha": 0.4, "gamma": 1.0, "t_max": -0.5, "n": 32,
+               "samples": [[0.0, 0.0]] * 33}
+        src = tmp_path / "short.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main(["invert", str(src), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert "t_max" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_invert_round_trip(self, workdir, tmp_path):
         fwd = tmp_path / "fwd"
         r = run_cli("forward", str(workdir / "potential.json"), "--out", str(fwd))

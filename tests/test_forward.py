@@ -114,7 +114,10 @@ def _cells(seed, n):
 def _tree_error(q, z) -> float:
     """Largest relative deviation, per point, of the tree product from the
     sequential product."""
-    got = _propagate_exact(q, z).reshape(-1, 4)
+    got = _propagate_exact(q, z)
+    got[..., 0] *= np.exp(1j * q.gamma * z)[..., None]     # terminal value
+    got[..., 1] *= np.exp(-1j * q.gamma * z)[..., None]
+    got = got.reshape(-1, 4)
     want = propagate_sequential(q, z).reshape(-1, 4)
     return float(np.max(np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)))
 
@@ -168,7 +171,7 @@ class TestTreePropagator:
         assert np.array_equal(f[1, 2], _propagate_exact(q, z[1, 2:])[0])
 
     def test_peak_memory_bounded(self):
-        # blocks of 2^16 (cell, z) pairs: the whole stack would be 250 MiB
+        # blocks of 2^13 (cell, z) pairs: the whole stack would be 250 MiB
         # per entry array at 4096 cells and 4001 z
         q = _cells(3, 4096)
         z = np.linspace(-20.0, 20.0, 4001) - 0.7j
@@ -180,6 +183,57 @@ class TestTreePropagator:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def _segment_bound(b00, b01, b10, t) -> float:
+    """The |mu| bound on which `_expm_traceless` picks its formula."""
+    return float(np.max(t * t)) * (float(np.max(np.abs(b00))) ** 2
+                                   + float(np.max(np.abs(b01 * b10))))
+
+
+class TestSegmentExponential:
+    @settings(max_examples=60, deadline=None)
+    @given(series=st.booleans(), share=st.floats(0.02, 0.98), sign=st.sampled_from([-1.0, 1.0]),
+           z=st.lists(st.complex_numbers(max_magnitude=40.0), min_size=1, max_size=4),
+           chirp=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+           amp=st.complex_numbers(max_magnitude=3.0))
+    def test_matches_mpmath_on_both_sides_of_the_bound(self, series, share, sign, z, chirp, amp):
+        # t is scaled so that the bound is a share of _SERIES_MU_MAX (series)
+        # or of 40 (closed form, |t lam| up to about 6.3)
+        mp = pytest.importorskip("mpmath")
+        b00 = 1j * (np.asarray(z) - chirp)
+        b01, b10 = np.full(b00.shape, amp), np.full(b00.shape, np.conj(amp))
+        scale = _segment_bound(b00, b01, b10, np.ones(1))
+        if scale == 0.0:
+            return
+        target = share * (forward._SERIES_MU_MAX if series else 40.0)
+        if not series:
+            target = max(target, 1.01 * forward._SERIES_MU_MAX)
+        t = sign * np.full(b00.shape, np.sqrt(target / scale))
+        assert (_segment_bound(b00, b01, b10, t) <= forward._SERIES_MU_MAX) == series
+        got = np.stack(forward._expm_traceless(b00, b01, b10, t), axis=-1)
+        mp.mp.dps = 30
+        for j in range(b00.size):
+            m = mp.expm(mp.matrix([[b00[j], b01[j]], [b10[j], -b00[j]]]) * t[j])
+            want = np.array([complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])])
+            assert np.max(np.abs(got[j] - want)) <= 4e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["cells64", "cells96", "pieces8", "chirped8"])
+    def test_psi_matches_sequential_product(self, name):
+        # cells at |z| <= 15 take the series, exact pieces the closed form;
+        # relative to the largest |psi| of the sample, since either product
+        # loses about 1e-14 of |psi| where psi is small
+        q = {"cells64": lambda: _cells(4, 64), "cells96": lambda: _cells(0, 96),
+             "pieces8": lambda: random_piecewise_potential(5, n=1024),
+             "chirped8": lambda: shift_potential(random_piecewise_potential(8, n=1024), 3.7)}[name]()
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-15.0, 15.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300)
+        for alpha in (0.0, 0.4):
+            f = propagate_sequential(q, z)
+            ea = np.exp(-1j * alpha)
+            want = ea * f[:, 0, 0] - np.conj(ea) * f[:, 1, 0]
+            got = psi_values(q, BoundaryParam(alpha), z)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestJostKernel:

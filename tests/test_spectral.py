@@ -124,7 +124,7 @@ class TestFindResonances:
 
         box = SearchRegion(-6, 6, -3, 0)
         R = find_resonances(counted, box)
-        assert work == {"calls": 50, "points": 6261}
+        assert work == {"calls": 54, "points": 3937}
         assert R.total() == 3
         # the same potential recovered by the GLM march, which the
         # benchmark's cell-sampled search uses: its work follows rounding in
@@ -134,6 +134,36 @@ class TestFindResonances:
         assert Rq.total() == 3
         for z, _ in Rq.entries:
             assert min(abs(z - w) for w, _ in R.entries) < 5e-3
+
+
+    @pytest.mark.parametrize("case", ["pinned", "double"])
+    def test_each_point_evaluated_once(self, case):
+        # boxes take their outer sides from the parent and share split
+        # lines, and a doubled side looks its midpoints up: no point of any
+        # call repeats one evaluated before
+        if case == "pinned":
+            qp = random_piecewise_potential(101, n=96)
+            ev = make_psi_evaluator(potential_from_values(qp.gamma, qp.samples.values),
+                                    BoundaryParam(0.4))
+            region, tol, mults = SearchRegion(-6, 6, -3, 0), 1e-9, [1, 1, 1]
+        else:
+            ev = lambda z: (z - (1 - 1j)) ** 2
+            region, tol, mults = SearchRegion(0, 2, -2, 0), 1e-11, [2]
+        seen = []
+
+        def recording(z):
+            seen.extend(np.atleast_1d(z).tolist())
+            return ev(z)
+
+        R = find_resonances(recording, region, tol=tol)
+        assert len(set(seen)) == len(seen)
+        assert R.multiplicities().tolist() == mults
+
+    def test_zero_on_region_boundary_is_ambiguous(self):
+        # the zero sits on a node of the region's bottom side
+        ev = lambda z: z - (0.5 - 1j)
+        with pytest.raises(NumericalError, match="boundary-ambiguous"):
+            find_resonances(ev, SearchRegion(0, 1, -1, 0))
 
 
 class TestCounting:
