@@ -3,15 +3,18 @@
 Resonances are the zeros of psi in the open lower half-plane.  They are
 located by recursive rectangle subdivision: the zero count of each box is
 the winding of psi along its boundary (equivalently the contour integral
-of psi'/psi, evaluated both ways), boxes are split until they isolate a
-single zero or shrink below the cluster radius, and each such box is
-polished by Newton iteration with differenced derivatives.  The box's own
-count is the zero's multiplicity (the argument principle of Delves and
-Lyness); nothing is recounted.  Each box carries psi on its boundary
-lattice: a split line runs along a lattice node, the two halves slice
-their outer sides from the box and share the line, and a side is
-refined by its midpoints, so no contour point is evaluated twice and a
-split costs one psi call.  The located set feeds:
+of psi'/psi, evaluated both ways), and boxes are split until each
+isolates a single zero or shrinks below the cluster radius.  One sweep of
+Newton iteration with differenced derivatives then polishes all such
+boxes, each from its centroid (the first moment of psi'/psi on its
+contour is the sum of its zeros); a box whose polish fails is split for
+the next sweep.  The box's own count is the zero's multiplicity (the
+argument principle of Delves and Lyness); nothing is recounted.  Each box
+carries psi on its boundary lattice: a split line runs along a lattice
+node, the two halves slice their outer sides from the box and share the
+line, and a side is refined by its midpoints, so no contour point is
+evaluated twice, a split costs one psi call and a Newton step one call
+for all boxes.  The located set feeds:
 
   * sector counting functions and their linear-density ratio (the zero
     count along each half-axis grows like (gamma/pi) r),
@@ -132,25 +135,28 @@ class _Box(NamedTuple):
 
 class _Lattice:
     """psi at the search's lattice nodes, each evaluated once.  A call looks
-    its points up by value and passes the new ones to the evaluator in one
-    call.  Most points of a split are new, but a doubled side may repeat
-    the midpoints that the box across it, or an earlier split attempt, has
-    doubled already, and a split line may cross the line of a failed
-    attempt."""
+    its points up in the sorted nodes evaluated so far and passes the new
+    ones, in their order, to the evaluator in one call.  Most points of a
+    split are new, but a doubled side may repeat the midpoints that the box
+    across it, or an earlier split attempt, has doubled already, and a
+    split line may cross the line of a failed attempt."""
 
     def __init__(self, ev):
-        self.ev, self.known = ev, {}
+        # sorted by z; the NaN sorts last, so every lookup lands on an entry
+        self.ev, self.z, self.vals = ev, np.array([np.nan + 0j]), np.zeros(1, dtype=complex)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        keys = z.tolist()
-        new = [k for k in dict.fromkeys(keys) if k not in self.known]
-        if len(new) == len(keys):       # all new, as most points are
-            vals = np.atleast_1d(self.ev(z))
-            self.known.update(zip(keys, vals.tolist()))
-            return vals
-        if new:
-            self.known.update(zip(new, np.atleast_1d(self.ev(np.array(new))).tolist()))
-        return np.array([self.known[k] for k in keys], dtype=complex)
+        u, first, back = np.unique(z, return_index=True, return_inverse=True)
+        at = np.searchsorted(self.z, u)
+        new = self.z[at] != u
+        vals = np.empty(u.size, dtype=complex)
+        vals[~new] = self.vals[at[~new]]
+        if new.any():
+            fresh = np.flatnonzero(new)[np.argsort(first[new])]
+            vals[fresh] = np.atleast_1d(self.ev(u[fresh]))
+            self.z = np.insert(self.z, at[new], u[new])
+            self.vals = np.insert(self.vals, at[new], vals[new])
+        return vals[back.ravel()]
 
 
 def _fill(lattice: _Lattice, boxes) -> None:
@@ -227,13 +233,15 @@ def _on_boundary(vals: np.ndarray) -> bool:
     return not np.all(np.isfinite(vals.view(float))) or float(np.min(mags)) < 1e-12 * float(np.max(mags))
 
 
-def _count(z: np.ndarray, vals: np.ndarray) -> int | None:
-    """Zero count (with multiplicity) inside a closed contour, or None.
+def _count(z: np.ndarray, vals: np.ndarray) -> tuple[int, complex] | None:
+    """Zero count (with multiplicity) inside a closed contour and the sum of
+    those zeros, or None.
 
     The winding of psi along the boundary is accumulated from principal
     phase steps; the contour integral of psi'/psi (central differences
     along the contour, trapezoid in the parameter) is computed alongside,
-    and both must agree on an integer."""
+    and both must agree on an integer.  The first moment of the same
+    integrand, (1/2 pi i) int z psi'/psi dz, is the sum of the zeros."""
     # each array padded with its last point in front and its first behind
     zc = np.concatenate((z[-1:], z, z[:1]))
     vc = np.concatenate((vals[-1:], vals, vals[:1]))
@@ -241,25 +249,29 @@ def _count(z: np.ndarray, vals: np.ndarray) -> int | None:
     # central-difference log-derivative contour integral
     integrand = (vc[2:] - vc[:-2]) / (zc[2:] - zc[:-2]) / vals
     dz = zc[2:] - z
-    integral = np.sum(0.5 * (integrand + np.concatenate((integrand[1:], integrand[:1]))) * dz) / (2j * np.pi)
+    following = np.concatenate((integrand[1:], integrand[:1]))
+    integral = np.sum(0.5 * (integrand + following) * dz) / (2j * np.pi)
     w_unwrap = steps.sum() / (2.0 * np.pi)
     n_unwrap = int(round(w_unwrap))
     ok = (np.max(np.abs(steps)) < 2.2
           and abs(w_unwrap - n_unwrap) < 0.2
           and abs(integral.real - n_unwrap) < 0.35
           and abs(integral.imag) < 0.35)
-    return n_unwrap if ok else None
+    moment = np.sum(0.5 * (z * integrand + zc[2:] * following) * dz) / (2j * np.pi)
+    return (n_unwrap, complex(moment)) if ok else None
 
 
-def _settle(lattice: _Lattice, boxes: list[_Box]) -> tuple[list[int | None], list[_Box]]:
-    """Zero counts of the boxes and the boxes at the lattices that gave them.
+def _settle(lattice: _Lattice,
+            boxes: list[_Box]) -> tuple[list[tuple[int, complex] | None], list[_Box]]:
+    """`_count` of each box, (count, zero sum) or None, and the boxes at the
+    lattices that gave them.
 
     A box whose count does not settle has its lattice doubled, at most
     `_REFINE_MAX` samplings in all; the new nodes of every box go into one
     lattice call per round.  A box whose psi vanishes on its boundary, or
     whose count never settles, gets None, and then the others stop, so the
     caller can move the boxes."""
-    counts: list[int | None] = [None] * len(boxes)
+    counts: list[tuple[int, complex] | None] = [None] * len(boxes)
     live = list(range(len(boxes)))
     for attempt in range(_REFINE_MAX):
         _fill(lattice, [boxes[i] for i in live])
@@ -276,36 +288,51 @@ def _settle(lattice: _Lattice, boxes: list[_Box]) -> tuple[list[int | None], lis
     return counts, boxes
 
 
-def _polish(ev, z0: complex, tol: float, mult: int = 1,
-            max_radius: float = np.inf) -> complex | None:
-    """Newton with differenced derivative; the multiplicity-scaled step keeps
-    convergence fast for multiple roots.  Steps are trust-region limited.
-    None when no step falls below tol/10 within `_NEWTON_MAX` steps, the
-    iterate leaves max_radius, or ev overflows or raises NumericalError.
-    An iterate where ev is exactly zero is the root: at a multiple root the
-    differenced derivative is zero there too."""
-    z = complex(z0)
-    cap = max_radius if math.isfinite(max_radius) else 1e6
+def _polish(ev, z0, tol: float, mult, max_radius) -> list[complex | None]:
+    """Newton with differenced derivative from every start z0 at once; the
+    multiplicity-scaled step keeps convergence fast for multiple roots.
+    Steps are trust-region limited.  Each step is one call of ev, on three
+    points per live iterate.  None where no step falls below tol/10 within
+    `_NEWTON_MAX` steps, the iterate leaves its max_radius or ev overflows
+    there; ev raising NumericalError or ArithmeticError fails every live
+    iterate.  An iterate where ev is exactly zero is the root: at a
+    multiple root the differenced derivative is zero there too.  The step
+    arithmetic is per iterate in Python complex: numpy on a few iterates
+    costs more per step than it saves."""
+    z = [complex(s) for s in z0]
+    out: list[complex | None] = [None] * len(z)
+    live = list(range(len(z)))
+    caps = [0.5 * r if math.isfinite(r) else 5e5 for r in max_radius]
     for _ in range(_NEWTON_MAX):
-        delta = 1e-7 * max(1.0, abs(z))
+        if not live:
+            break
+        at = [z[i] for i in live]
+        delta = [1e-7 * max(1.0, abs(w)) for w in at]
+        points = at + [w + d for w, d in zip(at, delta)] + [w - d for w, d in zip(at, delta)]
         try:
-            f, f_plus, f_minus = (complex(v) for v in ev(np.array([z, z + delta, z - delta])))
-            fp = (f_plus - f_minus) / (2 * delta)
+            vals = np.asarray(ev(np.array(points))).tolist()
         except (NumericalError, ArithmeticError):
-            return None
-        if f == 0:
-            return z
-        if fp == 0 or not (math.isfinite(f.real) and math.isfinite(fp.real)):
-            return None
-        step = mult * f / fp
-        if abs(step) > 0.5 * cap:
-            step *= 0.5 * cap / abs(step)
-        z = z - step
-        if not abs(z - z0) <= max_radius:     # NaN included
-            return None
-        if abs(step) < 0.1 * tol:
-            return z
-    return None
+            break
+        keep, k = [], len(live)
+        for i, f, f_plus, f_minus, d in zip(live, vals[:k], vals[k:2 * k], vals[2 * k:], delta):
+            fp = (f_plus - f_minus) / (2 * d)
+            if f == 0:
+                out[i] = z[i]
+                continue
+            if fp == 0 or not (math.isfinite(f.real) and math.isfinite(fp.real)):
+                continue
+            step = mult[i] * f / fp
+            if abs(step) > caps[i]:
+                step *= caps[i] / abs(step)
+            z[i] -= step
+            if not abs(z[i] - z0[i]) <= max_radius[i]:     # NaN included
+                continue
+            if abs(step) < 0.1 * tol:
+                out[i] = z[i]
+            else:
+                keep.append(i)
+        live = keep
+    return out
 
 
 _REFINE_MAX = 7       # samplings per box count, each doubling the last lattice
@@ -318,15 +345,41 @@ _MERGE_TOL = 1e-7     # floor of the cluster and merge radii
 _SPLIT_FRACS = (0.51237346, 0.47621925, 0.54902211, 0.43812087, 0.57354779, 0.41752249)
 
 
+def _halves(lattice: _Lattice, box: _Box, cnt: int, depth: int) -> list:
+    """The halves of a box across its longer side, at the first split line
+    whose counts add up to cnt, as (box, count, zero sum, depth) entries."""
+    if depth >= _MAX_DEPTH:
+        raise NumericalError("subdivision depth limit exceeded")
+    horizontal = box.xs[-1] - box.xs[0] >= box.ys[-1] - box.ys[0]
+    nodes = box.xs if horizontal else box.ys
+    tried = {0, nodes.size - 1}
+    for frac in _SPLIT_FRACS:
+        m = int(np.argmin(np.abs(nodes - (nodes[0] + frac * (nodes[-1] - nodes[0])))))
+        if m in tried:
+            continue
+        tried.add(m)
+        counts, kids = _settle(lattice, _split(box, horizontal, m))
+        if None not in counts and sum(c for c, _ in counts) == cnt:
+            return [(k, c, s, depth + 1) for k, (c, s) in zip(kids, counts)]
+    raise NumericalError(
+        f"could not place a split line off the zeros in box "
+        f"[{box.xs[0]},{box.xs[-1]}]x[{box.ys[0]},{box.ys[-1]}]")
+
+
 def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> ResonanceSet:
     """Locate all zeros in the region with multiplicities.
 
-    A box counting one zero, or narrower than the cluster radius
-    64 max(tol, 1e-7), is Newton-polished from its centre; a root inside
-    the box is accepted with the box's count as multiplicity.  Every other
-    box is halved along its longer side, by split lines moved off zeros
-    (keeping the boxes disjoint), so a multiple zero splits down to the
-    cluster radius.  The multiplicity total must reproduce the count of
+    A box counting m zeros is polished when m is 1 or the box is narrower
+    than the cluster radius 64 max(tol, 1e-7); every other box is halved
+    along its longer side, by split lines moved off zeros (keeping the
+    boxes disjoint), so a multiple zero splits down to the cluster radius.
+    Subdivision runs until every box left waits for Newton, and one sweep
+    of `_polish` (one psi call per step) then polishes them all, each
+    from its centroid: 1/m times the first moment of psi'/psi on its
+    contour, from the samples that counted it, or the centre when that is
+    not inside the open box.  A root inside its box is accepted with the
+    box's count as multiplicity; a box whose polish fails is split into
+    the next sweep.  The multiplicity total must reproduce the count of
     the whole region.  A zero pinned to the outer boundary raises a
     boundary-ambiguous failure rather than being dropped.
 
@@ -336,7 +389,8 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     outer sides from the box and share the line, so a split evaluates only
     the line and the midpoints that keep every side at `_PER_EDGE` // 2
     intervals or more, in one call.  A count that does not settle doubles
-    the lattice by midpoints.  No contour point is evaluated twice.
+    the lattice by midpoints.  No contour point is evaluated twice, and no
+    Newton point is a contour point: a start lies inside its open box.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
@@ -345,62 +399,56 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     root = _Box(np.linspace(r.re_min, r.re_max, n), np.linspace(r.im_min, r.im_max, n),
                 *(np.full(n, np.nan, dtype=complex) for _ in range(4)))
     lattice = _Lattice(evaluator)
-    (total,), (root,) = _settle(lattice, [root])
-    if total is None:
+    (settled,), (root,) = _settle(lattice, [root])
+    if settled is None:
         raise NumericalError(
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
             "region boundary; adjust the region")
     found: list[tuple[complex, int]] = []
-    stack = [(root, total, 0)]
+    stack = [(root, *settled, 0)]
     cluster = 64.0 * max(tol, _MERGE_TOL)
     while stack:
-        box, cnt, depth = stack.pop()
-        if cnt == 0:
-            continue
-        re0, re1, im0, im1 = box.xs[0], box.xs[-1], box.ys[0], box.ys[-1]
-        width, height = re1 - re0, im1 - im0
-        diam = math.hypot(width, height)
-        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         # Only one zero or a cluster is polished: m-fold Newton on distinct
         # zeros cycles, or lands on one of them and miscounts it.
-        # Membership must be essentially exact: split lines never pass
-        # through zeros, and a loose margin would let this box claim a
-        # neighbor's zero.
-        if cnt == 1 or diam < cluster:
-            z = _polish(evaluator, center, tol, mult=cnt, max_radius=2.0 * diam)
+        waiting = []
+        while stack:
+            box, cnt, zsum, depth = stack.pop()
+            if cnt == 0:
+                continue
+            re0, re1, im0, im1 = box.xs[0], box.xs[-1], box.ys[0], box.ys[-1]
+            diam = math.hypot(re1 - re0, im1 - im0)
+            if cnt == 1 or diam < cluster:
+                start = zsum / cnt
+                if not (re0 < start.real < re1 and im0 < start.imag < im1):
+                    start = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+                waiting.append((box, cnt, depth, diam, start))
+            else:
+                stack += _halves(lattice, box, cnt, depth)
+        if not waiting:
+            break
+        roots = _polish(evaluator, [w[4] for w in waiting], tol, [w[1] for w in waiting],
+                        [2.0 * w[3] for w in waiting])
+        for (box, cnt, depth, diam, _), z in zip(waiting, roots):
+            re0, re1, im0, im1 = box.xs[0], box.xs[-1], box.ys[0], box.ys[-1]
+            # Membership must be essentially exact: split lines never pass
+            # through zeros, and a loose margin would let this box claim a
+            # neighbor's zero.
             eps = 1e-9 * (1.0 + diam)
             if z is not None and (re0 - eps <= z.real <= re1 + eps
                                   and im0 - eps <= z.imag <= im1 + eps):
                 found.append((z, cnt))
-                continue
-            if diam < cluster:
+            elif diam < cluster:
+                center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
                 raise NumericalError(
                     f"cluster of {cnt} zeros at {center}: Newton found no root in it")
-        if depth >= _MAX_DEPTH:
-            raise NumericalError("subdivision depth limit exceeded")
-        horizontal = width >= height
-        nodes = box.xs if horizontal else box.ys
-        tried = {0, nodes.size - 1}
-        for frac in _SPLIT_FRACS:
-            m = int(np.argmin(np.abs(nodes - (nodes[0] + frac * (nodes[-1] - nodes[0])))))
-            if m in tried:
-                continue
-            tried.add(m)
-            counts, kids = _settle(lattice, _split(box, horizontal, m))
-            if None not in counts and sum(counts) == cnt:
-                for k, c in zip(kids, counts):
-                    stack.append((k, c, depth + 1))
-                break
-        else:
-            raise NumericalError(
-                f"could not place a split line off the zeros in box "
-                f"[{re0},{re1}]x[{im0},{im1}]")
+            else:
+                stack += _halves(lattice, box, cnt, depth)
 
     total_mult = sum(m for _, m in found)
-    if total_mult != total:
+    if total_mult != settled[0]:
         raise NumericalError(
             f"located multiplicities ({total_mult}) disagree with the "
-            f"argument-principle count ({total}) of the region")
+            f"argument-principle count ({settled[0]}) of the region")
     keep = tuple((z, m) for z, m in found if z.imag < 0)
     return ResonanceSet(keep).merged(max(_MERGE_TOL, 16 * tol))
 

@@ -81,23 +81,23 @@ def blaschke_modify(rep: JostRep, moves):
 
     Each move consumes one multiplicity unit of its source zero (a double
     zero moves entirely only with two identical moves).  Sources are
-    verified against the representation by Newton polish; a source that is
-    not a zero (the polish fails to converge, or converges beyond
-    max(1e-6, 25 h^2 (1 + |source|))) would introduce a pole and is
-    rejected, as is a target in the closed upper half-plane.  The kernel
-    is updated in closed form per move (the Volterra update above), exact
-    for the piecewise-linear interpolant of g.
+    verified against the representation by one Newton polish of them all
+    (`spectral._polish`); a source that is not a zero (the polish fails to
+    converge, or converges beyond max(1e-6, 25 h^2 (1 + |source|))) would
+    introduce a pole and is rejected, as is a target in the closed upper
+    half-plane.  The kernel is updated in closed form per move (the
+    Volterra update above), exact for the piecewise-linear interpolant of g.
     """
     from .spectral import _polish
 
     moves = [mv if isinstance(mv, ResonanceMove) else ResonanceMove(*mv)
              for mv in moves]
     h = rep.g.grid.h
-    for mv in moves:
-        # the representation's zeros carry the O(h^2) kernel error
-        tol = max(1e-6, 25.0 * h * h * (1.0 + abs(mv.source)))
-        z = _polish(lambda zz: rep.psi(zz), mv.source, 1e-12,
-                    max_radius=10 * tol + 1e-3)
+    # the representation's zeros carry the O(h^2) kernel error
+    tols = [max(1e-6, 25.0 * h * h * (1.0 + abs(mv.source))) for mv in moves]
+    roots = _polish(lambda zz: rep.psi(zz), [mv.source for mv in moves], 1e-12,
+                    [1] * len(moves), [10 * tol + 1e-3 for tol in tols])
+    for mv, z, tol in zip(moves, roots, tols):
         if z is None or abs(z - mv.source) > tol:
             raise ValidationError(
                 f"move source {mv.source} is not a zero of the representation "

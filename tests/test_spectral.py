@@ -28,6 +28,7 @@ from dirachl.spectral import (
     winding_number,
 )
 from dirachl.synth import constant_potential, random_piecewise_potential
+from dirachl.transforms import shift_potential
 
 from oracles import (
     dense_sweep_zeros,
@@ -86,13 +87,36 @@ class TestFindResonances:
     def test_polish_unconverged_is_none(self):
         # 2-fold Newton between two simple zeros cycles and never converges
         ev = lambda z: (z - (1 - 1j)) * (z - (1.2 - 1j))
-        assert _polish(ev, 1.13 - 1j, 1e-10, mult=2) is None
+        assert _polish(ev, [1.13 - 1j], 1e-10, [2], [np.inf]) == [None]
 
     def test_polish_propagates_evaluator_bugs(self):
         def ev(z):
             raise KeyError("not a numerical failure")
         with pytest.raises(KeyError):
-            _polish(ev, 1 - 1j, 1e-10)
+            _polish(ev, [1 - 1j], 1e-10, [1], [np.inf])
+
+    def test_polish_one_call_per_step(self):
+        # polishing starts together costs one evaluator call per Newton
+        # step, on three points per live iterate, and finds what polishing
+        # each start alone finds
+        ev = lambda z: (z + 1.5j) * (z - 2 + 0.5j) * (z + 3 + 2.5j)
+        starts = [-0.1 - 1.4j, 2.3 - 0.7j, -2.5 - 2.2j, 1.13 - 1j]
+
+        def run(z0):
+            sizes = []
+
+            def counted(z):
+                sizes.append(np.size(z))
+                return ev(z)
+            return _polish(counted, z0, 1e-10, [1] * len(z0), [np.inf] * len(z0)), sizes
+
+        roots, sizes = run(starts)
+        alone = [run(starts[i:i + 1]) for i in range(len(starts))]
+        steps = [len(s) for _, s in alone]
+        assert sizes == [3 * sum(n > k for n in steps) for k in range(max(steps))]
+        assert roots == [r for (r,), _ in alone]
+        for z in roots:
+            assert min(abs(z - w) for w in (-1.5j, 2 - 0.5j, -3 - 2.5j)) < 1e-9
 
     def test_region_must_be_lower(self):
         with pytest.raises(ValidationError):
@@ -124,7 +148,7 @@ class TestFindResonances:
 
         box = SearchRegion(-6, 6, -3, 0)
         R = find_resonances(counted, box)
-        assert work == {"calls": 54, "points": 3937}
+        assert work == {"calls": 8, "points": 2817}
         assert R.total() == 3
         # the same potential recovered by the GLM march, which the
         # benchmark's cell-sampled search uses: its work follows rounding in
@@ -135,6 +159,66 @@ class TestFindResonances:
         for z, _ in Rq.entries:
             assert min(abs(z - w) for w, _ in R.entries) < 5e-3
 
+    def test_exact_search_work_pinned(self):
+        # the search's work on exact pieces (synth seed 3): the contour
+        # calls, then one polish sweep of the four boxes in three steps
+        ev = make_psi_evaluator(random_piecewise_potential(3, n=1024), BoundaryParam(0.3))
+        sizes = []
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return ev(z)
+
+        R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
+        assert (len(sizes), sum(sizes)) == (7, 2841)
+        assert sizes[-3:] == [12, 12, 12]
+        assert R.multiplicities().tolist() == [1, 1, 1, 1]
+
+    def test_evaluator_failure_below_region_splits(self):
+        # psi "overflows" below Im z = -1.0001, just under the region; the
+        # zero near the bottom side has a triple zero 0.01 beneath it, and
+        # one Newton iterate is drawn across the threshold.  Its sweep's
+        # live iterates fail and their boxes split: every zero is located
+        z1, z2 = 1.3 - 0.99j, 1.3 - 1.01j
+        raised = []
+
+        def ev(z):
+            z = np.asarray(z)
+            below = z.imag < -1.0001
+            if below.any():
+                raised.append(int(below.sum()))
+                raise NumericalError("psi overflowed")
+            return (z - z1) * (z - z2) ** 3 * (z - (0.4 - 0.5j)) * (z - (1.7 - 0.3j))
+
+        R = find_resonances(ev, SearchRegion(0, 2, -1, 0))
+        assert raised and set(raised) == {3}        # one iterate each time
+        assert R.multiplicities().tolist() == [1, 1, 1]
+        for z, w in zip(R.zeros(), (0.4 - 0.5j, z1, 1.7 - 0.3j)):
+            assert abs(z - w) < 1e-8
+
+    @pytest.mark.parametrize("case", [f"exact-{s}" for s in range(1, 11)] + ["cell-0", "cell-1.3"])
+    def test_complete_against_sweep(self, case):
+        # shifted exact-piece potentials (psi(z, e_k q) = psi(z - k, q)) and
+        # the cell-sampled potential the GLM recovers at n = 96: the search
+        # finds each zero a brute-force sweep finds, and no other
+        kind, arg = case.split("-")
+        if kind == "exact":
+            seed = int(arg)
+            k = 3.7 * seed - 18.0
+            q = shift_potential(random_piecewise_potential(seed, n=1024), k)
+            ev = make_psi_evaluator(q, BoundaryParam(0.15 * (seed - 1)))
+        else:
+            k, alpha = float(arg), BoundaryParam(0.4)
+            qp = random_piecewise_potential(101, n=96)
+            q = recover_potential(scattering_kernel(jost_kernel_direct(qp, alpha)))
+            ev = make_psi_evaluator(q, alpha)
+        R = find_resonances(ev, SearchRegion(-6 + k, 6 + k, -3, 0))
+        oracle = dense_sweep_zeros(ev, (-6 + k, 6 + k), (-3, 0))
+        assert R.multiplicities().tolist() == [1] * len(oracle)
+        for z in R.zeros():
+            assert min(abs(z - w) for w in oracle) < 1e-6
+        for w in oracle:
+            assert min(abs(z - w) for z in R.zeros()) < 1e-6
 
     @pytest.mark.parametrize("case", ["pinned", "double"])
     def test_each_point_evaluated_once(self, case):
