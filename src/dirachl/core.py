@@ -136,8 +136,8 @@ def quadrature(f: SampledComplexFunction) -> complex:
 
 def _convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """The first m <= len(a) + len(b) - 1 terms of the linear convolution
-    a*b, by FFT; every half-line convolution in the package goes through
-    here."""
+    a*b, by FFT: the scattering kernel's r*h, the GLM mat-vec and the
+    Newton steps of the Wiener solve's short series inverse."""
     a, b = a[:m], b[:m]
     size = 1 << (a.size + b.size - 2).bit_length()
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:m]

@@ -29,8 +29,9 @@ with the trapezoid step of the forward transformation-kernel march
 (`forward._characteristic_step`), reading q(x) from the boundary as it
 goes.  Each step's coefficients come from the q just read, so this march
 goes one line at a time; it runs in place on preallocated line buffers.
-The Wiener identity above is one lower-triangular Toeplitz solve, by a
-power-series inverse with FFT products.  No step forms an n x n matrix.
+The Wiener identity above is one banded lower-triangular Toeplitz solve,
+in overlap-save blocks as long as g with FFT products.  No step forms an
+n x n matrix.
 """
 
 from __future__ import annotations
@@ -96,13 +97,13 @@ class RecoveryReport:
     init_residual: float
 
 
-def _series_inverse(c: np.ndarray, m: int) -> np.ndarray:
-    """First m terms of the power series 1/c, by Newton's iteration
+def _series_inverse(c: np.ndarray) -> np.ndarray:
+    """First m = len(c) terms of the power series 1/c, by Newton's iteration
     b <- b (2 - c b), which doubles the correct terms per step (Brent &
     Kung 1978)."""
     b = np.array([1.0 / c[0]])
-    while b.size < m:
-        k = min(2 * b.size, m)
+    while b.size < c.size:
+        k = min(2 * b.size, c.size)
         b = np.pad(b, (0, k - b.size))
         e = _convolve(c, b, k)
         e[0] -= 1.0
@@ -110,20 +111,38 @@ def _series_inverse(c: np.ndarray, m: int) -> np.ndarray:
     return b
 
 
+def _banded_solve(c: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the series r/c for r, c of length m, in blocks of m
+    by overlap-save (Stockham 1966): x_0 = (b*r)[:m] with b = 1/c to m
+    terms, then x_k = -(b*y_k)[:m] with y_k = (c*x_{k-1})[m:2m], the part of
+    the previous block that spills into this one.  Every product runs at
+    2^ceil(log2(2m - 1)) < 4m points against the spectra of b and c."""
+    m = c.size
+    size = 1 << (2 * m - 2).bit_length()
+    fb, fc = np.fft.fft(_series_inverse(c), size), np.fft.fft(c, size)
+    x = np.empty(-(-n // m) * m, dtype=complex)
+    x[:m] = np.fft.ifft(fb * np.fft.fft(r, size))[:m]
+    for lo in range(m, n, m):
+        y = np.fft.ifft(fc * np.fft.fft(x[lo - m:lo], size))[m:2 * m]
+        x[lo:lo + m] = -np.fft.ifft(fb * np.fft.fft(y, size))[:m]
+    return x[:n]
+
+
 _TAIL_TOL = 0.1    # largest relative tail mass of h accepted at T_h
 
 
 def invert_wiener(rep: JostRep, t_h: float | None = None) -> WienerInverse:
-    """Solve the causal convolution identity for h as one lower-triangular
-    Toeplitz system.
+    """Solve the causal convolution identity for h as one banded
+    lower-triangular Toeplitz system.
 
     With trapezoid weights, g~ = g with g_0 and g_{n_g} halved and h~ = h
     with h_0 halved, the sampled identity reads c * h~ = r for
     c = e^{-i alpha} delta + h_step g~ and r_j = -e^{i alpha} g_j, so
-    h~ = (1/c) * r with 1/c from `_series_inverse`.  Row 0 carries the
-    known h_0 = -e^{2i alpha} g_0.  Row n_g carries the full endpoint
-    weight of g_{n_g} h_0 and the midpoint stored where h jumps with g at
-    gamma.
+    h~ = r/c.  c and r have the n_g + 1 terms of g, so `_banded_solve`
+    marches h~ in blocks of n_g + 1 with 1/c to n_g + 1 terms only.  Row 0
+    carries the known h_0 = -e^{2i alpha} g_0.  Row n_g carries the full
+    endpoint weight of g_{n_g} h_0 and the midpoint stored where h jumps
+    with g at gamma.
     """
     gamma = rep.gamma
     if t_h is None:
@@ -144,7 +163,7 @@ def invert_wiener(rep: JostRep, t_h: float | None = None) -> WienerInverse:
     r = -ea * g
     r[0] = 0.5 * c[0] * h0
     r[n_g] += g[n_g] * (0.5 * c[0] * ea * ea - 0.25 * h_step * h0)
-    hv = _convolve(_series_inverse(c, n_h + 1), r, n_h + 1)
+    hv = _banded_solve(c, r, n_h + 1)
     hv[0] = h0
     hfun = SampledComplexFunction(make_grid(0.0, n_h * h_step, n_h), hv)
     tail_start = 3 * (n_h + 1) // 4

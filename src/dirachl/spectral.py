@@ -63,7 +63,6 @@ __all__ = [
     "forbidden_domain_check",
     "ForbiddenDomainReport",
     "hadamard_evaluate",
-    "phase_derivative",
     "phase_profile",
     "cartwright_type",
 ]
@@ -561,11 +560,6 @@ def _zero_sums(zeros: np.ndarray, weights: np.ndarray, gamma: float,
         if lo + step > phi_only:
             dphi[lo:lo + step] += (zeros.imag / np.abs(d) ** 2) @ weights
     return phi, dphi[phi_only:]
-
-
-def phase_derivative(R: ResonanceSet, gamma: float, z: float, r_cut: float) -> float:
-    """phi'(z) = gamma + sum over |z_n| <= r_cut of Im z_n / |z - z_n|^2."""
-    return float(_zero_sums(*_truncated(R, r_cut), gamma, np.array([z]))[1][0])
 
 
 def _tail_zeros(R: ResonanceSet, gamma: float, r_cut: float) -> np.ndarray:

@@ -63,6 +63,21 @@ class TestWiener:
         ref = wiener_loop(rep.g.values, rep.g.grid.h, av, wi.h.grid.n)
         assert np.max(np.abs(wi.h.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.floats(0.0, 3.0), st.sampled_from([32, 96, 1024]),
+           st.sampled_from([1, 2, 4, 8, 32]), st.sampled_from([1.0, 5.37, 8.0, 16.0]))
+    def test_horizons_match_loop(self, seed, av, n, pieces, horizon):
+        # the block solve at one block (T_h = gamma), a partial last block
+        # and several whole ones, against the node-by-node march
+        q = random_piecewise_potential(seed, n=n, n_pieces=pieces)
+        rep = jost_kernel_direct(q, BoundaryParam(av))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(inverse, "_TAIL_TOL", 1.0)
+            wi = invert_wiener(rep, horizon * rep.gamma)
+        assert wi.h.grid.n == round(horizon * n)
+        ref = wiener_loop(rep.g.values, rep.g.grid.h, av, wi.h.grid.n)
+        assert np.max(np.abs(wi.h.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_reciprocal_identity(self):
         q = constant_potential(1.0, n=2048)
         for av in (0.0, 0.4):
