@@ -36,7 +36,6 @@ __all__ = [
     "ClassReport",
     "make_grid",
     "quadrature",
-    "fourier_eval",
     "support_supremum",
     "support_infimum",
     "validate_class",
@@ -186,7 +185,9 @@ def _linear_transform(grid: Grid, z: np.ndarray, cuts: Sequence[int], filon=None
 
 
 _RUN_MIN = 16            # arithmetic runs of z shorter than this take the dense product
-_CHIRP_BLOCK = 2 ** 11   # z and nodes per chirp-z convolution: |n| < 2^11, FFTs of 4096 at most
+_CHIRP_BLOCK = 2 ** 10   # z per chirp-z run piece: FFTs of max(256, 4 * 2^10) = 4096 at most
+_CHIRP_FFT_MIN = 2 ** 8  # the chirp-z FFT length L is the power of two >= 4 C, and at least this
+_CHIRP_BATCH = 2 ** 14   # entries (rows x L) per batched chirp-z FFT
 # 2 pi = C1 + C2 + C3 within 4e-31 (Cody-Waite); C1 and C2 have 22 significant
 # bits, so k C1 and k C2 are exact for |k| < 2^31
 _TAU = (float.fromhex("0x1.921fb8p+2"), float.fromhex("-0x1.5dde98p-21"),
@@ -231,11 +232,12 @@ def _chirp_phases(t: float, count: int) -> np.ndarray:
 
 
 def _arithmetic_runs(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, stop, dz) of the runs z[a:b] that the chirp-z sum takes,
-    contiguous in the order z is given (`_plain_sum` calls it on its z and
-    again on the points left over, sorted): at least `_RUN_MIN` points,
-    each within 8 eps max(|z[a]|, |z[b-1]|) of z[a] + k dz with dz real,
-    and |dz h| <= 1 (see `_chirp_phases`).
+    """(start, stop, dz) of the runs z[a:b] that the chirp-z sums take,
+    contiguous in the order z is given (`_plain_sum` collects them from its
+    z and again from the points left over, sorted, then groups them by
+    step and length): at least `_RUN_MIN` points, each within
+    8 eps max(|z[a]|, |z[b-1]|) of z[a] + k dz with dz real, and
+    |dz h| <= 1 (see `_chirp_phases`).
     Candidates are the stretches of near-constant np.diff(z), so two runs
     may share an end point; each is then checked against z[a] + k dz as a
     whole, so a slow drift of the step fails (and so does a run holding a
@@ -261,28 +263,36 @@ def _arithmetic_runs(z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, n
     return start[ok], stop[ok], dz[ok]
 
 
-def _chirp_block(v: np.ndarray, s0: float, h: float, z: np.ndarray, dz: float,
-                 kernels: dict) -> np.ndarray:
-    """Σ_j v_j e^{2iz_k s_j} on nodes s_j = s0 + jh and z_k = z_0 + k dz by
-    Bluestein's identity kj = (k^2 + j^2 - (k-j)^2)/2: with theta = 2 dz h
-    and w_n = e^{-i theta n^2/2} the sum is
-    e^{2iz_k s0} conj(w_k) Σ_j [v_j e^{2iz_0 jh} conj(w_j)] w_{k-j},
-    one FFT convolution.  The chirp w and its padded transform depend only
-    on (dz, #nodes, #z) and are kept in `kernels` for the caller's next
-    block; the start phase 2 z_k s0 is formed from the given z_k."""
-    N, C = v.size, z.size
-    L = 1 << (N + C - 2).bit_length()       # at least N + C - 1: no wrap-around
-    key = (dz, N, C)
-    if key not in kernels:
-        w = np.exp(-1j * _chirp_phases(dz * h, max(N, C)))
-        kern = np.zeros(L, dtype=complex)
-        kern[:C] = w[:C]
-        kern[L - N + 1:] = w[N - 1:0:-1]
-        kernels[key] = w, np.fft.fft(kern)
-    w, kern_hat = kernels[key]
-    b = v * np.exp(2j * z[0] * (h * np.arange(N))) * w[:N].conj()
-    y = np.fft.ifft(np.fft.fft(b, L) * kern_hat)[:C]
-    return np.exp(2j * z * s0) * w[:C].conj() * y
+def _chirp_sums(v: np.ndarray, s: np.ndarray, h: float, z: np.ndarray, dz: float) -> np.ndarray:
+    """Σ_j v_j e^{2iz s_j} over the nodes s_j = s_0 + jh, for each row
+    z_k = z_0 + k dz (k < C) of the R × C array z, by Bluestein's identity
+    kj = (k^2 + j^2 - (k-j)^2)/2.  With theta = 2 dz h and
+    w_n = e^{-i theta n^2/2}, the nodes split into blocks of B = L - C + 1
+    from s_b on, and a block adds
+    e^{2iz_k s_b} conj(w_k) Σ_j [v_{b+j} e^{2iz_0 jh} conj(w_j)] w_{k-j},
+    a cyclic convolution of length L (no wrap-around: k - j takes L values)
+    with one chirp kernel for all rows and blocks.  Every (row, block) pair
+    is a row of a batched FFT pair of at most `_CHIRP_BATCH` entries; the
+    block start phases are formed from the given z_k and applied before
+    the sum over blocks."""
+    R, C = z.shape
+    L = max(_CHIRP_FFT_MIN, 1 << (4 * C - 1).bit_length())
+    B = L - C + 1
+    nb = -(-v.size // B)
+    w = np.exp(-1j * _chirp_phases(dz * h, B))
+    kern_hat = np.fft.fft(np.concatenate([w[:C], w[B - 1:0:-1]]))
+    vw = np.pad(v, (0, nb * B - v.size)).reshape(nb, B) * w.conj()
+    sb, jh = s[::B], h * np.arange(B)
+    per = _CHIRP_BATCH // L
+    rows, blocks = max(1, per // nb), min(nb, per)
+    out = np.zeros((R, C), dtype=complex)
+    for r in range(0, R, rows):
+        zr = z[r:r + rows]
+        e0 = np.exp(2j * zr[:, :1] * jh)[:, None, :]
+        for b in range(0, nb, blocks):
+            y = np.fft.ifft(np.fft.fft(e0 * vw[b:b + blocks], L) * kern_hat)[..., :C]
+            out[r:r + rows] += (np.exp(2j * zr[:, None, :] * sb[b:b + blocks, None]) * y).sum(axis=1)
+    return out * w[:C].conj()
 
 
 def _dense_plain(z: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -300,51 +310,45 @@ def _plain_sum(f: SampledComplexFunction, z: np.ndarray) -> np.ndarray:
     """The plain sum Σ_j v_j e^{2iz s_j} over the nodes of f.  Runs are
     found in two passes: `_arithmetic_runs` over z in the given order, then,
     when at least `_RUN_MIN` points are left, over those points sorted by
-    (Im z, Re z), so a lattice takes its rows in any ravel order.  Each run
-    is a chirp-z transform, taken by `_chirp_block` in near-equal pieces of
-    at most `_CHIRP_BLOCK` points against node blocks of at most
-    `_CHIRP_BLOCK` nodes, so every FFT is at most 2^12 long whatever #z and
-    #nodes; every other point goes to `_dense_plain`."""
+    (Im z, Re z), so a lattice takes its rows in any ravel order.  The runs
+    of both passes are cut into near-equal pieces of at most `_CHIRP_BLOCK`
+    points, and the pieces are grouped by (dz, length): each group is one
+    chirp kernel and a few batched FFT pairs (`_chirp_sums`), so no FFT is
+    longer than 2^12 whatever #z and #nodes, and the rows of a lattice
+    share their FFT calls.  Every other point goes to `_dense_plain`."""
     s, v, h = f.grid.nodes(), f.values, f.grid.h
     out = np.empty(z.size, dtype=complex)
     dense = np.ones(z.size, dtype=bool)
-    kernels: dict = {}
+    groups: dict = {}
 
-    def chirp_runs(idx: np.ndarray) -> None:
+    def collect(idx: np.ndarray) -> None:
         if idx.size < _RUN_MIN:
             return
-        zi = z[idx]
-        for a, b, dz in zip(*_arithmetic_runs(zi, h)):
+        for a, b, dz in zip(*_arithmetic_runs(z[idx], h)):
             dense[idx[a:b]] = False
             pieces = -(-(b - a) // _CHIRP_BLOCK)
             bounds = a + (b - a) * np.arange(pieces + 1) // pieces
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                out[idx[lo:hi]] = sum(_chirp_block(v[j:j + _CHIRP_BLOCK], s[j], h, zi[lo:hi], dz, kernels)
-                                      for j in range(0, v.size, _CHIRP_BLOCK))
+                groups.setdefault((dz, hi - lo), []).append(idx[lo:hi])
 
-    chirp_runs(np.arange(z.size))
+    collect(np.arange(z.size))
     rest = np.flatnonzero(dense)
-    chirp_runs(rest[np.lexsort((z[rest].real, z[rest].imag))])
+    collect(rest[np.lexsort((z[rest].real, z[rest].imag))])
+    for (dz, _), pieces in groups.items():
+        idx = np.stack(pieces)
+        out[idx] = _chirp_sums(v, s, h, z[idx], dz)
     out[dense] = _dense_plain(z[dense], s, v)
     return out
 
 
 def _transform(f: SampledComplexFunction, z, cuts: Sequence[int]) -> np.ndarray | complex:
-    """`_linear_transform` at arbitrary z, from `_plain_sum`."""
-    scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = _linear_transform(f.grid, zz, cuts)(f.values, _plain_sum(f, zz))
-    return complex(out[0]) if scalar else out
-
-
-def fourier_eval(f: SampledComplexFunction, z: np.ndarray | complex) -> np.ndarray | complex:
-    """Evaluate int f(s) e^{2izs} ds exactly for the piecewise-linear interpolant.
-
-    Equivalent to a Filon-type modified trapezoid rule: one attenuation
-    factor per frequency plus endpoint corrections, so the cost matches a
-    plain weighted sum while the oscillatory phase is integrated exactly.
-    """
-    return _transform(f, z, ())
+    """`_linear_transform` at arbitrary z, from `_plain_sum`: a complex for
+    a scalar z, else an array of z's shape."""
+    zz = np.asarray(z, dtype=complex)
+    flat = zz.ravel()
+    plain = _plain_sum(f, flat)     # before the Filon weights: the two peaks do not add
+    out = _linear_transform(f.grid, flat, cuts)(f.values, plain)
+    return complex(out[0]) if np.isscalar(z) else out.reshape(zz.shape)
 
 
 _MEDIAN_HALF = 32       # the running median's window is 2 * 32 + 1 samples

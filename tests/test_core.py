@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from dirachl.core import (
     ResonanceSet,
     SampledComplexFunction,
     ValidationError,
-    fourier_eval,
     make_grid,
     quadrature,
     support_supremum,
@@ -92,7 +92,7 @@ class TestFourierEval:
         vf = np.interp(fine.nodes(), g.nodes(), vals.real) + \
             1j * np.interp(fine.nodes(), g.nodes(), vals.imag)
         ref = brute_transform(vf, 0.0, fine.h, z)
-        got = fourier_eval(f, z)
+        got = core._transform(f, z, ())
         assert np.max(np.abs(got - ref)) < 2e-8
 
     @pytest.mark.parametrize("seed", [0, 2])
@@ -122,6 +122,16 @@ class TestFourierEval:
             S.s_values(1.5)
         assert len(calls) == 2
 
+    def test_lattice_keeps_its_shape(self):
+        # a 2-D z is evaluated raveled and returned in its own shape
+        rep, S = _kernels(1, 1024, 0.3)
+        for rows, cols in ((33, 81), (3, 20)):
+            z = np.linspace(-12.0, 12.0, cols)[None, :] + 1j * np.linspace(0.0, 12.0, rows)[:, None]
+            for ev in (rep.psi, S.s_values):
+                got = ev(z)
+                assert got.shape == (rows, cols)
+                assert np.array_equal(got, ev(z.ravel()).reshape(rows, cols))
+
     @pytest.mark.parametrize("size", [15, 16, 17, 64, 65, 66, 1025, 32769])
     def test_running_median_matches_scipy(self, size):
         rng = np.random.default_rng(size)
@@ -147,6 +157,13 @@ class TestFourierEval:
 def _kernels(seed, n, alpha):
     rep = jost_kernel_direct(random_piecewise_potential(seed, n=n), BoundaryParam(alpha))
     return rep, scattering_kernel(rep)
+
+
+def _batch_rows(n, cols):
+    """Rows of `cols` points that one capped chirp-z batch holds against
+    the n + 1 nodes of a kernel on [0, gamma]."""
+    L = max(core._CHIRP_FFT_MIN, 1 << (4 * cols - 1).bit_length())
+    return max(1, core._CHIRP_BATCH // L // -(-(n + 1) // (L - cols + 1)))
 
 
 def _max_rel(got, ref):
@@ -213,6 +230,44 @@ class TestChirpSums:
         # the chirp and dense sums differ by up to 3e-12 relative to |S| there
         z = z + 3j
         assert _max_rel(S.s_values(z), np.exp(2j * alpha) + dense_transform(S.F, z, S._cuts)) < 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 9), alpha=st.floats(0.0, 3.0), n=st.integers(8, 512).map(lambda m: 8 * m),
+           lattices=st.lists(st.tuples(
+               # L = max(256, the power of two >= 4 cols) on both sides of 512, 1024 and 2048
+               st.one_of(st.sampled_from([core._RUN_MIN, 17, 63, 64, 65, 127, 128, 129, 257, 511, 513]),
+                         st.integers(core._RUN_MIN, 300)),
+               st.floats(1e-3, 0.5), st.floats(-3.0, 0.0), st.floats(0.5, 12.0), st.integers(1, 3),
+               st.sampled_from(["rows", "columns", "shuffled"])), min_size=1, max_size=3),
+           start=st.floats(-40.0, 40.0), shuffle=st.integers(0, 2 ** 32 - 1))
+    def test_grouped_lattices_match_dense(self, seed, alpha, n, lattices, start, shuffle):
+        # lattices of several row lengths and steps, reaching Im z = -3 and
+        # each in its own ravel order, share one call: every point is
+        # chirped, and the first lattice's group spans several capped batches
+        rep, S = _kernels(seed, n, alpha)
+        rng = np.random.default_rng(shuffle)
+        parts = []
+        for i, (cols, step, lo, hi, rows, order) in enumerate(lattices):
+            rows += _batch_rows(n, cols) if i == 0 else 0
+            re = start + step * np.arange(cols)
+            start = re[-1] + 1.0        # apart in Re z: sorted, two lattices' rows never interleave
+            z = re[None, :] + 1j * np.linspace(lo, hi, rows)[:, None]
+            parts.append({"rows": z.ravel(), "columns": z.T.ravel(),
+                          "shuffled": rng.permutation(z.ravel())}[order])
+        z = np.concatenate(parts)
+        with mock.patch.object(core, "_chirp_sums", wraps=core._chirp_sums) as chirp:
+            got = rep.psi(z)
+        shapes = [c.args[3].shape for c in chirp.call_args_list]
+        assert sum(r * c for r, c in shapes) == z.size
+        assert any(r > _batch_rows(n, c) for r, c in shapes)
+        assert _max_rel(got, np.exp(-1j * alpha) + dense_transform(rep.g, z, rep._cuts)) < 1e-12
+        # S above the real axis, as in the permuted lattices; F has 9n + 1
+        # nodes, so its node blocks can outnumber a batch's rows, and the
+        # dense oracle takes 300 of the points
+        z = z + 3j
+        pick = rng.choice(z.size, min(z.size, 300), replace=False)
+        ref = np.exp(2j * alpha) + dense_transform(S.F, z[pick], S._cuts)
+        assert _max_rel(S.s_values(z)[pick], ref) < 1e-12
 
     def test_run_values_independent_of_neighbours(self):
         # the given-order pass sees a run alone or among other points alike:

@@ -254,6 +254,48 @@ def test_chirp_route_pinned(monkeypatch):
     assert not searched, "a 3-point call looked for arithmetic runs"
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_chirp_work_pinned(monkeypatch, n):
+    # the rows of validate_class's 33 x 81 psi lattice are one group of
+    # equal runs: one FFT of the shared chirp kernel, then one FFT pair per
+    # batch of (row, node block) rows.  No FFT is longer than 2^12, each
+    # batch is filled up to core._CHIRP_BATCH entries, so the call count
+    # grows with the rows only when a batch is full, and the traced peak
+    # stays small (measured 1.2 MiB at n = 1024 and 4096)
+    rep = jost_kernel_direct(random_piecewise_potential(1, n=n), BoundaryParam(0.3))
+    core.validate_class(rep)                # cut detection is cached on the rep
+    shapes = []
+
+    def counted(inner):
+        return lambda a, size=None, *args, **kw: (
+            shapes.append(np.shape(a)[:-1] + (np.shape(a)[-1] if size is None else size,))
+            or inner(a, size, *args, **kw))
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(core.np.fft, name, counted(getattr(core.np.fft, name)))
+    tracemalloc.start()
+    try:
+        core.validate_class(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak / 2 ** 20
+    assert max(s[-1] for s in shapes) <= 2 ** 12
+    lattice = shapes.copy()
+    counts = {}
+    re = np.linspace(-12.0, 12.0, 81)
+    for rows in (1, 2, 4, 8, 16, 32, 33, 64):
+        shapes.clear()
+        rep.psi((re[None, :] + 1j * np.linspace(0.0, 12.0, rows)[:, None]).ravel())
+        counts[rows] = len(shapes)
+    assert counts[1] == counts[2] == 3 and len(lattice) == counts[33], counts
+    batch = max(s[0] for s in shapes if len(s) == 3)      # rows of a full batch, 64 rows in all
+    _, blocks, length = next(s for s in shapes if len(s) == 3)
+    assert batch * blocks * length <= core._CHIRP_BATCH < (batch + 1) * blocks * length
+    assert all(math.prod(s) <= core._CHIRP_BATCH for s in lattice + shapes)
+    assert counts == {rows: 1 + 2 * -(-rows // batch) for rows in counts}, (batch, counts)
+
+
 def test_kernel_extraction_work_pinned(monkeypatch):
     # jost_kernel's passes share what depends only on the band z and the
     # cut nodes: the Filon weights once per call, the end phases once per
