@@ -282,7 +282,9 @@ def _chirp_sums(v: np.ndarray, s: np.ndarray, h: float, z: np.ndarray, dz: float
     w = np.exp(-1j * _chirp_phases(dz * h, B))
     kern_hat = np.fft.fft(np.concatenate([w[:C], w[B - 1:0:-1]]))
     vw = np.pad(v, (0, nb * B - v.size)).reshape(nb, B) * w.conj()
-    sb, jh = s[::B], h * np.arange(B)
+    # past the last node v is zero padding: its phases stay at the last
+    # node's, as e^{2iz_0 jh} overflows there below the real axis
+    sb, jh = s[::B], h * np.minimum(np.arange(B), v.size - 1)
     per = _CHIRP_BATCH // L
     rows, blocks = max(1, per // nb), min(nb, per)
     out = np.zeros((R, C), dtype=complex)

@@ -159,13 +159,6 @@ def _kernels(seed, n, alpha):
     return rep, scattering_kernel(rep)
 
 
-def _batch_rows(n, cols):
-    """Rows of `cols` points that one capped chirp-z batch holds against
-    the n + 1 nodes of a kernel on [0, gamma]."""
-    L = max(core._CHIRP_FFT_MIN, 1 << (4 * cols - 1).bit_length())
-    return max(1, core._CHIRP_BATCH // L // -(-(n + 1) // (L - cols + 1)))
-
-
 def _max_rel(got, ref):
     return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
 
@@ -192,6 +185,18 @@ class TestChirpSums:
         rep, S = _kernels(0, 4096, 0.3)
         z = np.linspace(-40.0, 40.0, 4001)
         assert _max_rel(S.s_values(z), np.exp(0.6j) + dense_transform(S.F, z, S._cuts)) < 1e-12
+        assert _max_rel(rep.psi(z), np.exp(-0.3j) + dense_transform(rep.g, z, rep._cuts)) < 1e-12
+
+    @pytest.mark.parametrize("gamma, n, points, im", [(1.0, 32, 513, -6.0), (1.0, 32, 1024, -6.0),
+                                                      (8.0, 128, 257, -45.0 / 8.0)])
+    def test_short_kernel_far_below_real_axis(self, gamma, n, points, im):
+        # a kernel with fewer nodes than one node block: the block is mostly
+        # zero padding, whose phases e^{2iz jh} would overflow there (the
+        # last is a row of the resonance search's bottom side at gamma = 8)
+        rep = jost_kernel_direct(random_piecewise_potential(0, gamma=gamma, n=n), BoundaryParam(0.3))
+        z = np.linspace(-10.0, 10.0, points) + 1j * im
+        a, b, _ = core._arithmetic_runs(z, rep.g.grid.h)
+        assert list(zip(a, b)) == [(0, points)]
         assert _max_rel(rep.psi(z), np.exp(-0.3j) + dense_transform(rep.g, z, rep._cuts)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -246,9 +251,22 @@ class TestChirpSums:
         # chirped, and the first lattice's group spans several capped batches
         rep, S = _kernels(seed, n, alpha)
         rng = np.random.default_rng(shuffle)
+
+        def batches(z):
+            # the (rows, node blocks, L) shapes of the batched FFTs psi makes
+            with mock.patch.object(core.np.fft, "fft", wraps=core.np.fft.fft) as fft:
+                got = rep.psi(z)
+            return got, [c.args[0].shape[:2] + c.args[1:2] for c in fft.call_args_list
+                         if c.args[0].ndim == 3]
+
+        # one row of the first lattice shows its node blocks and L; a batch
+        # holds at most core._CHIRP_BATCH entries, and the first lattice
+        # takes that many rows on top of those drawn, so it spans two batches
+        cols, step = lattices[0][:2]
+        _, blocks, length = batches(start + step * np.arange(cols))[1][0]
         parts = []
         for i, (cols, step, lo, hi, rows, order) in enumerate(lattices):
-            rows += _batch_rows(n, cols) if i == 0 else 0
+            rows += max(1, core._CHIRP_BATCH // (blocks * length)) if i == 0 else 0
             re = start + step * np.arange(cols)
             start = re[-1] + 1.0        # apart in Re z: sorted, two lattices' rows never interleave
             z = re[None, :] + 1j * np.linspace(lo, hi, rows)[:, None]
@@ -256,10 +274,10 @@ class TestChirpSums:
                           "shuffled": rng.permutation(z.ravel())}[order])
         z = np.concatenate(parts)
         with mock.patch.object(core, "_chirp_sums", wraps=core._chirp_sums) as chirp:
-            got = rep.psi(z)
-        shapes = [c.args[3].shape for c in chirp.call_args_list]
-        assert sum(r * c for r, c in shapes) == z.size
-        assert any(r > _batch_rows(n, c) for r, c in shapes)
+            got, shapes = batches(z)
+        groups = [c.args[3].shape for c in chirp.call_args_list]
+        assert sum(r * c for r, c in groups) == z.size
+        assert len(shapes) > len(groups)
         assert _max_rel(got, np.exp(-1j * alpha) + dense_transform(rep.g, z, rep._cuts)) < 1e-12
         # S above the real axis, as in the permuted lattices; F has 9n + 1
         # nodes, so its node blocks can outnumber a batch's rows, and the

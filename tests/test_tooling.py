@@ -261,7 +261,7 @@ def test_chirp_work_pinned(monkeypatch, n):
     # batch of (row, node block) rows.  No FFT is longer than 2^12, each
     # batch is filled up to core._CHIRP_BATCH entries, so the call count
     # grows with the rows only when a batch is full, and the traced peak
-    # stays small (measured 1.2 MiB at n = 1024 and 4096)
+    # stays small
     rep = jost_kernel_direct(random_piecewise_potential(1, n=n), BoundaryParam(0.3))
     core.validate_class(rep)                # cut detection is cached on the rep
     shapes = []
