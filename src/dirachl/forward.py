@@ -12,13 +12,15 @@ B after a chirp gauge, so its exponential has a closed 2x2 form,
 `_segment_factors`, the one per-segment propagator of the package (the
 canonical-system matrices of `canonical` are its T-conjugates).  B is
 traceless, so exp(t B) = cosh(t lam) I + (sinh(t lam)/lam) B with
-lam^2 = -det B.  Both coefficients are entire in mu = (t lam)^2: for
-short segments (|mu| <= 0.05 over a whole block, as for cells) they are
-six-term Horner series in mu, with no sqrt and no transcendental; long
-pieces take cosh and sinh.  For z in blocks of at most 2^13 (segment, z)
-pairs, the exponentials of all segments are formed at once as four entry
-arrays and multiplied pairwise in a log-depth tree of elementwise 2x2
-products, so a call costs no Python step per segment.  The product stops
+lam^2 = -det B.  Both coefficients are entire in mu = (t lam)^2: they
+are six-term Horner series in mu at t / 2^s, where s <= 4 halvings bring
+|mu| under 0.05 over a whole block (cells need none, the pieces of a
+resonance search one or two), doubled back s times, with no sqrt and no
+transcendental; only |t lam| beyond about 3.6 takes cosh and sinh.  For
+z in blocks of at most 2^13 (segment, z) pairs, the exponentials of all
+segments are formed at once as four entry arrays and multiplied pairwise
+in a log-depth tree of elementwise 2x2 products, so a call costs no
+Python step per segment.  The product stops
 short of the terminal value e^{i z gamma sigma3}: psi needs only its first
 column times e^{i z gamma}, and `canonical` needs none of it.  The exact
 product has no z*h stability ceiling, which matters when psi is sampled
@@ -73,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_IM_CAP_SCALE = 50.0
+_ABS_Z_MAX = 1e152      # largest |z| taken: |z|^2 in `_expm_traceless` stays finite
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ def _growth_cap(gamma: float) -> float:
 def _check_im_cap(gamma: float, z) -> None:
     if not np.isfinite(z).all():
         raise ValidationError("z must be finite")
+    if (big := float(np.max(np.abs(z), initial=0.0))) > _ABS_Z_MAX:
+        raise ValidationError(f"z out of range: |z| = {big:.3g} exceeds {_ABS_Z_MAX:.0e}")
     cap = _growth_cap(gamma)
     worst = float(np.max(np.abs(np.imag(z)), initial=0.0))
     if worst > cap:
@@ -106,13 +111,14 @@ def _check_im_cap(gamma: float, z) -> None:
 
 # cosh(t lam) and sinh(t lam)/lam are entire in mu = t^2 lam^2.  Where
 # every pair of a block has |mu| <= 0.05, six Horner terms leave a remainder
-# below 0.05^6/12! = 3.3e-17, and the exponential costs about 55 ns per pair
-# against about 140 ns for the closed form (96 cells x 682 z, the minimum of
-# interleaved runs on one pinned core).  The bound sits well above the
-# cell-sampled resonance searches' |mu| (at most 0.0067 at n = 96); the
-# exact-piece searches (8 pieces, |mu| up to 3.2) keep the closed form on
-# 96 % of their calls.
+# below 0.05^6/12! = 3.3e-17.  Up to 4 halvings of t bring a bound of
+# 0.05 * 4^4 = 12.8 (|t lam| <= 3.6) under 0.05, and the doublings that undo
+# them lose at most 2.0e-15 of the largest entry against extended precision;
+# a fifth would lose 5.2e-15.  Per pair that costs 45-56 ns against 110-115
+# for the closed form (8 pieces x 330 z, the resonance searches' regime, one
+# pinned core).
 _SERIES_MU_MAX = 0.05
+_HALVINGS_MAX = 4
 _SERIES_TERMS = 6
 _COSH_TERMS = tuple(1.0 / math.factorial(2 * j) for j in reversed(range(_SERIES_TERMS)))
 _SINHC_TERMS = tuple(1.0 / math.factorial(2 * j + 1) for j in reversed(range(_SERIES_TERMS)))
@@ -133,19 +139,25 @@ def _expm_traceless(b00, b01, b10, t):
     entry arrays; returns its four entries (e00, e01, e10, e11).
 
     exp(t B) = cosh(t lam) I + (sinh(t lam)/lam) B with lam^2 = b00^2 +
-    b01 b10 (= -det B).  When max|t|^2 (max|b00|^2 + max|b01 b10|), a bound
-    on every |mu| = |t lam|^2, is at most `_SERIES_MU_MAX`, both functions
-    are Horner series in mu, with no sqrt and no transcendental; otherwise
-    they take the closed form, whose sinh/lam is a two-term series below
-    |t lam| = 1e-6.  The choice is one per call, not per pair."""
+    b01 b10 (= -det B).  The bound max|t|^2 (max|b00|^2 + max|b01 b10|) on
+    every |mu| = |t lam|^2 picks the least s <= `_HALVINGS_MAX` with bound /
+    4^s <= `_SERIES_MU_MAX`: both functions are then Horner series in mu at
+    t / 2^s, doubled s times by sinh(2x)/lam = 2 (sinh x/lam) cosh x and
+    cosh 2x = 1 + 2 lam^2 (sinh x/lam)^2, with no sqrt and no transcendental.
+    A larger bound takes the closed form, whose sinh/lam is a two-term series
+    below |t lam| = 1e-6.  The choice is one per call, not per pair."""
     lam2 = b00 * b00 + b01 * b10
     bound = float(np.max(t * t)) * (float(np.max(np.abs(b00))) ** 2
                                     + float(np.max(np.abs(b01 * b10))))
-    if bound <= _SERIES_MU_MAX:
+    s = next((s for s in range(_HALVINGS_MAX + 1) if bound <= _SERIES_MU_MAX * 4 ** s), None)
+    if s is not None:
+        t = t / 2 ** s
         mu = (t * t) * lam2
         ch = _horner(_COSH_TERMS, mu)
         sh_over = _horner(_SINHC_TERMS, mu)
         sh_over *= t
+        for _ in range(s):
+            ch, sh_over = 1.0 + 2.0 * lam2 * sh_over * sh_over, 2.0 * sh_over * ch
     else:
         lam = np.sqrt(lam2 + 0j)
         tl = t * lam

@@ -16,6 +16,7 @@ runs in extended precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -161,6 +162,42 @@ def _expm_traceless_stack(B: np.ndarray, t) -> np.ndarray:
     out[..., 0, 0] += ch
     out[..., 1, 1] += ch
     return out
+
+
+def expm_traceless_one_step(b00, b01, b10, t):
+    """exp(t B) for B = [[b00, b01], [b10, -b00]] as the library formed it
+    before it halved t: the six-term Horner series in mu = (t lam)^2 where
+    max|t|^2 (max|b00|^2 + max|b01 b10|) <= 0.05, else cosh and sinh of
+    t lam.  With no halving, and above the halving cap, the library's
+    entries (e00, e01, e10, e11) must equal these bit for bit."""
+    def horner(coeffs, mu):
+        acc = coeffs[0] * mu
+        for c in coeffs[1:-1]:
+            acc += c
+            acc *= mu
+        acc += coeffs[-1]
+        return acc
+
+    lam2 = b00 * b00 + b01 * b10
+    bound = float(np.max(t * t)) * (float(np.max(np.abs(b00))) ** 2
+                                    + float(np.max(np.abs(b01 * b10))))
+    if bound <= 0.05:
+        mu = (t * t) * lam2
+        ch = horner([1.0 / math.factorial(2 * j) for j in reversed(range(6))], mu)
+        sh_over = horner([1.0 / math.factorial(2 * j + 1) for j in reversed(range(6))], mu)
+        sh_over *= t
+    else:
+        lam = np.sqrt(lam2 + 0j)
+        tl = t * lam
+        ch = np.cosh(tl)
+        small = np.abs(tl) < 1e-6
+        lam_safe = np.where(small, 1.0, lam)
+        sh_over = np.where(small, t * (1.0 + tl ** 2 / 6.0), np.sinh(tl) / lam_safe)
+    e01, e10 = sh_over * b01, sh_over * b10
+    sh_over *= b00
+    e00 = ch + sh_over
+    ch -= sh_over
+    return e00, e01, e10, ch
 
 
 def _sigma3_phase(theta: np.ndarray) -> np.ndarray:

@@ -78,6 +78,15 @@ class TestForward:
         want = np.exp(-1j * 0.4)
         assert np.max(np.abs(vals[:, 3] + 1j * vals[:, 4] - want)) < 1e-12
 
+    def test_huge_zwindow_refused(self, workdir, tmp_path):
+        # |z| beyond 1e152 is a validation error, not an OverflowError
+        r = run_cli("forward", str(workdir / "potential.json"), "--zwindow", "1e160",
+                    "--out", str(tmp_path / "fwd"))
+        assert r.returncode == 2, r.stderr
+        err = json.loads(r.stderr.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert "z out of range" in err["message"]
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad_pair = {"gamma": 1.0, "n": 2, "samples": [[0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0]]}
         for text in ("{nope", json.dumps(bad_pair)):

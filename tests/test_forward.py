@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirachl import forward
+from dirachl.canonical import canonical_values
 from dirachl.core import BoundaryParam, NumericalError, Piece, Potential, ValidationError, quadrature
 from dirachl.forward import (
     _band_adjoint,
@@ -23,7 +24,14 @@ from dirachl.forward import (
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
 from dirachl.transforms import shift_potential
 
-from oracles import f0_constant, f0_pieces, march_kernel_loop, propagate_sequential, psi_constant
+from oracles import (
+    expm_traceless_one_step,
+    f0_constant,
+    f0_pieces,
+    march_kernel_loop,
+    propagate_sequential,
+    psi_constant,
+)
 
 
 class TestIntegrateJost:
@@ -191,49 +199,115 @@ def _segment_bound(b00, b01, b10, t) -> float:
                                    + float(np.max(np.abs(b01 * b10))))
 
 
+def _halvings(bound: float) -> int:
+    """The least s with bound / 4^s <= `_SERIES_MU_MAX`: the halvings
+    `_expm_traceless` takes at this bound, or more than its cap where it
+    takes the closed form."""
+    return next(s for s in range(64) if bound <= forward._SERIES_MU_MAX * 4 ** s)
+
+
+_PSI_CASES = {
+    "cells64": lambda: _cells(4, 64), "cells96": lambda: _cells(0, 96),
+    "pieces8": lambda: random_piecewise_potential(5, n=1024),
+    "chirped8": lambda: shift_potential(random_piecewise_potential(8, n=1024), 3.7),
+}
+_PSI_CASES.update({f"{name}-wide": _PSI_CASES[name] for name in ("cells64", "pieces8", "chirped8")})
+# Re z half-widths of the wide cases' psi calls, each with Im z in [-3, 1]:
+# between them the calls take every halving count and the closed form
+_WIDE_WINDOWS = (2.0, 8.0, 15.0, 40.0)
+
+
+def _psi_calls(name):
+    """The z of each psi call of a `test_psi_matches_sequential_product` case."""
+    rng = np.random.default_rng(7)
+    if not name.endswith("-wide"):
+        return [rng.uniform(-15.0, 15.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300)]
+    return [rng.uniform(-re, re, 100) + 1j * rng.uniform(-3.0, 1.0, 100) for re in _WIDE_WINDOWS]
+
+
 class TestSegmentExponential:
-    @settings(max_examples=60, deadline=None)
-    @given(series=st.booleans(), share=st.floats(0.02, 0.98), sign=st.sampled_from([-1.0, 1.0]),
+    @settings(max_examples=80, deadline=None)
+    @given(halvings=st.integers(0, forward._HALVINGS_MAX + 2), share=st.floats(0.02, 0.98),
+           sign=st.sampled_from([-1.0, 1.0]),
            z=st.lists(st.complex_numbers(max_magnitude=40.0), min_size=1, max_size=4),
            chirp=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
            amp=st.complex_numbers(max_magnitude=3.0))
-    def test_matches_mpmath_on_both_sides_of_the_bound(self, series, share, sign, z, chirp, amp):
-        # t is scaled so that the bound is a share of _SERIES_MU_MAX (series)
-        # or of 40 (closed form, |t lam| up to about 6.3)
+    def test_matches_mpmath_on_both_sides_of_the_bound(self, halvings, share, sign, z, chirp, amp):
+        # t is scaled so that the bound lands in (0.05 4^(s-1), 0.05 4^s] for
+        # s = halvings.  Up to the cap the entries match mpmath; with no
+        # halving, and above the cap, they are the one-step series' and
+        # closed form's bit for bit
         mp = pytest.importorskip("mpmath")
         b00 = 1j * (np.asarray(z) - chirp)
         b01, b10 = np.full(b00.shape, amp), np.full(b00.shape, np.conj(amp))
         scale = _segment_bound(b00, b01, b10, np.ones(1))
         if scale == 0.0:
             return
-        target = share * (forward._SERIES_MU_MAX if series else 40.0)
-        if not series:
-            target = max(target, 1.01 * forward._SERIES_MU_MAX)
+        top = forward._SERIES_MU_MAX * 4 ** halvings
+        target = top * (share if halvings == 0 else 0.25 + 0.75 * share)
         t = sign * np.full(b00.shape, np.sqrt(target / scale))
-        assert (_segment_bound(b00, b01, b10, t) <= forward._SERIES_MU_MAX) == series
-        got = np.stack(forward._expm_traceless(b00, b01, b10, t), axis=-1)
+        assert _halvings(_segment_bound(b00, b01, b10, t)) == halvings
+        got = forward._expm_traceless(b00, b01, b10, t)
+        if halvings == 0 or halvings > forward._HALVINGS_MAX:
+            for g, w in zip(got, expm_traceless_one_step(b00, b01, b10, t)):
+                assert np.array_equal(g, w)
+        if halvings > forward._HALVINGS_MAX:
+            return
+        got = np.stack(got, axis=-1)
         mp.mp.dps = 30
         for j in range(b00.size):
             m = mp.expm(mp.matrix([[b00[j], b01[j]], [b10[j], -b00[j]]]) * t[j])
             want = np.array([complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1])])
             assert np.max(np.abs(got[j] - want)) <= 4e-15 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("name", ["cells64", "cells96", "pieces8", "chirped8"])
+    @pytest.mark.parametrize("name", list(_PSI_CASES))
     def test_psi_matches_sequential_product(self, name):
-        # cells at |z| <= 15 take the series, exact pieces the closed form;
         # relative to the largest |psi| of the sample, since either product
         # loses about 1e-14 of |psi| where psi is small
-        q = {"cells64": lambda: _cells(4, 64), "cells96": lambda: _cells(0, 96),
-             "pieces8": lambda: random_piecewise_potential(5, n=1024),
-             "chirped8": lambda: shift_potential(random_piecewise_potential(8, n=1024), 3.7)}[name]()
-        rng = np.random.default_rng(7)
-        z = rng.uniform(-15.0, 15.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300)
-        for alpha in (0.0, 0.4):
-            f = propagate_sequential(q, z)
-            ea = np.exp(-1j * alpha)
-            want = ea * f[:, 0, 0] - np.conj(ea) * f[:, 1, 0]
-            got = psi_values(q, BoundaryParam(alpha), z)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        q = _PSI_CASES[name]()
+        for z in _psi_calls(name):
+            for alpha in (0.0, 0.4):
+                f = propagate_sequential(q, z)
+                ea = np.exp(-1j * alpha)
+                want = ea * f[:, 0, 0] - np.conj(ea) * f[:, 1, 0]
+                got = psi_values(q, BoundaryParam(alpha), z)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_wide_cases_take_every_halving_count(self):
+        # each psi call of a wide case is one block of segment exponentials
+        seen = set()
+        for name in (c for c in _PSI_CASES if c.endswith("-wide")):
+            lo, hi, amp, k = (x[:, None] for x in forward._segments(_PSI_CASES[name]()))
+            for z in _psi_calls(name):
+                assert z.size * len(lo) <= forward._PAIRS_PER_BLOCK
+                seen.add(_halvings(_segment_bound(1j * (z - k), amp, np.conj(amp), lo - hi)))
+        assert seen >= set(range(forward._HALVINGS_MAX + 2)), seen
+
+    @pytest.mark.parametrize("z", [1e160, 1e200, 1.7e308])
+    def test_huge_z_refused(self, z):
+        # |z|^2 would overflow the exponential's bound: refused, not an
+        # OverflowError
+        qp = random_piecewise_potential(1, n=64)
+        zz = np.array([0.5, z, -0.5j])
+        for q in (qp, Potential(qp.gamma, qp.samples)):
+            for call in (lambda: psi_values(q, BoundaryParam(0.3), zz),
+                         lambda: make_psi_evaluator(q, BoundaryParam(0.3))(z),
+                         lambda: canonical_values(q, zz)):
+                with pytest.raises(ValidationError, match="z out of range"):
+                    call()
+
+    def test_large_z_values_unchanged(self, monkeypatch):
+        # at |z| = 1e150 every call takes the closed form, as it did before
+        # the halvings
+        qp = random_piecewise_potential(1, n=64)
+        zz = np.array([1e150, -1e150 + 0.5j, 3.0 - 1.0j])
+        for q in (qp, Potential(qp.gamma, qp.samples)):
+            got = psi_values(q, BoundaryParam(0.3), zz), canonical_values(q, zz)
+            monkeypatch.setattr(forward, "_expm_traceless", expm_traceless_one_step)
+            want = psi_values(q, BoundaryParam(0.3), zz), canonical_values(q, zz)
+            monkeypatch.undo()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.max(np.abs(got[0][:2] - np.exp(-0.3j))) < 1e-14
 
 
 class TestJostKernel:

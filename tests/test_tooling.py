@@ -17,6 +17,7 @@ import dirachl
 from dirachl import cli, core, forward, inverse
 from dirachl.core import BoundaryParam
 from dirachl.forward import jost_kernel_direct
+from dirachl.spectral import SearchRegion, find_resonances
 from dirachl.synth import random_piecewise_potential
 from oracles import dense_transform
 
@@ -294,6 +295,33 @@ def test_chirp_work_pinned(monkeypatch, n):
     assert batch * blocks * length <= core._CHIRP_BATCH < (batch + 1) * blocks * length
     assert all(math.prod(s) <= core._CHIRP_BATCH for s in lattice + shapes)
     assert counts == {rows: 1 + 2 * -(-rows // batch) for rows in counts}, (batch, counts)
+
+
+def test_exact_search_transcendental_free(monkeypatch):
+    # the exact-piece search of test_exact_search_work_pinned takes its
+    # segment exponentials by halving and doubling the series: no sqrt,
+    # cosh or sinh, and the same contour and polish work
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("sqrt", "cosh", "sinh"):
+                return attr
+            return lambda *args, **kw: calls.append(name) or attr(*args, **kw)
+
+    ev = forward.make_psi_evaluator(random_piecewise_potential(3, n=1024), BoundaryParam(0.3))
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return ev(z)
+
+    monkeypatch.setattr(forward, "np", CountingNumpy())
+    R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
+    assert not calls, sorted(set(calls))
+    assert (len(sizes), sum(sizes)) == (7, 2841)
+    assert R.multiplicities().tolist() == [1, 1, 1, 1]
 
 
 def test_kernel_extraction_work_pinned(monkeypatch):
