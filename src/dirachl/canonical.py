@@ -207,8 +207,7 @@ def boundary_solution(q: Potential, alpha: BoundaryParam, z: complex) -> tuple[c
 
 def hermite_biehler(q: Potential, z: complex) -> complex:
     """E(z) = phi1(gamma, z) - i phi2(gamma, z)."""
-    M = canonical_values(q, np.array([z]))[0]
-    return complex(M[0, 1] - 1j * M[1, 1])
+    return make_hermite_evaluator(q)(z)
 
 
 def make_hermite_evaluator(q: Potential):

@@ -7,9 +7,9 @@ header-carrying CSV files.  One table drives the flags: `FLAGS` gives
 each flag's type and default, and `COMMANDS` lists the flags each
 subcommand, or each mode of canonical, reads (besides --out and
 --config).  A flag or --config key that the subcommand does not read is a
-usage error; `invert` refuses --tmax for a ScatteringRep input, which
-carries its own t_max.  Flag precedence is command line > config file
-(--config, JSON) > defaults.
+usage error.  Only `check` reads --tmax: `invert` and `move` recover
+through the GLM, which reads the scattering kernel on [-gamma, 0] only.
+Flag precedence is command line > config file (--config, JSON) > defaults.
 Exit codes: 0 success, 1 numerical failure, 2 usage or validation error
 (including unreadable input); failures emit one machine-readable JSON
 object on stderr.
@@ -46,7 +46,7 @@ FLAGS = {
     "alpha": (float, 0.0),
     "n": (int, 1024),
     "zwindow": (float, 20.0),       # real-axis window for psi/S/hermite CSV output
-    "tmax": (float, None),          # scattering-kernel horizon (default 8 gamma of the input)
+    "tmax": (float, None),          # S horizon for check (default inverse._HORIZON gamma)
     "rcut": (float, 60.0),
     "tol": (float, 1e-9),
     "region": (str, None),          # re_min,re_max,im_min,im_max (default from rcut and gamma)
@@ -127,12 +127,7 @@ def cmd_forward(args) -> int:
 def cmd_invert(args) -> int:
     data = _read_input(args.data, lambda obj: (
         ScatteringRep.from_json(obj) if "t_max" in obj else JostRep.from_json(obj)))
-    if args.tmax is not None and isinstance(data, ScatteringRep):
-        raise ValidationError(
-            f"--tmax sets the horizon of the scattering kernel built from a JostRep; "
-            f"{args.data} is a ScatteringRep with its own t_max = {data.t_max:g}: drop --tmax")
-    S = data if isinstance(data, ScatteringRep) else inverse.scattering_kernel(data, t_max=args.tmax)
-    qhat, rec = inverse.recover_potential(S, with_report=True)
+    qhat, rec = inverse.recover_potential(data, with_report=True)
     return _save(args.out, {
         "potential.json": qhat.to_json(),
         "diagnostics.csv": (["quantity", "value"],
@@ -159,7 +154,7 @@ def cmd_move(args) -> int:
             moves = _read_moves(fh.read())
     else:
         moves = _read_moves(args.moves)
-    qnew = transforms.move_resonances(q, BoundaryParam(args.alpha), moves, t_max=args.tmax)
+    qnew = transforms.move_resonances(q, BoundaryParam(args.alpha), moves)
     return _save(args.out, {"potential.json": qnew.to_json()})
 
 
@@ -259,12 +254,12 @@ COMMANDS = {
     "forward": (cmd_forward, "psi, S and the Jost kernel from a potential", _POTENTIAL,
                 ("alpha", "zwindow")),
     "invert": (cmd_invert, "recover a potential from scattering data",
-               {"data": {"help": "ScatteringRep or JostRep JSON file"}}, ("tmax",)),
+               {"data": {"help": "ScatteringRep or JostRep JSON file"}}, ()),
     "move": (cmd_move, "resonance surgery",
              {**_POTENTIAL, "moves": {"help": "JSON list like "
                                       '[{"from":{"re":..,"im":..},"to":{"re":..,"im":..}}] '
                                       "or a file"}},
-             ("alpha", "tmax")),
+             ("alpha",)),
     "check": (cmd_check, "class membership and identity checks", _POTENTIAL, ("alpha", "tmax")),
     "resonances": (cmd_resonances, "locate resonances and phase data", _POTENTIAL,
                    ("alpha", "rcut", "tol", "region")),

@@ -368,10 +368,10 @@ def _band_adjoint(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 _HELD_OUT_TOL = 1e-4    # max |psi error| of the extracted kernel on the held-out grid
-# A pass ends its round once the defect on the whole band is below this.
-# The correction is tapered to 0 on the band's outer tenth, where the
-# defect never shrinks, so a nonzero kernel runs all 60 passes of every
-# round; the stop exists for a zero kernel, whose first pass meets it.
+# Largest |psi - e^{-i alpha}| on the band of a kernel taken as zero, which
+# keeps its first estimate.  The correction is tapered to 0 on the band's
+# outer tenth, where the defect never shrinks, so every other kernel runs
+# all 60 passes of every round.
 _STOP_DEFECT = 2e-5
 
 
@@ -384,9 +384,10 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, psi_samples=None) -> JostRep
     the outer tenth; the band limit smears the support edges over
     ~pi/(2 z_max), so the edge cells are rebuilt from the interior.
     Defect-correction passes then fit g in the model `JostRep.psi`
-    evaluates, split at the jump nodes of the fit once they settle, until
-    the band's defect is below `_STOP_DEFECT`; psi must then match within
-    `_HELD_OUT_TOL` on a held-out real grid.
+    evaluates, split at the jump nodes of the fit once they settle; a
+    zero kernel, with psi within `_STOP_DEFECT` of e^{-i alpha} on the band,
+    skips them.  psi must then match within `_HELD_OUT_TOL` on a held-out
+    real grid.
 
     z is sampled at multiples of pi/(2 gamma), clipped at 0.7 of the grid
     Nyquist rate.  At most 4 cut rounds of 60 passes; the band's Filon
@@ -427,13 +428,12 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, psi_samples=None) -> JostRep
     # flip the detector); every kernel tried settled within 3 rounds
     filon = _filon_weights(2j * zs * h)
     cuts: tuple[int, ...] = ()
+    passes = 60 if float(np.max(np.abs(ghat))) >= _STOP_DEFECT else 0
     for _ in range(4):
         model = _linear_transform(q.grid, zs, cuts, filon, keep_phases=True)
-        for _ in range(60):
+        for _ in range(passes):
             defect = ghat - model(g_vals, _band_sum(g_vals, zs.size))
             g_vals = g_vals + (dz / np.pi) * _band_adjoint(w * defect, n)
-            if float(np.max(np.abs(defect))) < _STOP_DEFECT:
-                break
         found = _cut_nodes(g_vals)
         if found == cuts:
             break

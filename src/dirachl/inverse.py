@@ -20,14 +20,15 @@ Recovery runs the Gelfand-Levitan-Marchenko equation
 
     G(x, s) + Omega(x+s) + int_0^inf G(x, t) Omega(x+t+s) dt = 0,
 
-with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  The 2x2
-system splits into two-component rows, and the second row is the
-conjugate of the first, so only (G11, G12) is ever solved for.  The x = 0
-line is solved once, by a numpy-only unrestarted GMRES (`_gmres`) with
-FFT convolution mat-vecs, and continued upward along characteristics
-with the trapezoid step of the forward transformation-kernel march
-(`forward._characteristic_step`), reading q(x) from the boundary as it
-goes.  Each step's coefficients come from the q just read, so this march
+with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  That is F
+on [-gamma, 0] only, so recovery, from either representation, takes no
+horizon.  The 2x2 system splits into two-component rows, and the second
+row is the conjugate of the first, so only (G11, G12) is ever solved for.
+The x = 0 line is solved once, by a numpy-only unrestarted GMRES
+(`_gmres`) with FFT convolution mat-vecs, and continued upward along
+characteristics with the trapezoid step of the forward
+transformation-kernel march (`forward._characteristic_step`), reading
+q(x) from the boundary as it goes.  Each step's coefficients come from the q just read, so this march
 goes one line at a time; it runs in place on preallocated line buffers.
 The Wiener identity above is one banded lower-triangular Toeplitz solve,
 in overlap-save blocks as long as g with FFT products.  No step forms an
@@ -66,7 +67,6 @@ __all__ = [
     "potential_to_scattering",
     "omega_kernel",
     "recover_potential",
-    "recover_from_jost",
     "support_identities",
 ]
 
@@ -129,6 +129,7 @@ def _banded_solve(c: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
 
 
 _TAIL_TOL = 0.1    # largest relative tail mass of h accepted at T_h
+_HORIZON = 8.0     # default Wiener and scattering-kernel horizon, in units of gamma
 
 
 def invert_wiener(rep: JostRep, t_h: float | None = None) -> WienerInverse:
@@ -144,9 +145,8 @@ def invert_wiener(rep: JostRep, t_h: float | None = None) -> WienerInverse:
     endpoint weight of g_{n_g} h_0 and the midpoint stored where h jumps
     with g at gamma.
     """
-    gamma = rep.gamma
     if t_h is None:
-        t_h = 8.0 * gamma
+        t_h = _HORIZON * rep.gamma
     h_step = rep.g.grid.h
     n_g = rep.g.grid.n
     n_h = int(round(t_h / h_step))
@@ -186,10 +186,10 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     """
     gamma = rep.gamma
     if t_max is None:
-        t_max = 8.0 * gamma
+        t_max = _HORIZON * gamma
     _check_t_max(t_max)
     if wi is None:
-        wi = invert_wiener(rep, max(t_max, 8.0 * gamma))
+        wi = invert_wiener(rep, max(t_max, _HORIZON * gamma))
     hstep = rep.g.grid.h
     n_g = rep.g.grid.n
     n_t = int(round(t_max / hstep))
@@ -380,13 +380,17 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     return qhat
 
 
-def recover_potential(S: ScatteringRep, with_report: bool = False):
-    """Recover q(x) = -G12(x, 0) on [0, gamma] from a scattering representation.
+def recover_potential(S: ScatteringRep | JostRep, with_report: bool = False):
+    """Recover q(x) = -G12(x, 0) on [0, gamma] from a ScatteringRep or a
+    JostRep, whose F is built on [-gamma, 0] only (the Wiener inverse
+    behind it keeps its own window and tail guard).
 
     The GLM is solved once at x = 0 and the kernel continued upward along
     characteristics.  Values below the support floor at the far end are
     clamped to zero and the clamp magnitude reported.
     """
+    if isinstance(S, JostRep):
+        S = scattering_kernel(S, t_max=0.0)
     om = omega_kernel(S)
     n = om.k.grid.n
     a0, b0, resid = _solve_glm_line0(om)
@@ -406,11 +410,6 @@ def recover_potential(S: ScatteringRep, with_report: bool = False):
     if with_report:
         return pot, RecoveryReport(sup, clamp, resid)
     return pot
-
-
-def recover_from_jost(rep: JostRep, t_max: float | None = None) -> Potential:
-    """Compose Wiener inversion, the scattering kernel and GLM recovery."""
-    return recover_potential(scattering_kernel(rep, t_max=t_max))
 
 
 def support_identities(q: Potential, rep: JostRep, S: ScatteringRep) -> dict:

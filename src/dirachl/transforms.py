@@ -37,9 +37,9 @@ from .core import (
     SampledComplexFunction,
     ValidationError,
 )
-from .core import _check_t_max, _filon_weights
+from .core import _filon_weights
 from .forward import jost_kernel_direct, psi_values
-from .inverse import recover_from_jost
+from .inverse import recover_potential
 
 __all__ = [
     "ResonanceMove",
@@ -122,15 +122,12 @@ def blaschke_modify(rep: JostRep, moves):
     return evaluator, JostRep(rep.alpha, rep.gamma, g)
 
 
-def move_resonances(q: Potential, alpha: BoundaryParam, moves,
-                    t_max: float | None = None) -> Potential:
-    """Potential whose Jost function is psi(., q) times the move factors.
-    A bad t_max is refused before the kernel march and the surgery run."""
-    if t_max is not None:
-        _check_t_max(t_max)
+def move_resonances(q: Potential, alpha: BoundaryParam, moves) -> Potential:
+    """Potential whose Jost function is psi(., q) times the move factors,
+    recovered from the updated JostRep, which needs no horizon."""
     rep = jost_kernel_direct(q, alpha)
     _, new_rep = blaschke_modify(rep, moves)
-    return recover_from_jost(new_rep, t_max=t_max)
+    return recover_potential(new_rep)
 
 
 def shift_potential(q: Potential, k: float) -> Potential:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import dirachl
-from dirachl import cli, inverse
+from dirachl import cli, core, inverse
+from dirachl.core import JostRep
 
 # the child process imports the same dirachl as the tests, installed or not
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -149,22 +150,6 @@ class TestPipelines:
         vals = load_samples(out / "potential.json")
         assert np.max(np.abs(vals)) < 1e-12
 
-    def test_invert_refuses_tmax_for_scattering_input(self, tmp_path, capsys):
-        # a ScatteringRep carries its own t_max: --tmax, on the command line
-        # or in --config, is refused instead of ignored
-        obj = {"alpha": 0.4, "gamma": 1.0, "t_max": 4.0, "n": 320,
-               "samples": [[0.0, 0.0]] * 321}
-        src = tmp_path / "slim.json"
-        src.write_text(json.dumps(obj))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tmax": 99}))
-        for extra in (["--tmax", "99"], ["--config", str(cfg)]):
-            assert cli.main(["invert", str(src), *extra, "--out", str(tmp_path / "o")]) == 2
-            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-            assert err["kind"] == "validation"
-            assert "--tmax" in err["message"] and "t_max = 4" in err["message"]
-        assert not (tmp_path / "o").exists()
-
     def test_invert_refuses_negative_tmax_in_file(self, tmp_path, capsys):
         # a kernel grid that stops short of s = 0 is refused when the file is
         # read, with the cause named, not later by the GLM solve
@@ -177,6 +162,14 @@ class TestPipelines:
         assert err["kind"] == "validation"
         assert "t_max" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_invert_jost_input_matches_library(self, probe, tmp_path):
+        # invert on a JostRep writes recover_potential's answer, bit for bit
+        assert cli.main(["invert", probe["rep"], "--out", str(tmp_path / "cli")]) == 0
+        rep = JostRep.from_json(core.load_json(probe["rep"]))
+        core.dump_json(tmp_path / "lib.json", inverse.recover_potential(rep).to_json())
+        assert ((tmp_path / "cli" / "potential.json").read_bytes()
+                == (tmp_path / "lib.json").read_bytes())
 
     def test_invert_round_trip(self, workdir, tmp_path):
         fwd = tmp_path / "fwd"
@@ -382,18 +375,25 @@ def probe(tmp_path_factory):
     d = tmp_path_factory.mktemp("probe")
     assert cli.main(["synth", "--seed", "0", "--n", "128", "--out", str(d)]) == 0
     assert cli.main(["forward", str(d / "potential.json"), "--out", str(d)]) == 0
-    return {"p": str(d / "potential.json"), "rep": str(d / "jostrep.json")}
+    rep = JostRep.from_json(core.load_json(d / "jostrep.json"))
+    core.dump_json(d / "scattering.json", inverse.scattering_kernel(rep).to_json())
+    return {"p": str(d / "potential.json"), "rep": str(d / "jostrep.json"),
+            "scat": str(d / "scattering.json")}
 
 
-# each call with the fragment its error message names; {p} and {rep} stand
-# for the probe's files
+# each call with the fragment its error message names; {p} stands for the
+# probe's potential
 _BAD_VALUES = [("check {p} --tmax -1", "t_max"), ("check {p} --tmax nan", "t_max"),
-               ("invert {rep} --tmax -1", "t_max"), ("invert {rep} --tmax nan", "t_max"),
-               ("move {p} [] --tmax -1", "t_max"), ("move {p} [] --tmax nan", "t_max"),
                ("synth --pieces 0", "piece count"),
                ("resonances {p} --tol nan", "tol"), ("resonances {p} --tol 0", "tol"),
                ("forward {p} --zwindow nan", "z must be finite"),
                ("canonical hermite {p} --zwindow nan", "z must be finite")]
+
+# only check reads a horizon; invert, on the probe's JostRep {rep} or its
+# ScatteringRep {scat}, and move refuse one
+_TMAX_REFUSED = ["invert {rep} --tmax 0", "invert {rep} --tmax -1", "invert {rep} --tmax nan",
+                 "invert {scat} --tmax 99", "move {p} [] --tmax -1", "move {p} [] --tmax nan",
+                 "move {p} [] --tmax 8"]
 
 
 class TestBadValues:
@@ -410,8 +410,16 @@ class TestBadValues:
         assert names in err["message"]
         assert not out.exists()
 
-    def test_zero_tmax_is_legal(self, probe, tmp_path):
-        # the GLM reads F on [-gamma, 0] only
-        assert cli.main(["invert", probe["rep"], "--tmax", "0", "--out", str(tmp_path)]) == 0
-        a, b = load_samples(Path(probe["p"])), load_samples(tmp_path / "potential.json")
-        assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-2
+    @pytest.mark.parametrize("line", _TMAX_REFUSED)
+    def test_tmax_refused_as_usage(self, probe, tmp_path, capsys, line):
+        # invert and move recover from F on [-gamma, 0], so no horizon
+        # reaches them: --tmax, whatever its value and input kind, on the
+        # command line or as a --config key, is a usage error
+        argv = line.format(**probe).split()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tmax": float(argv[-1])}))
+        out = tmp_path / "o"
+        for call, named in ((argv, "--tmax"), ([*argv[:-2], "--config", str(cfg)], "'tmax'")):
+            assert cli.main([*call, "--out", str(out)]) == 2
+            assert named in _usage_error(capsys)
+            assert not out.exists()

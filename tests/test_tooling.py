@@ -455,6 +455,30 @@ def _defaulted(fn):
     return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
 
 
+# the functions and classes of dirachl that take a horizon; the GLM reads F
+# on [-gamma, 0] only, so recovery, surgery, invert and move take none
+_HORIZON_TAKERS = {"inverse.invert_wiener", "inverse.scattering_kernel",
+                   "inverse.potential_to_scattering", "core.ScatteringRep", "core._check_t_max"}
+
+
+def test_horizon_only_where_it_changes_the_answer():
+    found = set()
+    for path in sorted(Path(dirachl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                names = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+            elif isinstance(node, ast.ClassDef):
+                names = {s.target.id for s in node.body
+                         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+            else:
+                continue
+            if names & {"t_max", "t_h"}:
+                found.add(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+    assert found == _HORIZON_TAKERS, sorted(found ^ _HORIZON_TAKERS)
+    assert [cmd for cmd, row in cli.COMMANDS.items() if "tmax" in row[3]] == ["check"]
+
+
 def test_defaults_have_callers():
     # every defaulted parameter of a dirachl function is set, by keyword or
     # by position, by some call in the library, the benchmark or the
