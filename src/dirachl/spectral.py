@@ -3,18 +3,22 @@
 Resonances are the zeros of psi in the open lower half-plane.  They are
 located by recursive rectangle subdivision: the zero count of each box is
 the winding of psi along its boundary (equivalently the contour integral
-of psi'/psi, evaluated both ways), and boxes are split until each
-isolates a single zero or shrinks below the cluster radius.  One sweep of
-Newton iteration with differenced derivatives then polishes all such
-boxes, each from its centroid (the first moment of psi'/psi on its
-contour is the sum of its zeros); a box whose polish fails is split for
-the next sweep.  The box's own count is the zero's multiplicity (the
-argument principle of Delves and Lyness); nothing is recounted.  Each box
-carries psi on its boundary lattice: a split line runs along a lattice
-node, the two halves slice their outer sides from the box and share the
-line, and a side is refined by its midpoints, so no contour point is
-evaluated twice, a split costs one psi call and a Newton step one call
-for all boxes.  The located set feeds:
+of psi'/psi, evaluated both ways), and the same contour samples give the
+moments s_p of psi'/psi, the power sums of the zeros inside (the argument
+principle of Delves and Lyness).  A box of one zero is polished from its
+centroid s_1/s_0, and a box of 2 to `_PENCIL_MAX` zeros from the
+eigenvalues of the Hankel pencil of its moments, whose rank is the number
+of distinct zeros, with multiplicities from a Vandermonde solve (Kravanja
+and Van Barel); other boxes are split until each isolates one zero, a
+pencil's worth, or shrinks below the cluster radius.  One sweep of Newton
+iteration with differenced derivatives then polishes every start; a box
+whose polish fails, or whose pencil roots do not reproduce its moments,
+is split for the next sweep.  Each box carries psi on its boundary
+lattice: a split line runs along a lattice node, the two halves slice
+their outer sides from the box and share the line, and a side is refined
+by its midpoints, so no contour point is evaluated twice, a split costs
+one psi call and a Newton step one call for all boxes.  The located set
+feeds:
 
   * sector counting functions and their linear-density ratio (the zero
     count along each half-axis grows like (gamma/pi) r),
@@ -28,11 +32,13 @@ for all boxes.  The located set feeds:
 The phase antiderivative is known in closed form per zero (an arg
 difference).  phi and phi' are one sum, `_zero_sums`, over the located
 zeros with |z_n| <= r_cut and the zeros a linear-density model places
-beyond r_cut, formed in blocks of z so that no call holds a
-#z x #zeros array.  What the model misses leaves a linear drift in z, so
-`phase_profile` fits the two free constants (offset and drift) to the
-known limits phi -> -alpha at both ends of the axis, which is the
-two-point extrapolation in the integration horizon.
+beyond r_cut: the zeros near the evaluation points term by term, in blocks
+of z so that no call holds a #z x #zeros array, and the far ones through
+a power series in z whose coefficients are their inverse moments.  What
+the model misses leaves a linear drift in z, so `phase_profile` fits the
+two free constants (offset and drift) to the known limits phi -> -alpha at
+both ends of the axis, which is the two-point extrapolation in the
+integration horizon.
 """
 
 from __future__ import annotations
@@ -134,28 +140,22 @@ class _Box(NamedTuple):
 
 class _Lattice:
     """psi at the search's lattice nodes, each evaluated once.  A call looks
-    its points up in the sorted nodes evaluated so far and passes the new
-    ones, in their order, to the evaluator in one call.  Most points of a
-    split are new, but a doubled side may repeat the midpoints that the box
-    across it, or an earlier split attempt, has doubled already, and a
-    split line may cross the line of a failed attempt."""
+    its points up in a dict of the nodes evaluated so far and passes the new
+    ones, in the order they first appear, to the evaluator in one call.
+    Most points of a split are new, but a doubled side may repeat the
+    midpoints that the box across it, or an earlier split attempt, has
+    doubled already, and a split line may cross the line of a failed
+    attempt."""
 
     def __init__(self, ev):
-        # sorted by z; the NaN sorts last, so every lookup lands on an entry
-        self.ev, self.z, self.vals = ev, np.array([np.nan + 0j]), np.zeros(1, dtype=complex)
+        self.ev, self.memo = ev, {}
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        u, first, back = np.unique(z, return_index=True, return_inverse=True)
-        at = np.searchsorted(self.z, u)
-        new = self.z[at] != u
-        vals = np.empty(u.size, dtype=complex)
-        vals[~new] = self.vals[at[~new]]
-        if new.any():
-            fresh = np.flatnonzero(new)[np.argsort(first[new])]
-            vals[fresh] = np.atleast_1d(self.ev(u[fresh]))
-            self.z = np.insert(self.z, at[new], u[new])
-            self.vals = np.insert(self.vals, at[new], vals[new])
-        return vals[back.ravel()]
+        points = z.tolist()
+        fresh = [w for w in dict.fromkeys(points) if w not in self.memo]
+        if fresh:
+            self.memo.update(zip(fresh, np.atleast_1d(self.ev(np.array(fresh))).tolist()))
+        return np.array([self.memo[w] for w in points], dtype=complex)
 
 
 def _fill(lattice: _Lattice, boxes) -> None:
@@ -232,37 +232,46 @@ def _on_boundary(vals: np.ndarray) -> bool:
     return not np.all(np.isfinite(vals.view(float))) or float(np.min(mags)) < 1e-12 * float(np.max(mags))
 
 
-def _count(z: np.ndarray, vals: np.ndarray) -> tuple[int, complex] | None:
-    """Zero count (with multiplicity) inside a closed contour and the sum of
-    those zeros, or None.
+def _frame(b: _Box) -> tuple[complex, float]:
+    """Centre and half diagonal of a box: the moments' variable is
+    u = (z - centre) / half diagonal, so |u| <= 1 on the box."""
+    return (complex(0.5 * (b.xs[0] + b.xs[-1]), 0.5 * (b.ys[0] + b.ys[-1])),
+            0.5 * math.hypot(b.xs[-1] - b.xs[0], b.ys[-1] - b.ys[0]))
+
+
+def _count(z: np.ndarray, vals: np.ndarray,
+           frame: tuple[complex, float]) -> tuple[int, np.ndarray] | None:
+    """Zero count (with multiplicity) inside a closed contour and the
+    contour moments of psi'/psi, or None.
 
     The winding of psi along the boundary is accumulated from principal
     phase steps; the contour integral of psi'/psi (central differences
     along the contour, trapezoid in the parameter) is computed alongside,
-    and both must agree on an integer.  The first moment of the same
-    integrand, (1/2 pi i) int z psi'/psi dz, is the sum of the zeros."""
+    and both must agree on an integer.  The same integrand gives the
+    moments s_p = (1/2 pi i) int u^p psi'/psi dz, p < 2 `_PENCIL_MAX`, in
+    the frame's variable u: s_0 is the integral, and for zeros u_k of
+    multiplicity n_k inside, s_p = sum n_k u_k^p."""
     # each array padded with its last point in front and its first behind
-    zc = np.concatenate((z[-1:], z, z[:1]))
     vc = np.concatenate((vals[-1:], vals, vals[:1]))
     steps = np.angle(vc[2:] / vals)
-    # central-difference log-derivative contour integral
-    integrand = (vc[2:] - vc[:-2]) / (zc[2:] - zc[:-2]) / vals
-    dz = zc[2:] - z
-    following = np.concatenate((integrand[1:], integrand[:1]))
-    integral = np.sum(0.5 * (integrand + following) * dz) / (2j * np.pi)
+    # trapezoid weight (z_{j+1} - z_{j-1}) / 2 times the central difference
+    # (psi_{j+1} - psi_{j-1}) / (z_{j+1} - z_{j-1}) / psi_j
+    terms = 0.5 * (vc[2:] - vc[:-2]) / vals / (2j * np.pi)
+    centre, scale = frame
+    u = (z - centre) / scale
+    moments = np.array([np.sum(terms * u ** p) for p in range(2 * _PENCIL_MAX)])
     w_unwrap = steps.sum() / (2.0 * np.pi)
     n_unwrap = int(round(w_unwrap))
     ok = (np.max(np.abs(steps)) < 2.2
           and abs(w_unwrap - n_unwrap) < 0.2
-          and abs(integral.real - n_unwrap) < 0.35
-          and abs(integral.imag) < 0.35)
-    moment = np.sum(0.5 * (z * integrand + zc[2:] * following) * dz) / (2j * np.pi)
-    return (n_unwrap, complex(moment)) if ok else None
+          and abs(moments[0].real - n_unwrap) < 0.35
+          and abs(moments[0].imag) < 0.35)
+    return (n_unwrap, moments) if ok else None
 
 
 def _settle(lattice: _Lattice,
-            boxes: list[_Box]) -> tuple[list[tuple[int, complex] | None], list[_Box]]:
-    """`_count` of each box, (count, zero sum) or None, and the boxes at the
+            boxes: list[_Box]) -> tuple[list[tuple[int, np.ndarray] | None], list[_Box]]:
+    """`_count` of each box, (count, moments) or None, and the boxes at the
     lattices that gave them.
 
     A box whose count does not settle has its lattice doubled, at most
@@ -270,7 +279,7 @@ def _settle(lattice: _Lattice,
     lattice call per round.  A box whose psi vanishes on its boundary, or
     whose count never settles, gets None, and then the others stop, so the
     caller can move the boxes."""
-    counts: list[tuple[int, complex] | None] = [None] * len(boxes)
+    counts: list[tuple[int, np.ndarray] | None] = [None] * len(boxes)
     live = list(range(len(boxes)))
     for attempt in range(_REFINE_MAX):
         _fill(lattice, [boxes[i] for i in live])
@@ -278,13 +287,49 @@ def _settle(lattice: _Lattice,
         if any(_on_boundary(vals) for _, vals in rings.values()):
             break
         for i, ring in rings.items():
-            counts[i] = _count(*ring)
+            counts[i] = _count(*ring, _frame(boxes[i]))
         live = [i for i in live if counts[i] is None]
         if not live or attempt == _REFINE_MAX - 1:
             break
         for i in live:
             boxes[i] = _refined(boxes[i], True, True)
     return counts, boxes
+
+
+def _pencil(moments: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct zeros u_k of a box counting m zeros, in the moments'
+    variable, and their multiplicities, from the moments s_0 .. s_{2m-1}.
+
+    s_p = sum n_k u_k^p makes the Hankel matrix H0 = (s_{i+j}), i, j < m,
+    equal to W^T diag(n) W with W the Vandermonde matrix of the distinct
+    zeros, so its numerical rank r (singular values above `_RANK_TOL` of
+    the largest) is their number, and they are the eigenvalues of the
+    leading r x r pencil (H1, H0) with H1 = (s_{i+j+1}) (Kravanja and
+    Van Barel).  The multiplicities come from `_multiplicities`; None
+    when a solve is singular."""
+    ij = np.add.outer(np.arange(m), np.arange(m))
+    h0 = moments[ij]
+    try:
+        sv = np.linalg.svd(h0, compute_uv=False)
+        r = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
+        u = np.linalg.eigvals(np.linalg.solve(h0[:r, :r], moments[ij[:r, :r] + 1]))
+        return u, _multiplicities(u, moments)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _multiplicities(u: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """n_k with sum_k n_k u_k^p = s_p for p < #u: the Vandermonde solve."""
+    return np.linalg.solve(np.vander(u, u.size, increasing=True).T, moments[:u.size])
+
+
+def _rounded(n: np.ndarray, m: int) -> list[int] | None:
+    """The multiplicities n rounded, when each is within `_ROUND_TOL` of a
+    positive integer and they add up to the count m; else None."""
+    k = np.rint(n.real)
+    if np.all(np.abs(n - k) < _ROUND_TOL) and np.all(k >= 1) and k.sum() == m:
+        return k.astype(int).tolist()
+    return None
 
 
 def _polish(ev, z0, tol: float, mult, max_radius) -> list[complex | None]:
@@ -335,6 +380,9 @@ def _polish(ev, z0, tol: float, mult, max_radius) -> list[complex | None]:
 
 
 _REFINE_MAX = 7       # samplings per box count, each doubling the last lattice
+_PENCIL_MAX = 3       # largest count resolved from a box's moments; larger ones split
+_RANK_TOL = 1e-3      # H0's rank: its singular values above this share of the largest
+_ROUND_TOL = 0.1      # largest distance of a resolved multiplicity from its integer
 _NEWTON_MAX = 80      # Newton steps per polish
 _PER_EDGE = 256       # lattice intervals per side of the whole region
 _MAX_DEPTH = 60       # subdivision depth limit
@@ -346,7 +394,7 @@ _SPLIT_FRACS = (0.51237346, 0.47621925, 0.54902211, 0.43812087, 0.57354779, 0.41
 
 def _halves(lattice: _Lattice, box: _Box, cnt: int, depth: int) -> list:
     """The halves of a box across its longer side, at the first split line
-    whose counts add up to cnt, as (box, count, zero sum, depth) entries."""
+    whose counts add up to cnt, as (box, count, moments) triples."""
     if depth >= _MAX_DEPTH:
         raise NumericalError("subdivision depth limit exceeded")
     horizontal = box.xs[-1] - box.xs[0] >= box.ys[-1] - box.ys[0]
@@ -359,28 +407,57 @@ def _halves(lattice: _Lattice, box: _Box, cnt: int, depth: int) -> list:
         tried.add(m)
         counts, kids = _settle(lattice, _split(box, horizontal, m))
         if None not in counts and sum(c for c, _ in counts) == cnt:
-            return [(k, c, s, depth + 1) for k, (c, s) in zip(kids, counts)]
+            return [(k, c, s) for k, (c, s) in zip(kids, counts)]
     raise NumericalError(
         f"could not place a split line off the zeros in box "
         f"[{box.xs[0]},{box.xs[-1]}]x[{box.ys[0]},{box.ys[-1]}]")
 
 
+def _open(b: _Box, z: complex) -> bool:
+    """z inside the open box: a Newton start there is no contour point."""
+    return b.xs[0] < z.real < b.xs[-1] and b.ys[0] < z.imag < b.ys[-1]
+
+
+def _claims(b: _Box, z: complex | None) -> bool:
+    """A polished root z belongs to the box.  Membership must be essentially
+    exact: split lines never pass through zeros, and a loose margin would
+    let the box claim a neighbor's zero."""
+    eps = 1e-9 * (1.0 + math.hypot(b.xs[-1] - b.xs[0], b.ys[-1] - b.ys[0]))
+    return z is not None and (b.xs[0] - eps <= z.real <= b.xs[-1] + eps
+                              and b.ys[0] - eps <= z.imag <= b.ys[-1] + eps)
+
+
 def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> ResonanceSet:
     """Locate all zeros in the region with multiplicities.
 
-    A box counting m zeros is polished when m is 1 or the box is narrower
-    than the cluster radius 64 max(tol, 1e-7); every other box is halved
-    along its longer side, by split lines moved off zeros (keeping the
-    boxes disjoint), so a multiple zero splits down to the cluster radius.
+    Each box is counted by the argument principle, and the samples that
+    count it give the moments of psi'/psi on its contour (`_count`).  A box
+    counting one zero, or narrower than the cluster radius
+    64 max(tol, 1e-7), waits for Newton from its centroid: the first moment
+    over the count, or the centre when that is not inside the open box.  A
+    box counting 2 to `_PENCIL_MAX` zeros waits with one start per
+    distinct zero from its Hankel pencil (`_pencil`), each with its
+    multiplicity rounded.  Every other box is halved along its longer
+    side, by split lines moved off zeros (keeping the boxes disjoint).
     Subdivision runs until every box left waits for Newton, and one sweep
-    of `_polish` (one psi call per step) then polishes them all, each
-    from its centroid: 1/m times the first moment of psi'/psi on its
-    contour, from the samples that counted it, or the centre when that is
-    not inside the open box.  A root inside its box is accepted with the
-    box's count as multiplicity; a box whose polish fails is split into
-    the next sweep.  The multiplicity total must reproduce the count of
-    the whole region.  A zero pinned to the outer boundary raises a
-    boundary-ambiguous failure rather than being dropped.
+    of `_polish` (one psi call per step) then polishes them all.
+
+    A root inside its box is accepted with the box's count as
+    multiplicity; a box whose polish fails is split into the next sweep.
+    A pencil box is accepted when its roots lie in the box, lie farther
+    apart than the merge radius, and the multiplicities recomputed from its
+    moments at the roots round to the ones polished with.  A pencil whose
+    starts leave the open box or whose multiplicities do not round, before
+    or after the polish, has the box's lattice doubled and the box counted
+    again, once, before it is split.  n-fold Newton converges to a k-fold
+    zero for every k > n/2, so a pencil takes no zero above double (3-fold
+    Newton also settles on a double zero), and a box whose double zero
+    failed (it was two close zeros, whose moments look double) hands no
+    double to the boxes split from it: those split down to the cluster
+    radius, as does every count above `_PENCIL_MAX`.  The multiplicity
+    total must reproduce the count of the whole region.  A zero pinned to
+    the outer boundary raises a boundary-ambiguous failure rather than
+    being dropped.
 
     Each box carries psi on its boundary lattice (`_Box`), starting from
     `_PER_EDGE` intervals per side of the region.  A split line sits on the
@@ -404,44 +481,77 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
             "region boundary; adjust the region")
     found: list[tuple[complex, int]] = []
-    stack = [(root, *settled, 0)]
+    # (box, count, moments, depth, may be recounted, may take a double
+    # zero from its pencil)
+    stack = [(root, *settled, 0, True, True)]
     cluster = 64.0 * max(tol, _MERGE_TOL)
+    merge = max(_MERGE_TOL, 16 * tol)
+
+    def split(box, cnt, depth, doubles):
+        stack.extend((k, c, s, depth + 1, True, doubles)
+                     for k, c, s in _halves(lattice, box, cnt, depth))
+
+    def unresolved(box, cnt, depth, recount, doubles):
+        # a pencil that did not resolve its box: the box with its lattice
+        # doubled and counted again, once, then its halves
+        if recount:
+            (c,), (k,) = _settle(lattice, [_refined(box, True, True)])
+            if c is not None:
+                stack.append((k, *c, depth, False, doubles))
+                return
+        split(box, cnt, depth, doubles)
+
     while stack:
-        # Only one zero or a cluster is polished: m-fold Newton on distinct
-        # zeros cycles, or lands on one of them and miscounts it.
+        # m-fold Newton polishes only an m-fold zero or a cluster: on
+        # distinct zeros it cycles, or lands on one of them and miscounts it
         waiting = []
         while stack:
-            box, cnt, zsum, depth = stack.pop()
+            entry = box, cnt, mom, depth, recount, doubles = stack.pop()
             if cnt == 0:
                 continue
-            re0, re1, im0, im1 = box.xs[0], box.xs[-1], box.ys[0], box.ys[-1]
-            diam = math.hypot(re1 - re0, im1 - im0)
-            if cnt == 1 or diam < cluster:
-                start = zsum / cnt
-                if not (re0 < start.real < re1 and im0 < start.imag < im1):
-                    start = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-                waiting.append((box, cnt, depth, diam, start))
+            centre, scale = _frame(box)
+            if cnt == 1 or 2.0 * scale < cluster:
+                start = (centre * mom[0] + scale * mom[1]) / cnt
+                waiting.append((entry, [start if _open(box, start) else centre], [cnt]))
+                continue
+            pencil = _pencil(mom, cnt) if cnt <= _PENCIL_MAX else None
+            if pencil is None:
+                split(box, cnt, depth, doubles)
+                continue
+            starts = (centre + scale * pencil[0]).tolist()
+            mults = _rounded(pencil[1], cnt)
+            if mults is None or not all(_open(box, z) for z in starts):
+                unresolved(box, cnt, depth, recount, doubles)
+            elif max(mults) > (2 if doubles else 1):
+                split(box, cnt, depth, doubles)
             else:
-                stack += _halves(lattice, box, cnt, depth)
+                waiting.append((entry, starts, mults))
         if not waiting:
             break
-        roots = _polish(evaluator, [w[4] for w in waiting], tol, [w[1] for w in waiting],
-                        [2.0 * w[3] for w in waiting])
-        for (box, cnt, depth, diam, _), z in zip(waiting, roots):
-            re0, re1, im0, im1 = box.xs[0], box.xs[-1], box.ys[0], box.ys[-1]
-            # Membership must be essentially exact: split lines never pass
-            # through zeros, and a loose margin would let this box claim a
-            # neighbor's zero.
-            eps = 1e-9 * (1.0 + diam)
-            if z is not None and (re0 - eps <= z.real <= re1 + eps
-                                  and im0 - eps <= z.imag <= im1 + eps):
-                found.append((z, cnt))
-            elif diam < cluster:
-                center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-                raise NumericalError(
-                    f"cluster of {cnt} zeros at {center}: Newton found no root in it")
+        roots = _polish(evaluator, [z for _, starts, _ in waiting for z in starts], tol,
+                        [m for *_, mults in waiting for m in mults],
+                        [4.0 * _frame(e[0])[1] for e, starts, _ in waiting for _ in starts])
+        at = 0
+        for (box, cnt, mom, depth, recount, doubles), starts, mults in waiting:
+            zs, at = roots[at: at + len(starts)], at + len(starts)
+            centre, scale = _frame(box)
+            if cnt == 1 or 2.0 * scale < cluster:
+                if _claims(box, zs[0]):
+                    found.append((zs[0], cnt))
+                elif 2.0 * scale < cluster:
+                    raise NumericalError(
+                        f"cluster of {cnt} zeros at {centre}: Newton found no root in it")
+                else:
+                    split(box, cnt, depth, doubles)
+                continue
+            doubles = doubles and max(mults) == 1
+            if None in zs or any(abs(a - b) <= merge for i, a in enumerate(zs) for b in zs[:i]):
+                split(box, cnt, depth, doubles)
+            elif all(_claims(box, z) for z in zs) and _rounded(
+                    _multiplicities((np.array(zs) - centre) / scale, mom), cnt) == mults:
+                found += zip(zs, mults)
             else:
-                stack += _halves(lattice, box, cnt, depth)
+                unresolved(box, cnt, depth, recount, doubles)
 
     total_mult = sum(m for _, m in found)
     if total_mult != settled[0]:
@@ -518,6 +628,8 @@ def forbidden_domain_check(R: ResonanceSet, gamma: float, eps: float,
 
 _COLLIDE_TOL = 1e-9      # |z - z_n| below which a Hadamard factor vanishes
 _ZERO_BLOCK = 2 ** 15    # entries per (z block) x (zeros) array in _zero_sums
+_FAR = 4.0               # zeros beyond _FAR max|z| enter _zero_sums through their moments
+_FAR_TERMS = 28          # moments taken: (1/_FAR)^k / k < 1e-17 beyond them
 
 
 def _truncated(R: ResonanceSet, r_cut: float) -> tuple[np.ndarray, np.ndarray]:
@@ -545,13 +657,30 @@ def _zero_sums(zeros: np.ndarray, weights: np.ndarray, gamma: float,
     weights w_n: phi = gamma z + sum w_n (arg(z - z_n) - arg(-z_n)) and
     phi' = gamma + sum w_n Im z_n / |z - z_n|^2, phi' the exact derivative.
     Both arguments have positive imaginary part, so the principal branch is
-    continuous in z.  z is taken in blocks that keep each z - z_n array
-    near _ZERO_BLOCK entries, so memory does not grow with #z; phi' is
-    summed only in the blocks that reach z[phi_only:], each block whole,
-    so its values do not depend on phi_only."""
+    continuous in z.
+
+    The zeros beyond `_FAR` max|z| enter through their moments
+    M_k = sum w_n z_n^-k: there arg(z - z_n) - arg(-z_n) = Im log(1 - z/z_n)
+    = -Im sum_k (z/z_n)^k / k, so phi gains -Im sum_k M_k z^k / k and phi'
+    -Im sum_k M_k z^(k-1), over k <= `_FAR_TERMS`.  The near zeros are
+    summed term by term, with z taken in blocks that keep each z - z_n
+    array near _ZERO_BLOCK entries, so memory does not grow with #z; phi'
+    is summed only in the blocks that reach z[phi_only:], each block
+    whole, so its values do not depend on phi_only."""
     z = np.asarray(z, dtype=float)
     phi = gamma * z
     dphi = np.full(z.shape, float(gamma))
+    far = np.abs(zeros) > _FAR * np.max(np.abs(z), initial=0.0)
+    if far.any():
+        inv = 1.0 / zeros[far]
+        power, moments = weights[far] * inv, []
+        for _ in range(_FAR_TERMS):
+            moments.append(power.sum())
+            power = power * inv
+        moments = np.array(moments)
+        phi -= (z * np.polyval((moments / np.arange(1, _FAR_TERMS + 1))[::-1], z)).imag
+        dphi -= np.polyval(moments[::-1], z).imag
+        zeros, weights = zeros[~far], weights[~far]
     base = np.angle(-zeros)
     step = max(1, _ZERO_BLOCK // max(zeros.size, 1))
     for lo in range(0, z.size, step):

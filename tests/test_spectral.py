@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dirachl import forward
+from dirachl import forward, spectral
 from dirachl.core import (
     BoundaryParam,
     NumericalError,
@@ -15,7 +15,9 @@ from dirachl.core import (
 from dirachl.forward import jost_kernel_direct, make_psi_evaluator, psi_values
 from dirachl.inverse import recover_potential, scattering_kernel
 from dirachl.spectral import (
+    _PER_EDGE,
     SearchRegion,
+    _Lattice,
     _polish,
     _truncated,
     _zero_sums,
@@ -77,8 +79,8 @@ class TestFindResonances:
         assert abs(z - (1 - 1j)) < 1e-8
 
     def test_zero_at_box_centre_is_simple(self):
-        # m-fold Newton from the region's centre lands on the simple zero
-        # there at once; the box's count of 3 belongs to three zeros
+        # m-fold Newton from the region's centre would land on the simple
+        # zero there at once; the box's count of 3 belongs to three zeros
         ev = lambda z: (z + 1.5j) * (z - 2 + 0.5j) * (z + 3 + 2.5j)
         R = find_resonances(ev, SearchRegion(-6, 6, -3, 0))
         assert R.multiplicities().tolist() == [1, 1, 1]
@@ -149,7 +151,7 @@ class TestFindResonances:
 
         box = SearchRegion(-6, 6, -3, 0)
         R = find_resonances(counted, box)
-        assert work == {"calls": 8, "points": 2817}
+        assert work == {"calls": 5, "points": 1060}
         assert R.total() == 3
         # the same potential recovered by the GLM march, which the
         # benchmark's cell-sampled search uses: its work follows rounding in
@@ -162,7 +164,7 @@ class TestFindResonances:
 
     def test_exact_search_work_pinned(self):
         # the search's work on exact pieces (synth seed 3): the contour
-        # calls, then one polish sweep of the four boxes in three steps
+        # calls, then one polish sweep of the four zeros in three steps
         ev = make_psi_evaluator(random_piecewise_potential(3, n=1024), BoundaryParam(0.3))
         sizes = []
 
@@ -171,15 +173,17 @@ class TestFindResonances:
             return ev(z)
 
         R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
-        assert (len(sizes), sum(sizes)) == (7, 2841)
+        assert (len(sizes), sum(sizes)) == (5, 1565)
         assert sizes[-3:] == [12, 12, 12]
         assert R.multiplicities().tolist() == [1, 1, 1, 1]
 
-    def test_evaluator_failure_below_region_splits(self):
+    def test_evaluator_failure_below_region_splits(self, monkeypatch):
         # psi "overflows" below Im z = -1.0001, just under the region; the
         # zero near the bottom side has a triple zero 0.01 beneath it, and
-        # one Newton iterate is drawn across the threshold.  Its sweep's
-        # live iterates fail and their boxes split: every zero is located
+        # on the split route (_PENCIL_MAX = 1) one Newton iterate is drawn
+        # across the threshold.  Its sweep's live iterates fail and their
+        # boxes split: every zero is located.  The region's pencil starts
+        # are close enough that no iterate crosses
         z1, z2 = 1.3 - 0.99j, 1.3 - 1.01j
         raised = []
 
@@ -191,11 +195,15 @@ class TestFindResonances:
                 raise NumericalError("psi overflowed")
             return (z - z1) * (z - z2) ** 3 * (z - (0.4 - 0.5j)) * (z - (1.7 - 0.3j))
 
+        R_pencil = find_resonances(ev, SearchRegion(0, 2, -1, 0))
+        assert not raised
+        monkeypatch.setattr(spectral, "_PENCIL_MAX", 1)
         R = find_resonances(ev, SearchRegion(0, 2, -1, 0))
         assert raised and set(raised) == {3}        # one iterate each time
-        assert R.multiplicities().tolist() == [1, 1, 1]
-        for z, w in zip(R.zeros(), (0.4 - 0.5j, z1, 1.7 - 0.3j)):
-            assert abs(z - w) < 1e-8
+        for Rx in (R, R_pencil):
+            assert Rx.multiplicities().tolist() == [1, 1, 1]
+            for z, w in zip(Rx.zeros(), (0.4 - 0.5j, z1, 1.7 - 0.3j)):
+                assert abs(z - w) < 1e-8
 
     @pytest.mark.parametrize("case", [f"exact-{s}" for s in range(1, 11)] + ["cell-0", "cell-1.3"])
     def test_complete_against_sweep(self, case):
@@ -249,6 +257,175 @@ class TestFindResonances:
         ev = lambda z: z - (0.5 - 1j)
         with pytest.raises(NumericalError, match="boundary-ambiguous"):
             find_resonances(ev, SearchRegion(0, 1, -1, 0))
+
+
+def _counting(ev):
+    """ev, and the sizes of its calls."""
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return ev(z)
+    return counted, sizes
+
+
+_THREE = lambda z: (z + 1.5j) * (z - 2 + 0.5j) * (z + 3 + 2.5j)
+
+
+class TestMomentPencil:
+    # a box counting 2 to _PENCIL_MAX zeros takes them from the Hankel
+    # pencil of its contour moments: one contour call for the region, then
+    # Newton calls of three points per start, and no split
+
+    def test_double_zero_from_root_box(self):
+        # the split route (_PENCIL_MAX = 1) takes 41 calls and 26,990
+        # points here
+        counted, sizes = _counting(lambda z: (z - (1 - 1j)) ** 2)
+        R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
+        (z, m), = R.entries
+        assert m == 2 and abs(z - (1 - 1j)) < 1e-14
+        assert (len(sizes), sum(sizes)) == (2, 1027)
+
+    def test_close_simple_pair(self):
+        counted, sizes = _counting(lambda z: (z - (1 - 1j)) * (z - (1.2 - 1j)))
+        R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
+        assert R.multiplicities().tolist() == [1, 1]
+        for z, w in zip(R.zeros(), (1 - 1j, 1.2 - 1j)):
+            assert abs(z - w) < 1e-14
+        assert sizes[0] == 4 * _PER_EDGE and set(sizes[1:]) == {6}
+
+    def test_three_zero_box_unsplit(self):
+        counted, sizes = _counting(_THREE)
+        R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
+        assert R.multiplicities().tolist() == [1, 1, 1]
+        for z, w in zip(R.zeros(), (-1.5j, 2 - 0.5j, -3 - 2.5j)):
+            assert abs(z - w) < 1e-14
+        assert sizes[0] == 4 * _PER_EDGE and set(sizes[1:]) == {9}
+
+    def test_double_beside_simple(self):
+        # one start per distinct zero, each with its multiplicity
+        z1, z2 = 0.9731 - 1.0417j, 1.0731 - 1.0417j
+        counted, sizes = _counting(lambda z: (z - z1) ** 2 * (z - z2))
+        R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
+        assert R.entries[0][1] == 2 and R.entries[1][1] == 1
+        assert abs(R.entries[0][0] - z1) < 1e-12 and abs(R.entries[1][0] - z2) < 1e-12
+        assert sizes[0] == 4 * _PER_EDGE and sizes[1] == 6
+
+    @pytest.mark.parametrize("d", [3e-2, 1e-4])
+    def test_no_triple_from_a_cluster(self, d):
+        # a double zero d from a simple one has moments close to a triple
+        # zero's, and 3-fold Newton settles on the double: the pencil takes
+        # no triple, and the boxes split until the two come apart
+        z1 = 0.9731 - 1.0417j
+        R = find_resonances(lambda z: (z - z1) ** 2 * (z - z1 - d), SearchRegion(0, 2, -2, 0),
+                            tol=1e-11)
+        assert R.multiplicities().tolist() == [2, 1]
+        for z, w in zip(R.zeros(), (z1, z1 + d)):
+            assert abs(z - w) < 1e-10
+
+    def test_fourfold_zero_reaches_cluster_branch(self, monkeypatch):
+        # a count above _PENCIL_MAX splits down to the cluster radius, whose
+        # box is polished with the count as multiplicity
+        polished = []
+        real = spectral._polish
+
+        def recording(ev, z0, tol, mult, max_radius):
+            polished.extend(zip(mult, max_radius))
+            return real(ev, z0, tol, mult, max_radius)
+
+        monkeypatch.setattr(spectral, "_polish", recording)
+        R = find_resonances(lambda z: (z - (0.9 - 1.1j)) ** 4, SearchRegion(0, 2, -2, 0))
+        (z, m), = R.entries
+        assert m == 4 and abs(z - (0.9 - 1.1j)) < 1e-7
+        cluster = 64 * max(1e-9, spectral._MERGE_TOL)
+        assert polished and all(m == 4 and radius < 2 * cluster for m, radius in polished)
+
+    @pytest.mark.parametrize("where", ["starts", "roots"])
+    def test_rejected_pencil_splits(self, monkeypatch, where):
+        # a pencil whose starts leave the box, or whose polished roots do,
+        # has the box's lattice doubled and the box counted again, once,
+        # then split; the split route finds every zero
+        events = []
+        real_settle, real_halves = spectral._settle, spectral._halves
+        monkeypatch.setattr(spectral, "_settle", lambda lattice, boxes: events.append(
+            ("count", [b.xs.size for b in boxes])) or real_settle(lattice, boxes))
+        monkeypatch.setattr(spectral, "_halves", lambda lattice, box, cnt, depth: events.append(
+            ("split", cnt)) or real_halves(lattice, box, cnt, depth))
+        if where == "starts":
+            real = spectral._pencil
+            monkeypatch.setattr(spectral, "_pencil",
+                                lambda mom, m: (real(mom, m)[0] + 3.0, real(mom, m)[1]))
+        else:
+            real = spectral._polish
+            sweeps = []
+
+            def off(ev, z0, tol, mult, max_radius):
+                sweeps.append(len(z0))
+                out = real(ev, z0, tol, mult, max_radius)
+                return [z + 20.0 for z in out] if len(sweeps) <= 2 else out
+            monkeypatch.setattr(spectral, "_polish", off)
+        R = find_resonances(_THREE, SearchRegion(-6, 6, -3, 0))
+        assert R.multiplicities().tolist() == [1, 1, 1]
+        for z, w in zip(R.zeros(), (-1.5j, 2 - 0.5j, -3 - 2.5j)):
+            assert abs(z - w) < 1e-8
+        n = _PER_EDGE + 1
+        assert events[:3] == [("count", [n]), ("count", [2 * n - 1]), ("split", 3)]
+
+    @pytest.mark.parametrize("case", [f"exact-{s}" for s in range(1, 7)]
+                             + ["cell", "double", "double-simple", "pair"])
+    def test_matches_split_route(self, monkeypatch, case):
+        # with _PENCIL_MAX = 1 every box counting 2 or more splits, as
+        # before the pencil: the same multiplicities, simple zeros within
+        # 1e-14 relative; a multiple zero's Newton iterate stops within a
+        # few 1e-14 of it, so those are held to 1e-13
+        kind, _, arg = case.partition("-")
+        region, tol = SearchRegion(0, 2, -2, 0), 1e-11
+        if kind == "exact":
+            seed = int(arg)
+            k = 3.7 * seed - 18.0
+            q = shift_potential(random_piecewise_potential(seed, n=1024), k)
+            ev = make_psi_evaluator(q, BoundaryParam(0.15 * (seed - 1)))
+            region, tol = SearchRegion(-6 + k, 6 + k, -3, 0), 1e-9
+        elif kind == "cell":
+            qp = random_piecewise_potential(101, n=96)
+            ev = make_psi_evaluator(potential_from_values(qp.gamma, qp.samples.values),
+                                    BoundaryParam(0.4))
+            region, tol = SearchRegion(-6, 6, -3, 0), 1e-9
+        elif case == "double":
+            ev = lambda z: (z - (1.0731 - 0.6417j)) ** 2
+        elif case == "double-simple":
+            ev = lambda z: (z - (0.97 - 1.04j)) ** 2 * (z - (1.27 - 1.04j))
+        else:
+            ev = lambda z: (z - (0.9 - 0.9j)) * (z - (1.05 - 1.1j))
+        R = find_resonances(ev, region, tol=tol)
+        monkeypatch.setattr(spectral, "_PENCIL_MAX", 1)
+        R_split = find_resonances(ev, region, tol=tol)
+        assert R.multiplicities().tolist() == R_split.multiplicities().tolist()
+        drift = np.abs(R.zeros() - R_split.zeros()) / np.abs(R_split.zeros())
+        assert np.all(drift <= np.where(R.multiplicities() == 1, 1e-14, 1e-13))
+
+    def test_random_double_zeros(self):
+        # 100 double zeros drawn with numpy seed 5; on the split route
+        # (_PENCIL_MAX = 1) 3 of them end in "could not place a split
+        # line" (a box beside the zero counts it)
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            z0 = complex(rng.uniform(0.3, 1.7), rng.uniform(-1.7, -0.3))
+            R = find_resonances(lambda z: (z - z0) ** 2, SearchRegion(0, 2, -2, 0), tol=1e-11)
+            (z, m), = R.entries
+            assert m == 2 and abs(z - z0) < 1e-12
+
+    def test_lattice_evaluates_new_points_once(self):
+        # a lattice call passes the points not seen before, each once, in
+        # the order they first appear
+        calls = []
+        lattice = _Lattice(lambda z: calls.append(z.tolist()) or 2.0 * z)
+        first = np.array([1 - 1j, 2 - 1j, 1 - 1j])
+        np.testing.assert_array_equal(lattice(first), 2.0 * first)
+        second = np.array([3 - 1j, 2 - 1j, 4 - 1j, 3 - 1j])
+        np.testing.assert_array_equal(lattice(second), 2.0 * second)
+        assert lattice(np.array([4 - 1j, 1 - 1j])).tolist() == [8 - 2j, 2 - 2j]
+        assert calls == [[1 - 1j, 2 - 1j], [3 - 1j, 4 - 1j]]
 
 
 class TestCounting:

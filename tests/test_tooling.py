@@ -320,7 +320,7 @@ def test_exact_search_transcendental_free(monkeypatch):
     monkeypatch.setattr(forward, "np", CountingNumpy())
     R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
     assert not calls, sorted(set(calls))
-    assert (len(sizes), sum(sizes)) == (7, 2841)
+    assert (len(sizes), sum(sizes)) == (5, 1565)
     assert R.multiplicities().tolist() == [1, 1, 1, 1]
 
 
