@@ -1,7 +1,7 @@
 """Forward and inverse resonance scattering for massless Dirac operators
 on the half-line with compactly supported potentials.
 
-Subpackages: `core` (types, quadrature, validators), `forward` (Jost
+Subpackages: `core` (types, validators), `forward` (Jost
 solutions and kernels), `spectral` (resonances, counting, phases),
 `inverse` (Wiener inversion, scattering kernel, layer recovery),
 `transforms` (resonance surgery, shift, reflection), `canonical`
@@ -19,7 +19,6 @@ from .core import (
     ScatteringRep,
     make_grid,
     potential_from_values,
-    quadrature,
     validate_class,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "ScatteringRep",
     "make_grid",
     "potential_from_values",
-    "quadrature",
     "validate_class",
 ]
 

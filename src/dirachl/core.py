@@ -3,7 +3,7 @@
 Everything downstream works with complex-valued functions sampled on
 uniform grids: potentials q on [0, gamma], Fourier kernels g of the Jost
 function on [0, gamma], scattering kernels F on [-gamma, t_max].  This
-module provides the containers, trapezoid quadrature, the FFT
+module provides the containers, trapezoid weights, the FFT
 convolution of sampled sequences, an exact Fourier transform of the
 piecewise-linear interpolant (plain trapezoid picks up an O((zh)^2)
 phase error that is fatal for the tighter agreement checks; arithmetic
@@ -35,7 +35,6 @@ __all__ = [
     "ClassCheck",
     "ClassReport",
     "make_grid",
-    "quadrature",
     "support_supremum",
     "support_infimum",
     "validate_class",
@@ -124,13 +123,6 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     w = np.full(grid.n + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
     return w
-
-
-def quadrature(f: SampledComplexFunction) -> complex:
-    """Trapezoid rule; exact for affine integrands."""
-    if f.grid.n < 1:
-        raise ValidationError("quadrature needs at least two nodes")
-    return complex(np.dot(_trapezoid_weights(f.grid), f.values))
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -680,7 +672,7 @@ class ResonanceSet:
     def total(self) -> int:
         return int(sum(m for _, m in self.entries))
 
-    def merged(self, tol: float = 1e-8) -> "ResonanceSet":
+    def merged(self, tol: float) -> "ResonanceSet":
         out: list[tuple[complex, int]] = []
         for z, m in self.entries:
             for i, (z0, m0) in enumerate(out):

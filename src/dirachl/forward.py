@@ -49,7 +49,6 @@ Python-level steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,31 +63,16 @@ from .core import (
 from .core import _cut_nodes, _filon_weights, _linear_transform
 
 __all__ = [
-    "KernelBound",
     "integrate_jost",
     "jost_function",
     "psi_values",
     "make_psi_evaluator",
     "jost_kernel",
     "jost_kernel_direct",
-    "kernel_estimate",
 ]
 
 DEFAULT_IM_CAP_SCALE = 50.0
 _ABS_Z_MAX = 1e152      # largest |z| taken: |z|^2 in `_expm_traceless` stays finite
-
-
-@dataclass(frozen=True)
-class KernelBound:
-    """Tail integrals of the potential and the transformation-kernel bound."""
-
-    x: float
-    eta: float
-    zeta: float
-
-    @property
-    def bound(self) -> float:
-        return math.exp(self.eta) * (1.0 + self.zeta) - 1.0
 
 
 def _growth_cap(gamma: float) -> float:
@@ -609,26 +593,3 @@ def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
     ea = np.exp(-1j * alpha.alpha)
     g = ea * line[0] - np.conj(ea) * line[1]
     return JostRep(alpha, q.gamma, SampledComplexFunction(q.grid, g))
-
-
-# ---------------------------------------------------------------------------
-# kernel norm bound
-# ---------------------------------------------------------------------------
-
-def kernel_estimate(q: Potential, x: float) -> KernelBound:
-    """Tail integrals eta(x) = int_x^gamma |q|, zeta(x) = (int_x^gamma |q|^2)^(1/2)
-    and the bound e^eta (1 + zeta) - 1 on the transformation-kernel norms."""
-    if x < 0:
-        raise ValidationError("x must be nonnegative")
-    if x >= q.gamma:
-        return KernelBound(x, 0.0, 0.0)
-    nodes = q.grid.nodes()
-    mags = np.abs(q.samples.values)
-    # piecewise-linear |q| integrated over [x, gamma]: re-sample at the clip
-    m_at_x = float(np.interp(x, nodes, mags))
-    keep = nodes > x
-    xs = np.concatenate(([x], nodes[keep]))
-    m1 = np.concatenate(([m_at_x], mags[keep]))
-    eta = float(np.trapezoid(m1, xs))
-    zeta = float(math.sqrt(max(np.trapezoid(m1 ** 2, xs), 0.0)))
-    return KernelBound(x, eta, zeta)

@@ -5,20 +5,19 @@ located by recursive rectangle subdivision: the zero count of each box is
 the winding of psi along its boundary (equivalently the contour integral
 of psi'/psi, evaluated both ways), and the same contour samples give the
 moments s_p of psi'/psi, the power sums of the zeros inside (the argument
-principle of Delves and Lyness).  A box of one zero is polished from its
-centroid s_1/s_0, and a box of 2 to `_PENCIL_MAX` zeros from the
-eigenvalues of the Hankel pencil of its moments, whose rank is the number
-of distinct zeros, with multiplicities from a Vandermonde solve (Kravanja
-and Van Barel); other boxes are split until each isolates one zero, a
-pencil's worth, or shrinks below the cluster radius.  One sweep of Newton
+principle of Delves and Lyness).  A box of up to `_PENCIL_MAX` zeros is
+started at the eigenvalues of the Hankel pencil of its moments, whose
+rank is the number of distinct zeros, with multiplicities from a
+Vandermonde solve (Kravanja and Van Barel); for one zero that is the
+centroid s_1/s_0.  Other boxes are split until each holds a pencil's
+worth or shrinks below the cluster radius.  One sweep of Newton
 iteration with differenced derivatives then polishes every start; a box
-whose polish fails, or whose pencil roots do not reproduce its moments,
-is split for the next sweep.  Each box carries psi on its boundary
-lattice: a split line runs along a lattice node, the two halves slice
-their outer sides from the box and share the line, and a side is refined
-by its midpoints, so no contour point is evaluated twice, a split costs
-one psi call and a Newton step one call for all boxes.  The located set
-feeds:
+whose pencil is rejected, before or after the polish, is split for the
+next sweep.  Each box carries psi on its boundary lattice: a split line
+runs along a lattice node, the two halves slice their outer sides from
+the box and share the line, and a side is refined by its midpoints, so
+no contour point is evaluated twice, a split costs one psi call and a
+Newton step one call for all boxes.  The located set feeds:
 
   * sector counting functions and their linear-density ratio (the zero
     count along each half-axis grows like (gamma/pi) r),
@@ -296,7 +295,7 @@ def _settle(lattice: _Lattice,
     return counts, boxes
 
 
-def _pencil(moments: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _pencil(moments: np.ndarray, m: int) -> tuple[np.ndarray, list[int]] | None:
     """The distinct zeros u_k of a box counting m zeros, in the moments'
     variable, and their multiplicities, from the moments s_0 .. s_{2m-1}.
 
@@ -305,17 +304,19 @@ def _pencil(moments: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray] | None
     zeros, so its numerical rank r (singular values above `_RANK_TOL` of
     the largest) is their number, and they are the eigenvalues of the
     leading r x r pencil (H1, H0) with H1 = (s_{i+j+1}) (Kravanja and
-    Van Barel).  The multiplicities come from `_multiplicities`; None
-    when a solve is singular."""
+    Van Barel).  For m = 1 that is the centroid s_1 / s_0.  The
+    multiplicities come from `_multiplicities`, rounded by `_rounded`;
+    None when a solve is singular or they do not round."""
     ij = np.add.outer(np.arange(m), np.arange(m))
     h0 = moments[ij]
     try:
         sv = np.linalg.svd(h0, compute_uv=False)
         r = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
         u = np.linalg.eigvals(np.linalg.solve(h0[:r, :r], moments[ij[:r, :r] + 1]))
-        return u, _multiplicities(u, moments)
+        mults = _rounded(_multiplicities(u, moments), m)
     except np.linalg.LinAlgError:
         return None
+    return None if mults is None else (u, mults)
 
 
 def _multiplicities(u: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -340,7 +341,9 @@ def _polish(ev, z0, tol: float, mult, max_radius) -> list[complex | None]:
     `_NEWTON_MAX` steps, the iterate leaves its max_radius or ev overflows
     there; ev raising NumericalError or ArithmeticError fails every live
     iterate.  An iterate where ev is exactly zero is the root: at a
-    multiple root the differenced derivative is zero there too.  The step
+    multiple root the differenced derivative is zero there too.  The
+    difference step is 1e-7 max(1, |z|), at most 1e-3 of the iterate's
+    max_radius, so that it stays below the spacing of a cluster.  The step
     arithmetic is per iterate in Python complex: numpy on a few iterates
     costs more per step than it saves."""
     z = [complex(s) for s in z0]
@@ -351,7 +354,7 @@ def _polish(ev, z0, tol: float, mult, max_radius) -> list[complex | None]:
         if not live:
             break
         at = [z[i] for i in live]
-        delta = [1e-7 * max(1.0, abs(w)) for w in at]
+        delta = [min(1e-7 * max(1.0, abs(w)), 1e-3 * max_radius[i]) for w, i in zip(at, live)]
         points = at + [w + d for w, d in zip(at, delta)] + [w - d for w, d in zip(at, delta)]
         try:
             vals = np.asarray(ev(np.array(points))).tolist()
@@ -432,32 +435,30 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
 
     Each box is counted by the argument principle, and the samples that
     count it give the moments of psi'/psi on its contour (`_count`).  A box
-    counting one zero, or narrower than the cluster radius
-    64 max(tol, 1e-7), waits for Newton from its centroid: the first moment
-    over the count, or the centre when that is not inside the open box.  A
-    box counting 2 to `_PENCIL_MAX` zeros waits with one start per
+    narrower than the cluster radius 64 max(tol, 1e-7) waits for Newton
+    from its centroid, the first moment over the count (the centre when
+    that is not inside the open box), with the count as multiplicity.  A
+    box counting 1 to `_PENCIL_MAX` zeros waits with one start per
     distinct zero from its Hankel pencil (`_pencil`), each with its
     multiplicity rounded.  Every other box is halved along its longer
     side, by split lines moved off zeros (keeping the boxes disjoint).
     Subdivision runs until every box left waits for Newton, and one sweep
     of `_polish` (one psi call per step) then polishes them all.
 
-    A root inside its box is accepted with the box's count as
-    multiplicity; a box whose polish fails is split into the next sweep.
     A pencil box is accepted when its roots lie in the box, lie farther
     apart than the merge radius, and the multiplicities recomputed from its
-    moments at the roots round to the ones polished with.  A pencil whose
-    starts leave the open box or whose multiplicities do not round, before
-    or after the polish, has the box's lattice doubled and the box counted
-    again, once, before it is split.  n-fold Newton converges to a k-fold
-    zero for every k > n/2, so a pencil takes no zero above double (3-fold
-    Newton also settles on a double zero), and a box whose double zero
-    failed (it was two close zeros, whose moments look double) hands no
-    double to the boxes split from it: those split down to the cluster
-    radius, as does every count above `_PENCIL_MAX`.  The multiplicity
-    total must reproduce the count of the whole region.  A zero pinned to
-    the outer boundary raises a boundary-ambiguous failure rather than
-    being dropped.
+    moments at the roots round to the ones polished with.  A pencil that
+    is singular, whose starts leave the open box or whose multiplicities
+    do not round, before or after the polish, has its box split into the
+    next sweep.  n-fold Newton converges to a k-fold zero for every
+    k > n/2, so a pencil takes no zero above double (3-fold Newton also
+    settles on a double zero), and a box whose double zero failed (it was
+    two close zeros, whose moments look double) hands no double to the
+    boxes split from it: those split down to the cluster radius, as does
+    every count above `_PENCIL_MAX`.  A cluster box whose root leaves it
+    raises.  The multiplicity total must reproduce the count of the whole
+    region.  A zero pinned to the outer boundary raises a
+    boundary-ambiguous failure rather than being dropped.
 
     Each box carries psi on its boundary lattice (`_Box`), starting from
     `_PER_EDGE` intervals per side of the region.  A split line sits on the
@@ -481,77 +482,56 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
             "region boundary; adjust the region")
     found: list[tuple[complex, int]] = []
-    # (box, count, moments, depth, may be recounted, may take a double
-    # zero from its pencil)
-    stack = [(root, *settled, 0, True, True)]
+    # (box, count, moments, depth, may take a double zero from its pencil)
+    stack = [(root, *settled, 0, True)]
     cluster = 64.0 * max(tol, _MERGE_TOL)
     merge = max(_MERGE_TOL, 16 * tol)
 
     def split(box, cnt, depth, doubles):
-        stack.extend((k, c, s, depth + 1, True, doubles)
+        stack.extend((k, c, s, depth + 1, doubles)
                      for k, c, s in _halves(lattice, box, cnt, depth))
-
-    def unresolved(box, cnt, depth, recount, doubles):
-        # a pencil that did not resolve its box: the box with its lattice
-        # doubled and counted again, once, then its halves
-        if recount:
-            (c,), (k,) = _settle(lattice, [_refined(box, True, True)])
-            if c is not None:
-                stack.append((k, *c, depth, False, doubles))
-                return
-        split(box, cnt, depth, doubles)
 
     while stack:
         # m-fold Newton polishes only an m-fold zero or a cluster: on
         # distinct zeros it cycles, or lands on one of them and miscounts it
         waiting = []
         while stack:
-            entry = box, cnt, mom, depth, recount, doubles = stack.pop()
+            entry = box, cnt, mom, depth, doubles = stack.pop()
             if cnt == 0:
                 continue
             centre, scale = _frame(box)
-            if cnt == 1 or 2.0 * scale < cluster:
+            if 2.0 * scale < cluster:
                 start = (centre * mom[0] + scale * mom[1]) / cnt
                 waiting.append((entry, [start if _open(box, start) else centre], [cnt]))
                 continue
             pencil = _pencil(mom, cnt) if cnt <= _PENCIL_MAX else None
-            if pencil is None:
-                split(box, cnt, depth, doubles)
-                continue
-            starts = (centre + scale * pencil[0]).tolist()
-            mults = _rounded(pencil[1], cnt)
-            if mults is None or not all(_open(box, z) for z in starts):
-                unresolved(box, cnt, depth, recount, doubles)
-            elif max(mults) > (2 if doubles else 1):
-                split(box, cnt, depth, doubles)
+            starts = [] if pencil is None else (centre + scale * pencil[0]).tolist()
+            if (pencil is not None and max(pencil[1]) <= (2 if doubles else 1)
+                    and all(_open(box, z) for z in starts)):
+                waiting.append((entry, starts, pencil[1]))
             else:
-                waiting.append((entry, starts, mults))
+                split(box, cnt, depth, doubles)
         if not waiting:
             break
         roots = _polish(evaluator, [z for _, starts, _ in waiting for z in starts], tol,
                         [m for *_, mults in waiting for m in mults],
                         [4.0 * _frame(e[0])[1] for e, starts, _ in waiting for _ in starts])
         at = 0
-        for (box, cnt, mom, depth, recount, doubles), starts, mults in waiting:
+        for (box, cnt, mom, depth, doubles), starts, mults in waiting:
             zs, at = roots[at: at + len(starts)], at + len(starts)
             centre, scale = _frame(box)
-            if cnt == 1 or 2.0 * scale < cluster:
-                if _claims(box, zs[0]):
-                    found.append((zs[0], cnt))
-                elif 2.0 * scale < cluster:
+            if 2.0 * scale < cluster:
+                if not _claims(box, zs[0]):
                     raise NumericalError(
                         f"cluster of {cnt} zeros at {centre}: Newton found no root in it")
-                else:
-                    split(box, cnt, depth, doubles)
-                continue
-            doubles = doubles and max(mults) == 1
-            if None in zs or any(abs(a - b) <= merge for i, a in enumerate(zs) for b in zs[:i]):
-                split(box, cnt, depth, doubles)
-            elif all(_claims(box, z) for z in zs) and _rounded(
-                    _multiplicities((np.array(zs) - centre) / scale, mom), cnt) == mults:
+                found.append((zs[0], cnt))
+            elif (all(_claims(box, z) for z in zs)
+                  and all(abs(a - b) > merge for i, a in enumerate(zs) for b in zs[:i])
+                  and _rounded(_multiplicities((np.array(zs) - centre) / scale, mom),
+                               cnt) == mults):
                 found += zip(zs, mults)
             else:
-                unresolved(box, cnt, depth, recount, doubles)
+                split(box, cnt, depth, doubles and max(mults) == 1)
 
     total_mult = sum(m for _, m in found)
     if total_mult != settled[0]:
@@ -559,7 +539,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
             f"located multiplicities ({total_mult}) disagree with the "
             f"argument-principle count ({settled[0]}) of the region")
     keep = tuple((z, m) for z, m in found if z.imag < 0)
-    return ResonanceSet(keep).merged(max(_MERGE_TOL, 16 * tol))
+    return ResonanceSet(keep).merged(merge)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +632,7 @@ def hadamard_evaluate(R: ResonanceSet, psi0: complex, gamma: float, z: complex,
 
 
 def _zero_sums(zeros: np.ndarray, weights: np.ndarray, gamma: float,
-               z: np.ndarray, phi_only: int = 0) -> tuple[np.ndarray, np.ndarray]:
+               z: np.ndarray, phi_only: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi at z, phi' at z[phi_only:]) at real z for the zeros z_n with
     weights w_n: phi = gamma z + sum w_n (arg(z - z_n) - arg(-z_n)) and
     phi' = gamma + sum w_n Im z_n / |z - z_n|^2, phi' the exact derivative.

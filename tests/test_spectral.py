@@ -177,33 +177,32 @@ class TestFindResonances:
         assert sizes[-3:] == [12, 12, 12]
         assert R.multiplicities().tolist() == [1, 1, 1, 1]
 
-    def test_evaluator_failure_below_region_splits(self, monkeypatch):
+    def test_evaluator_failure_below_region_splits(self):
         # psi "overflows" below Im z = -1.0001, just under the region; the
-        # zero near the bottom side has a triple zero 0.01 beneath it, and
-        # on the split route (_PENCIL_MAX = 1) one Newton iterate is drawn
-        # across the threshold.  Its sweep's live iterates fail and their
-        # boxes split: every zero is located.  The region's pencil starts
-        # are close enough that no iterate crosses
-        z1, z2 = 1.3 - 0.99j, 1.3 - 1.01j
-        raised = []
+        # zero z1 near the bottom side has a triple zero 0.041 beneath it.
+        # The region's pencil reads the close pair 0.891 - 0.619i,
+        # 0.786 - 0.658i as one double zero, and the iterate from the start
+        # near z1 is drawn across the threshold in the fifth Newton step.
+        # The sweep's live iterates fail and the region splits: every zero
+        # is located
+        z1, z2 = 0.526 - 0.982j, 0.535 - 1.023j
+        raised, sizes = [], []
 
         def ev(z):
             z = np.asarray(z)
+            sizes.append(z.size)
             below = z.imag < -1.0001
             if below.any():
                 raised.append(int(below.sum()))
                 raise NumericalError("psi overflowed")
-            return (z - z1) * (z - z2) ** 3 * (z - (0.4 - 0.5j)) * (z - (1.7 - 0.3j))
+            return (z - (0.891 - 0.619j)) * (z - (0.786 - 0.658j)) * (z - z1) * (z - z2) ** 3
 
-        R_pencil = find_resonances(ev, SearchRegion(0, 2, -1, 0))
-        assert not raised
-        monkeypatch.setattr(spectral, "_PENCIL_MAX", 1)
         R = find_resonances(ev, SearchRegion(0, 2, -1, 0))
-        assert raised and set(raised) == {3}        # one iterate each time
-        for Rx in (R, R_pencil):
-            assert Rx.multiplicities().tolist() == [1, 1, 1]
-            for z, w in zip(Rx.zeros(), (0.4 - 0.5j, z1, 1.7 - 0.3j)):
-                assert abs(z - w) < 1e-8
+        assert raised == [3]                        # one iterate, once
+        assert sizes[:6] == [4 * _PER_EDGE] + [6] * 5 and sizes[6] > 9
+        assert R.multiplicities().tolist() == [1, 1, 1]
+        for z, w in zip(R.zeros(), (0.786 - 0.658j, 0.891 - 0.619j, z1)):
+            assert abs(z - w) < 1e-8
 
     @pytest.mark.parametrize("case", [f"exact-{s}" for s in range(1, 11)] + ["cell-0", "cell-1.3"])
     def test_complete_against_sweep(self, case):
@@ -343,8 +342,8 @@ class TestMomentPencil:
     @pytest.mark.parametrize("where", ["starts", "roots"])
     def test_rejected_pencil_splits(self, monkeypatch, where):
         # a pencil whose starts leave the box, or whose polished roots do,
-        # has the box's lattice doubled and the box counted again, once,
-        # then split; the split route finds every zero
+        # has its box split at once, with no second count; the halves find
+        # every zero
         events = []
         real_settle, real_halves = spectral._settle, spectral._halves
         monkeypatch.setattr(spectral, "_settle", lambda lattice, boxes: events.append(
@@ -353,8 +352,11 @@ class TestMomentPencil:
             ("split", cnt)) or real_halves(lattice, box, cnt, depth))
         if where == "starts":
             real = spectral._pencil
-            monkeypatch.setattr(spectral, "_pencil",
-                                lambda mom, m: (real(mom, m)[0] + 3.0, real(mom, m)[1]))
+
+            def off(mom, m):
+                u, mults = real(mom, m)
+                return (u + 3.0 if m == 3 else u), mults
+            monkeypatch.setattr(spectral, "_pencil", off)
         else:
             real = spectral._polish
             sweeps = []
@@ -368,8 +370,37 @@ class TestMomentPencil:
         assert R.multiplicities().tolist() == [1, 1, 1]
         for z, w in zip(R.zeros(), (-1.5j, 2 - 0.5j, -3 - 2.5j)):
             assert abs(z - w) < 1e-8
-        n = _PER_EDGE + 1
-        assert events[:3] == [("count", [n]), ("count", [2 * n - 1]), ("split", 3)]
+        assert events[:2] == [("count", [_PER_EDGE + 1]), ("split", 3)]
+
+    @pytest.mark.parametrize("d, mults", [(1e-6, [2, 1]), (1e-6j, [2, 1]), (3e-7j, [2, 1]),
+                                          (1e-7, [3])])
+    def test_double_zero_closer_than_difference_step(self, d, mults):
+        # a double zero d from a simple one, closer than the polish's
+        # difference step 1e-7 max(1, |z|) ~ 1.4e-7 would be without its
+        # cap at 1e-3 of the max radius: the pair is located as a double
+        # and a simple zero, and at d = 1e-7 as one triple inside the
+        # cluster radius
+        a = 0.9731 - 1.0417j
+        R = find_resonances(lambda z: (z - a) ** 2 * (z - a - d), SearchRegion(0, 2, -2, 0),
+                            tol=1e-11)
+        got = {m: z for z, m in R.entries}
+        assert sorted(got, reverse=True) == mults
+        assert abs(got[mults[0]] - a) < 1e-10
+        if 1 in got:
+            assert abs(got[1] - (a + d)) < 1e-14
+
+    def test_failed_double_hands_no_double_to_halves(self):
+        # two simple zeros 1e-4 apart have moments close to a double
+        # zero's; once its double fails, the boxes split from it take no
+        # double from their pencils, and the pair comes apart in 102 calls
+        # (1,622 when the halves may take a double again)
+        a = 0.9731 - 1.0417j
+        counted, sizes = _counting(lambda z: (z - a) * (z - a - 1e-4j))
+        R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
+        assert R.multiplicities().tolist() == [1, 1]
+        for z, w in zip(R.zeros(), (a + 1e-4j, a)):
+            assert abs(z - w) < 1e-14
+        assert len(sizes) == 102
 
     @pytest.mark.parametrize("case", [f"exact-{s}" for s in range(1, 7)]
                              + ["cell", "double", "double-simple", "pair"])
@@ -521,7 +552,7 @@ class TestHadamard:
 def _dphi(R, gamma, z, r_cut):
     """phi'(z) = gamma + sum over |z_n| <= r_cut of Im z_n / |z - z_n|^2,
     read from the zero sum that phase_profile uses."""
-    return float(_zero_sums(*_truncated(R, r_cut), gamma, np.array([z]))[1][0])
+    return float(_zero_sums(*_truncated(R, r_cut), gamma, np.array([z]), 0)[1][0])
 
 
 class TestPhase:

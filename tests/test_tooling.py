@@ -506,3 +506,38 @@ def test_defaults_have_callers():
             unset += [f"{path.stem}.{fn.name}({name})" for i, name in _defaulted(fn)
                       if name not in kws and (i is None or most <= i)]
     assert not unset, f"defaults that no call sets: {unset}"
+
+
+def _reads(tree):
+    """The names a module reads, as a name or an attribute, except where
+    they are read inside a definition of the same name."""
+    out = set()
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+    walk(tree, frozenset())
+    return out
+
+
+def test_public_names_have_callers():
+    # every name in an __all__ of dirachl is read by the library outside
+    # its own definition, by the benchmark or by the acceptance suite: a
+    # public name that only its unit tests read is API nobody uses
+    root = Path(__file__).parents[1]
+    callers = [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py"),
+               root / "tests" / "test_acceptance.py"]
+    read = set().union(*(_reads(ast.parse(path.read_text())) for path in callers))
+    unread = [f"{name}.{n}" for name in MODULES
+              for n in getattr(importlib.import_module(name), "__all__", []) if n not in read]
+    assert not unread, f"public names with no caller: {unread}"
