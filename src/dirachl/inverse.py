@@ -25,7 +25,9 @@ on [-gamma, 0] only, so recovery, from either representation, takes no
 horizon.  The 2x2 system splits into two-component rows, and the second
 row is the conjugate of the first, so only (G11, G12) is ever solved for.
 The x = 0 line is solved once, by a numpy-only unrestarted GMRES
-(`_gmres`) with FFT convolution mat-vecs, and continued upward along
+(`_gmres`) with FFT convolution mat-vecs; the spectra of the two
+reversed kernels are taken once per solve, so each Hankel product is one
+FFT pair.  The line is then continued upward along
 characteristics with the trapezoid step of the forward
 transformation-kernel march (`forward._characteristic_step`), reading
 q(x) from the boundary as it goes.  Each step's coefficients come from the q just read, so this march
@@ -54,8 +56,9 @@ from .core import (
     support_infimum,
     support_supremum,
 )
-from .core import SUPPORT_FLOOR_REL, _check_t_max, _convolve, _trapezoid_weights
-from .forward import _characteristic_step, jost_kernel_direct
+from .core import (SUPPORT_FLOOR_REL, _check_t_max, _convolve, _fft_len,
+                   _trapezoid_weights)
+from .forward import _MARCH_BLOCK, _characteristic_step, jost_kernel_direct
 
 __all__ = [
     "WienerInverse",
@@ -116,9 +119,9 @@ def _banded_solve(c: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
     by overlap-save (Stockham 1966): x_0 = (b*r)[:m] with b = 1/c to m
     terms, then x_k = -(b*y_k)[:m] with y_k = (c*x_{k-1})[m:2m], the part of
     the previous block that spills into this one.  Every product runs at
-    2^ceil(log2(2m - 1)) < 4m points against the spectra of b and c."""
+    `_fft_len`(2m - 1) points against the spectra of b and c."""
     m = c.size
-    size = 1 << (2 * m - 2).bit_length()
+    size = _fft_len(2 * m - 1)
     fb, fc = np.fft.fft(_series_inverse(c), size), np.fft.fft(c, size)
     x = np.empty(-(-n // m) * m, dtype=complex)
     x[:m] = np.fft.ifft(fb * np.fft.fft(r, size))[:m]
@@ -182,7 +185,9 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
 
     r(s) = conj(g(-s)) lives on [-gamma, 0].  Interior-jump samples follow
     the midpoint convention, so the s = 0 node carries half of each
-    one-sided limit.
+    one-sided limit.  A given `wi` must be the Wiener inverse of this rep:
+    same grid step, same alpha and h(0) = -e^{2i alpha} g(0), the sample
+    `invert_wiener` sets; ValidationError names the one that differs.
     """
     gamma = rep.gamma
     if t_max is None:
@@ -193,12 +198,21 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     hstep = rep.g.grid.h
     n_g = rep.g.grid.n
     n_t = int(round(t_max / hstep))
-    n_h = wi.h.grid.n
-    if n_h < n_t:
-        raise ValidationError("Wiener inverse horizon shorter than t_max")
     ea = np.exp(1j * rep.alpha.alpha)
-
     hv = wi.h.values
+    if not math.isclose(wi.h.grid.h, hstep, rel_tol=1e-12):
+        raise ValidationError(f"Wiener inverse grid step {wi.h.grid.h:.6g} differs "
+                              f"from the Jost kernel's {hstep:.6g}")
+    if wi.alpha != rep.alpha:
+        raise ValidationError(f"Wiener inverse alpha {wi.alpha.alpha:.6g} differs "
+                              f"from the Jost kernel's {rep.alpha.alpha:.6g}")
+    h0 = -ea * ea * rep.g.values[0]
+    if abs(hv[0] - h0) > 1e-12 * abs(h0):
+        raise ValidationError(f"Wiener inverse h(0) = {complex(hv[0]):.6g} differs from "
+                              f"-e^(2i alpha) g(0) = {complex(h0):.6g} of the Jost kernel")
+    if wi.h.grid.n < n_t:
+        raise ValidationError("Wiener inverse horizon shorter than t_max")
+
     rv = np.conj(rep.g.values[::-1])          # r on [-gamma, 0], node j <-> -gamma + j h
 
     # r*h by trapezoid in t over [-gamma, 0]; result on [-gamma, t_max + ...].
@@ -300,25 +314,33 @@ def _solve_glm_line0(om: OmegaKernel):
     """GLM row (G11, G12)(0, .) from the composed single-unknown equation
     b - A conj(A) b = -k0, solved by `_gmres`.  A is the
     trapezoid-weighted Hankel operator (A v)_i = sum_j w_j k(s_i + t_j) v_j,
-    applied as one FFT convolution (`_convolve`).  Raises NumericalError,
+    applied as one FFT pair at `_fft_len`(2n + 1) points against the spectra
+    of the reversed k and conj(k), taken once per solve.  Raises NumericalError,
     with the iteration count and the block residual, when GMRES stops
     without converging or the block residual exceeds `_GLM_RESIDUAL_TOL`."""
     kv = om.k.values
     n = om.k.grid.n
     w = _trapezoid_weights(om.k.grid)
+    size = _fft_len(2 * n + 1)
 
-    def apply_A(v: np.ndarray, kern: np.ndarray) -> np.ndarray:
-        u = w * v
-        c = _convolve(kern[::-1], u, n + 1)[::-1]
-        # halve the entries whose kernel argument sits exactly at gamma
-        c[1:] -= 0.5 * kern[n] * u[-2::-1]
-        return c
+    def hankel(kern: np.ndarray):
+        spectrum = np.fft.fft(kern[::-1], size)
+        edge = 0.5 * kern[n]
 
-    b, its, converged = _gmres(lambda v: v - apply_A(apply_A(v, np.conj(kv)), kv), -kv)
-    a = -apply_A(b, np.conj(kv))
+        def apply(v: np.ndarray) -> np.ndarray:
+            u = w * v
+            c = np.fft.ifft(spectrum * np.fft.fft(u, size))[n::-1]
+            # halve the entries whose kernel argument sits exactly at gamma
+            c[1:] -= edge * u[-2::-1]
+            return c
+        return apply
+
+    A, A_conj = hankel(kv), hankel(np.conj(kv))
+    b, its, converged = _gmres(lambda v: v - A(A_conj(v)), -kv)
+    a = -A_conj(b)
     # verify the block-system residual
-    r1 = np.max(np.abs(a + apply_A(b, np.conj(kv))))
-    r2 = np.max(np.abs(b + apply_A(a, kv) + kv))
+    r1 = np.max(np.abs(a + A_conj(b)))
+    r2 = np.max(np.abs(b + A(a) + kv))
     resid = float(max(r1, r2) / max(1.0, float(np.max(np.abs(kv)))))
     if not converged or resid > _GLM_RESIDUAL_TOL:
         state = "converged" if converged else "did not converge"
@@ -343,7 +365,10 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     line is then stepped with the mean of the two.  q comes from the line
     itself, so the coefficients are not known ahead and the march goes one
     line at a time; it runs in place, on two line buffers and two work
-    buffers with `out=` arithmetic and one 1/(1 - ab) per step.
+    buffers with `out=` arithmetic and one 1/(1 - ab) per step.  The views
+    on them are taken once per block of `forward._MARCH_BLOCK` levels, over
+    the block's first (longest) new line; the entries a later level adds
+    past its own line end are never read by one inside it.
     """
     n = om.k.grid.n
     h = om.k.grid.h
@@ -352,31 +377,31 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     p = np.empty(n, dtype=complex)
     r = np.empty(n, dtype=complex)
     qhat = np.empty(n + 1, dtype=complex)
-    q_i = -complex(o[0])
+    q_i = -o.item(0)
     qhat[0] = q_i
-    for i in range(n):
-        m = n - i                                # nodes on the new line
-        b = 0.5 * h * q_i
-        d0, d1 = d[:2].tolist()
-        o0, o1 = o[:2].tolist()
-        _, o_pred = _characteristic_step(d0, o0, d1, o1, b.conjugate(), b)
-        b = 0.5 * h * (0.5 * (q_i - o_pred))     # h/2 times the corrected cell value
-        a = b.conjugate()
-        # _characteristic_step(d[:m], o[:m], d[1:], o[1:], a, b), written
-        # over the old line: p = d + a o, r = o_sh + b d_sh,
-        # d' = (p + a r) / (1 - a b), o' = r + b d'
-        p_m, r_m, d_m, o_m = p[:m], r[:m], d[:m], o[:m]
-        np.multiply(o_m, a, out=p_m)
-        p_m += d_m
-        np.multiply(d[1:m + 1], b, out=r_m)
-        r_m += o[1:m + 1]
-        np.multiply(r_m, a, out=d_m)
-        d_m += p_m
-        d_m *= 1.0 / (1.0 - a * b)
-        np.multiply(d_m, b, out=o_m)
-        o_m += r_m
-        q_i = -complex(o[0])
-        qhat[i + 1] = q_i
+    for start in range(0, n, _MARCH_BLOCK):
+        m = n - start                            # nodes on the block's first new line
+        p_m, r_m, d_m, o_m, d_sh, o_sh = p[:m], r[:m], d[:m], o[:m], d[1:m + 1], o[1:m + 1]
+        for i in range(start, min(start + _MARCH_BLOCK, n)):
+            b = 0.5 * h * q_i
+            _, o_pred = _characteristic_step(d.item(0), o.item(0), d.item(1), o.item(1),
+                                             b.conjugate(), b)
+            b = 0.5 * h * (0.5 * (q_i - o_pred))     # h/2 times the corrected cell value
+            a = b.conjugate()
+            # _characteristic_step(d[:m], o[:m], d[1:], o[1:], a, b), written
+            # over the old line: p = d + a o, r = o_sh + b d_sh,
+            # d' = (p + a r) / (1 - a b), o' = r + b d'
+            np.multiply(o_m, a, out=p_m)
+            p_m += d_m
+            np.multiply(d_sh, b, out=r_m)
+            r_m += o_sh
+            np.multiply(r_m, a, out=d_m)
+            d_m += p_m
+            d_m *= 1.0 / (1.0 - a * b)
+            np.multiply(d_m, b, out=o_m)
+            o_m += r_m
+            q_i = -o.item(0)
+            qhat[i + 1] = q_i
     return qhat
 
 

@@ -85,6 +85,20 @@ class TestQuadrature:
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
 
+def test_fft_len_is_least_5_smooth():
+    def smooth(j):
+        for p in (2, 3, 5):
+            while j % p == 0:
+                j //= p
+        return j == 1
+
+    want = 1
+    for k in range(1, 20001):
+        while want < k or not smooth(want):
+            want += 1
+        assert core._fft_len(k) == want, k
+
+
 class TestFourierEval:
     def test_matches_fine_trapezoid(self):
         n = 256

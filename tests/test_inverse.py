@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from dirachl.core import (
     Potential,
     SampledComplexFunction,
     ScatteringRep,
+    ValidationError,
     make_grid,
     validate_class,
 )
@@ -148,6 +150,16 @@ class TestScatteringKernel:
             z = np.linspace(-6, 6, 241)
             psi = psi_values(q, al, z.astype(complex))
             assert np.max(np.abs(S.s_values(z) - np.conj(psi) / psi)) < 1e-5
+
+    @pytest.mark.parametrize("differs, n, seed, alpha", [
+        ("grid step", 512, 1, 0.3), ("alpha", 1024, 1, 1.1), ("h(0)", 1024, 2, 0.3)])
+    def test_rejects_inverse_of_another_kernel(self, differs, n, seed, alpha):
+        # an inverse of another kernel gave an F off by order one
+        rep = jost_kernel_direct(random_piecewise_potential(1, n=1024), BoundaryParam(0.3))
+        other = jost_kernel_direct(random_piecewise_potential(seed, n=n), BoundaryParam(alpha))
+        with pytest.raises(ValidationError, match=re.escape(differs)):
+            scattering_kernel(rep, invert_wiener(other))
+        scattering_kernel(rep, invert_wiener(rep))
 
     def test_winding_zero(self):
         q = random_piecewise_potential(5, n=1024)

@@ -355,14 +355,8 @@ def test_kernel_extraction_work_pinned(monkeypatch):
     assert sizes == [241, band.size], sizes
 
 
-@pytest.mark.parametrize("n", [1024, 4096])
-def test_wiener_work_pinned(monkeypatch, n):
-    # invert_wiener solves the banded Toeplitz system in blocks of
-    # m = n_g + 1: 1/c to m terms by Newton (two 3-FFT products per
-    # doubling), the spectra of b and c, then two products per block, the
-    # first block's one FFT pair short; no FFT is longer than 4m, and the
-    # traced peak stays within a few copies of h
-    rep = jost_kernel_direct(random_piecewise_potential(1, n=n), BoundaryParam(0.3))
+def _count_ffts(monkeypatch) -> list[int]:
+    """Record the length of every np.fft.fft and np.fft.ifft call."""
     sizes = []
 
     def counted(inner):
@@ -371,6 +365,19 @@ def test_wiener_work_pinned(monkeypatch, n):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(inverse.np.fft, name, counted(getattr(inverse.np.fft, name)))
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_wiener_work_pinned(monkeypatch, n):
+    # invert_wiener solves the banded Toeplitz system in blocks of
+    # m = n_g + 1: 1/c to m terms by Newton (two 3-FFT products per
+    # doubling), the spectra of b and c, then two products per block, the
+    # first block's one FFT pair short; the longest FFT is the 5-smooth
+    # length of a block product, and the traced peak stays within a few
+    # copies of h
+    rep = jost_kernel_direct(random_piecewise_potential(1, n=n), BoundaryParam(0.3))
+    sizes = _count_ffts(monkeypatch)
     tracemalloc.start()
     try:
         wi = inverse.invert_wiener(rep)
@@ -379,10 +386,34 @@ def test_wiener_work_pinned(monkeypatch, n):
         tracemalloc.stop()
     m, n_h = rep.g.grid.n + 1, wi.h.grid.n
     blocks = -(-(n_h + 1) // m)
-    assert max(sizes) <= 4 * m, max(sizes)
+    assert max(sizes) == core._fft_len(2 * m - 1), max(sizes)
     assert len(sizes) == 6 * math.ceil(math.log2(m)) + 4 * blocks, (len(sizes), blocks)
     # measured 3.6 copies of h's samples at n = 1024 and 4096
     assert peak <= 4.5 * wi.h.values.nbytes, peak / wi.h.values.nbytes
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_glm_work_pinned(monkeypatch, n):
+    # the x = 0 line solve takes the spectra of the reversed k and conj(k)
+    # once, then one FFT pair per Hankel product: two per GMRES iteration,
+    # and three for a and the block residual, all at the 5-smooth length
+    # of the linear product
+    rep = jost_kernel_direct(random_piecewise_potential(1, n=n), BoundaryParam(0.3))
+    om = inverse.omega_kernel(inverse.scattering_kernel(rep, t_max=0.0))
+    iterations = []
+    gmres = inverse._gmres
+
+    def counted_gmres(matvec, rhs):
+        x, its, converged = gmres(matvec, rhs)
+        iterations.append(its)
+        return x, its, converged
+
+    monkeypatch.setattr(inverse, "_gmres", counted_gmres)
+    sizes = _count_ffts(monkeypatch)
+    inverse._solve_glm_line0(om)
+    [its] = iterations
+    assert len(sizes) == 4 * its + 8, (len(sizes), its)
+    assert set(sizes) == {core._fft_len(2 * n + 1)}, set(sizes)
 
 
 # fields of a node whose code runs on some paths only
