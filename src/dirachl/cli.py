@@ -133,7 +133,8 @@ def cmd_invert(args) -> int:
         "diagnostics.csv": (["quantity", "value"],
                             [["support", rec.support],
                              ["clamp_magnitude", rec.clamp_magnitude],
-                             ["glm_residual", rec.init_residual]])})
+                             ["glm_residual", rec.init_residual],
+                             ["glm_iterations", rec.glm_iterations]])})
 
 
 def _read_moves(moves_json):

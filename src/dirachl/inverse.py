@@ -24,14 +24,14 @@ with Omega built from F(-x), and reads off q(x) = -G12(x, 0).  That is F
 on [-gamma, 0] only, so recovery, from either representation, takes no
 horizon.  The 2x2 system splits into two-component rows, and the second
 row is the conjugate of the first, so only (G11, G12) is ever solved for.
-The x = 0 line is solved once, by a numpy-only unrestarted GMRES
-(`_gmres`) with FFT convolution mat-vecs; the spectra of the two
-reversed kernels are taken once per solve, so each Hankel product is one
-FFT pair.  The line is then continued upward along
-characteristics with the trapezoid step of the forward
-transformation-kernel march (`forward._characteristic_step`), reading
-q(x) from the boundary as it goes.  Each step's coefficients come from the q just read, so this march
-goes one line at a time; it runs in place on preallocated line buffers.
+The x = 0 line is solved once, by conjugate gradients (`_cg`) in the
+trapezoid inner product, where the GLM operator is positive definite for
+data in the class (a non-positive curvature raises), with one FFT pair
+per Hankel product.  It is then continued upward along characteristics
+with the trapezoid step of the forward transformation-kernel march
+(`forward._characteristic_step`), reading q(x) from the boundary.  Each
+step's coefficients come from the q just read, so this march goes one
+line at a time, in place on preallocated line buffers.
 The Wiener identity above is one banded lower-triangular Toeplitz solve,
 in overlap-save blocks as long as g with FFT products.  No step forms an
 n x n matrix.
@@ -62,7 +62,6 @@ from .forward import _MARCH_BLOCK, _characteristic_step, jost_kernel_direct
 
 __all__ = [
     "WienerInverse",
-    "OmegaKernel",
     "RecoveryReport",
     "invert_wiener",
     "scattering_kernel",
@@ -85,19 +84,11 @@ class WienerInverse:
 
 
 @dataclass(frozen=True)
-class OmegaKernel:
-    """Off-diagonal GLM kernel: entry (1,2) is F(-x) sampled on [0, gamma],
-    entry (2,1) its conjugate; both vanish beyond gamma."""
-
-    gamma: float
-    k: SampledComplexFunction
-
-
-@dataclass(frozen=True)
 class RecoveryReport:
     support: float
     clamp_magnitude: float
     init_residual: float
+    glm_iterations: int
 
 
 def _series_inverse(c: np.ndarray) -> np.ndarray:
@@ -264,8 +255,9 @@ def potential_to_scattering(q: Potential, alpha: BoundaryParam,
     return scattering_kernel(rep, None, t_max)
 
 
-def omega_kernel(S: ScatteringRep) -> OmegaKernel:
-    """GLM kernel entry (1,2): Omega12(x) = F(-x) on [0, gamma].
+def omega_kernel(S: ScatteringRep) -> SampledComplexFunction:
+    """GLM kernel entry (1,2): Omega12(x) = F(-x) on [0, gamma].  Entry
+    (2,1) is its conjugate, and both vanish beyond gamma.
 
     The GLM only ever evaluates F on the closed negative side, so the u = 0
     sample must be the one-sided limit F(0-): the stored F sample at s = 0
@@ -276,81 +268,78 @@ def omega_kernel(S: ScatteringRep) -> OmegaKernel:
     kv = S.F.values[: n_g + 1][::-1].copy()    # F(-u) for u = 0..gamma
     if n_g >= 3:
         kv[0] = 3.0 * kv[1] - 3.0 * kv[2] + kv[3]
-    return OmegaKernel(S.gamma, SampledComplexFunction(make_grid(0.0, S.gamma, n_g), kv))
+    return SampledComplexFunction(make_grid(0.0, S.gamma, n_g), kv)
 
 
-_KRYLOV_MAX = 80    # Krylov vectors before the line solve gives up (5 MiB at n = 4096)
+_KRYLOV_MAX = 80    # CG steps before the line solve gives up
 _GLM_RESIDUAL_TOL = 1e-10    # largest block residual of the x = 0 line solve
 
 
-def _gmres(matvec, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """(x, iterations, converged) for matvec(x) = rhs by unrestarted GMRES
-    from x = 0 (Saad & Schultz 1986): modified Gram-Schmidt Arnoldi into a
-    preallocated Krylov basis and a least-squares solve of the small
-    Hessenberg system, stopping once the residual is at most 1e-13 |rhs|
-    or the basis holds _KRYLOV_MAX vectors."""
-    beta = float(np.linalg.norm(rhs))
-    if beta == 0.0:
-        return np.zeros_like(rhs), 0, True
-    basis = np.empty((_KRYLOV_MAX + 1, rhs.size), dtype=complex)
-    hess = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX), dtype=complex)
-    basis[0] = rhs / beta
-    for k in range(1, _KRYLOV_MAX + 1):
-        w = matvec(basis[k - 1])
-        for j in range(k):
-            hess[j, k - 1] = np.vdot(basis[j], w)
-            w -= hess[j, k - 1] * basis[j]
-        hess[k, k - 1] = np.linalg.norm(w)
-        e1 = np.zeros(k + 1, dtype=complex)
-        e1[0] = beta
-        y = np.linalg.lstsq(hess[:k + 1, :k], e1, rcond=None)[0]
-        done = np.linalg.norm(hess[:k + 1, :k] @ y - e1) <= 1e-13 * beta
-        if done or hess[k, k - 1] == 0.0 or k == _KRYLOV_MAX:
-            return y @ basis[:k], k, bool(done)
-        basis[k] = w / hess[k, k - 1]
+def _cg(matvec, rhs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """(x, iterations, converged) for matvec(x) = rhs by conjugate gradients
+    from x = 0 (Hestenes & Stiefel 1952) in the inner product
+    <u, v> = sum w conj(u) v, stopping once |r| <= 1e-13 |rhs| in its norm
+    or after _KRYLOV_MAX steps.  matvec must be self-adjoint and positive
+    definite there; a step of curvature <p, matvec(p)> <= 0 raises
+    NumericalError instead of returning x."""
+    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
+    rho = np.vdot(r, w * r).real
+    stop = 1e-26 * rho
+    for its in range(_KRYLOV_MAX):
+        if rho <= stop:
+            return x, its, True
+        tp = matvec(p)
+        curvature = np.vdot(p, w * tp)
+        if not curvature.real > 0.0:
+            raise NumericalError(
+                f"GLM line solve at x = 0 failed: the GLM operator is not positive definite "
+                f"(curvature {curvature.real:.3e} at CG step {its + 1}): the data lie outside "
+                f"the class or the grid does not resolve them; run `dirachl check` or refine n")
+        step = rho / curvature
+        x += step * p
+        r -= step * tp
+        rho, last = np.vdot(r, w * r).real, rho
+        p = r + (rho / last) * p
+    return x, _KRYLOV_MAX, bool(rho <= stop)
 
 
-def _solve_glm_line0(om: OmegaKernel):
-    """GLM row (G11, G12)(0, .) from the composed single-unknown equation
-    b - A conj(A) b = -k0, solved by `_gmres`.  A is the
-    trapezoid-weighted Hankel operator (A v)_i = sum_j w_j k(s_i + t_j) v_j,
-    applied as one FFT pair at `_fft_len`(2n + 1) points against the spectra
-    of the reversed k and conj(k), taken once per solve.  Raises NumericalError,
-    with the iteration count and the block residual, when GMRES stops
-    without converging or the block residual exceeds `_GLM_RESIDUAL_TOL`."""
-    kv = om.k.values
-    n = om.k.grid.n
-    w = _trapezoid_weights(om.k.grid)
+def _solve_glm_line0(k: SampledComplexFunction):
+    """(a, b, block residual, CG iterations) for the GLM row (G11, G12)(0, .)
+    from the composed single-unknown equation b - A conj(A) b = -k0, solved
+    by `_cg` in the trapezoid inner product.  A is the weighted Hankel
+    operator (A v)_i = sum_j w_j k(s_i + t_j) v_j, one FFT pair at
+    `_fft_len`(2n + 1) points against the spectrum of the reversed k, taken
+    once per solve; conj(A) v = conj(A conj(v)).  k(s + t) is symmetric in
+    (s, t), so I - A conj(A) is self-adjoint in that product.  Raises
+    NumericalError, with the iteration count and the block residual
+    |b + A a + k0|, when CG stops without converging or the residual
+    exceeds `_GLM_RESIDUAL_TOL`."""
+    kv = k.values
+    n = k.grid.n
+    w = _trapezoid_weights(k.grid)
     size = _fft_len(2 * n + 1)
+    spectrum = np.fft.fft(kv[::-1], size)
+    edge = 0.5 * kv[n]
 
-    def hankel(kern: np.ndarray):
-        spectrum = np.fft.fft(kern[::-1], size)
-        edge = 0.5 * kern[n]
+    def A(v: np.ndarray) -> np.ndarray:
+        u = w * v
+        c = np.fft.ifft(spectrum * np.fft.fft(u, size))[n::-1]
+        # halve the entries whose kernel argument sits exactly at gamma
+        c[1:] -= edge * u[-2::-1]
+        return c
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            u = w * v
-            c = np.fft.ifft(spectrum * np.fft.fft(u, size))[n::-1]
-            # halve the entries whose kernel argument sits exactly at gamma
-            c[1:] -= edge * u[-2::-1]
-            return c
-        return apply
-
-    A, A_conj = hankel(kv), hankel(np.conj(kv))
-    b, its, converged = _gmres(lambda v: v - A(A_conj(v)), -kv)
-    a = -A_conj(b)
-    # verify the block-system residual
-    r1 = np.max(np.abs(a + A_conj(b)))
-    r2 = np.max(np.abs(b + A(a) + kv))
-    resid = float(max(r1, r2) / max(1.0, float(np.max(np.abs(kv)))))
+    b, its, converged = _cg(lambda v: v - A(np.conj(A(np.conj(v)))), -kv, w)
+    a = -np.conj(A(np.conj(b)))    # the row a + conj(A) b = 0 holds by construction
+    resid = float(np.max(np.abs(b + A(a) + kv)) / max(1.0, float(np.max(np.abs(kv)))))
     if not converged or resid > _GLM_RESIDUAL_TOL:
         state = "converged" if converged else "did not converge"
         raise NumericalError(
-            f"GLM line solve at x = 0 failed: GMRES {state} in {its} iterations, "
+            f"GLM line solve at x = 0 failed: CG {state} in {its} iterations, "
             f"block residual {resid:.3e} (tolerance {_GLM_RESIDUAL_TOL:.1e})")
-    return a, b, resid
+    return a, b, resid, its
 
 
-def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+def _march_recovery(k: SampledComplexFunction, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """Continue the x = 0 GLM line upward along characteristics, reading
     q(x) = -G12(x, 0) from the boundary at every step.
 
@@ -370,8 +359,8 @@ def _march_recovery(om: OmegaKernel, a0: np.ndarray, b0: np.ndarray) -> np.ndarr
     the block's first (longest) new line; the entries a later level adds
     past its own line end are never read by one inside it.
     """
-    n = om.k.grid.n
-    h = om.k.grid.h
+    n = k.grid.n
+    h = k.grid.h
     d = np.conj(a0)
     o = np.array(b0, dtype=complex)
     p = np.empty(n, dtype=complex)
@@ -416,12 +405,11 @@ def recover_potential(S: ScatteringRep | JostRep, with_report: bool = False):
     """
     if isinstance(S, JostRep):
         S = scattering_kernel(S, t_max=0.0)
-    om = omega_kernel(S)
-    n = om.k.grid.n
-    a0, b0, resid = _solve_glm_line0(om)
-    qv = _march_recovery(om, a0, b0)
+    k = omega_kernel(S)
+    a0, b0, resid, its = _solve_glm_line0(k)
+    qv = _march_recovery(k, a0, b0)
 
-    sf = SampledComplexFunction(make_grid(0.0, S.gamma, n), qv)
+    sf = SampledComplexFunction(k.grid, qv)
     sup = support_supremum(sf)
     floor = SUPPORT_FLOOR_REL * float(np.max(np.abs(qv)) or 1.0)
     clamp = 0.0
@@ -433,7 +421,7 @@ def recover_potential(S: ScatteringRep | JostRep, with_report: bool = False):
         sf = SampledComplexFunction(sf.grid, qv)
     pot = Potential(S.gamma, sf)
     if with_report:
-        return pot, RecoveryReport(sup, clamp, resid)
+        return pot, RecoveryReport(sup, clamp, resid, its)
     return pot
 
 

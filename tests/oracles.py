@@ -296,13 +296,13 @@ class GlmRows:
         return np.conj(self.g12)
 
 
-def glm_matrix(om, jx: int) -> tuple[np.ndarray, np.ndarray]:
+def glm_matrix(k, jx: int) -> tuple[np.ndarray, np.ndarray]:
     """Weighted Nystrom matrix A[i, j] = w_j k(x + s_i + t_j) and the data
     vector k(x + s) on the row grid [0, gamma - x], with the support cutoff
     at argument gamma handled by the jump-midpoint convention."""
-    kv = om.k.values
-    n = om.k.grid.n
-    h = om.k.grid.h
+    kv = k.values
+    n = k.grid.n
+    h = k.grid.h
     m = n - jx
     w = np.full(m + 1, h)
     w[0] = w[-1] = 0.5 * h
@@ -318,21 +318,21 @@ def glm_matrix(om, jx: int) -> tuple[np.ndarray, np.ndarray]:
     return kmat * w[None, :], kv[jx:].copy()
 
 
-def solve_glm(om, x: float, residual_tol: float = 1e-10) -> GlmRows:
+def solve_glm(k, x: float, residual_tol: float = 1e-10) -> GlmRows:
     """Dense LU solve of the two-component row system at the node x.
 
     Unknowns a = G11(x, .), b = G12(x, .) satisfy a + conj(A) b = 0 and
     b + A a = -k_x; b solves the dense Schur complement (I - A conj(A)) b
     = -k_x, and the block residual is checked against residual_tol.
     """
-    n = om.k.grid.n
-    jx = int(round(x / om.k.grid.h))
+    n = k.grid.n
+    jx = int(round(x / k.grid.h))
     if jx == n:
         # single-point row: the integral term is empty and b(0) = -k(gamma)
-        return GlmRows(np.zeros(2, dtype=complex), np.array([-om.k.values[-1], 0.0]), 0.0)
+        return GlmRows(np.zeros(2, dtype=complex), np.array([-k.values[-1], 0.0]), 0.0)
     if jx > n:
         return GlmRows(np.zeros(2, dtype=complex), np.zeros(2, dtype=complex), 0.0)
-    A, kx = glm_matrix(om, jx)
+    A, kx = glm_matrix(k, jx)
     Ac = np.conj(A)
     b = sla.solve(np.eye(kx.size) - A @ Ac, -kx)
     a = -Ac @ b
@@ -342,10 +342,10 @@ def solve_glm(om, x: float, residual_tol: float = 1e-10) -> GlmRows:
     return GlmRows(a, b, resid)
 
 
-def recover_dense(om) -> np.ndarray:
+def recover_dense(k) -> np.ndarray:
     """q(x_j) = -G12(x_j, 0) from an independent dense solve at every node."""
-    h = om.k.grid.h
-    return np.array([-solve_glm(om, j * h).g12[0] for j in range(om.k.grid.n + 1)])
+    h = k.grid.h
+    return np.array([-solve_glm(k, j * h).g12[0] for j in range(k.grid.n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +385,14 @@ def march_kernel_loop(q, alpha: float, dtype=complex) -> np.ndarray:
     return ea * d - np.conj(ea) * o
 
 
-def march_recovery_loop(om, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
+def march_recovery_loop(k, a0: np.ndarray, b0: np.ndarray) -> np.ndarray:
     """q(x) = -G12(x, 0) by continuing the x = 0 GLM line upward one
     `_characteristic_step` at a time: a predictor step of the s = 0 node
     alone, then the full line with the corrected cell value."""
     from dirachl.forward import _characteristic_step
 
-    n = om.k.grid.n
-    h = om.k.grid.h
+    n = k.grid.n
+    h = k.grid.h
     d = np.conj(a0)
     o = b0
     qhat = np.empty(n + 1, dtype=complex)

@@ -164,12 +164,21 @@ class TestPipelines:
         assert not (tmp_path / "o").exists()
 
     def test_invert_jost_input_matches_library(self, probe, tmp_path):
-        # invert on a JostRep writes recover_potential's answer, bit for bit
+        # invert on a JostRep writes recover_potential's answer, bit for bit,
+        # and its report, the GLM line solve's CG iterations among it
         assert cli.main(["invert", probe["rep"], "--out", str(tmp_path / "cli")]) == 0
         rep = JostRep.from_json(core.load_json(probe["rep"]))
-        core.dump_json(tmp_path / "lib.json", inverse.recover_potential(rep).to_json())
+        qhat, rec = inverse.recover_potential(rep, with_report=True)
+        core.dump_json(tmp_path / "lib.json", qhat.to_json())
         assert ((tmp_path / "cli" / "potential.json").read_bytes()
                 == (tmp_path / "lib.json").read_bytes())
+        rows = dict(line.split(",") for line in
+                    (tmp_path / "cli" / "diagnostics.csv").read_text().splitlines()[1:])
+        assert rows == {"support": str(rec.support),
+                        "clamp_magnitude": str(rec.clamp_magnitude),
+                        "glm_residual": str(rec.init_residual),
+                        "glm_iterations": str(rec.glm_iterations)}
+        assert 0 < rec.glm_iterations <= 20
 
     def test_invert_round_trip(self, workdir, tmp_path):
         fwd = tmp_path / "fwd"

@@ -172,15 +172,13 @@ class TestScatteringKernel:
 class TestOmega:
     def test_zero(self):
         S = scattering_kernel(zero_rep(), None, 6.0)
-        om = omega_kernel(S)
-        assert np.max(np.abs(om.k.values)) == 0.0
+        assert np.max(np.abs(omega_kernel(S).values)) == 0.0
 
     def test_conjugate_symmetry_is_structural(self):
         # entry (2,1) is stored as the conjugate of entry (1,2) by design
         q = constant_potential(0.7 + 0.2j, n=256)
         S = potential_to_scattering(q, BoundaryParam(0.3), t_max=6.0)
-        om = omega_kernel(S)
-        rows = solve_glm(om, 0.0)
+        rows = solve_glm(omega_kernel(S), 0.0)
         assert np.array_equal(rows.g21, np.conj(rows.g12))
 
     def test_vanishes_beyond_gamma(self):
@@ -235,48 +233,81 @@ class TestGlm:
     def test_line0_matches_dense(self):
         q = random_piecewise_potential(3, n=256)
         S = potential_to_scattering(q, BoundaryParam(0.4), t_max=8.0)
-        om = omega_kernel(S)
-        a, b, resid = _solve_glm_line0(om)
-        rows = solve_glm(om, 0.0)
+        k = omega_kernel(S)
+        a, b, resid, _ = _solve_glm_line0(k)
+        rows = solve_glm(k, 0.0)
         assert resid <= 1e-10
         assert np.max(np.abs(a - rows.g11)) < 1e-10
         assert np.max(np.abs(b - rows.g12)) < 1e-10
 
-    def test_gmres_failure_raises(self, monkeypatch):
+    def test_cg_failure_raises(self, monkeypatch):
         q = constant_potential(1.0, n=128)
         S = potential_to_scattering(q, BoundaryParam(0.0), t_max=6.0)
         with monkeypatch.context() as m, pytest.raises(
-                NumericalError, match=r"GMRES converged in \d+ iterations, block residual"):
+                NumericalError, match=r"CG converged in \d+ iterations, block residual"):
             m.setattr(inverse, "_GLM_RESIDUAL_TOL", 1e-30)
             recover_potential(S)
-        # one Krylov vector cannot reach 1e-13 on this kernel
+        # one CG step cannot reach 1e-13 on this kernel
         monkeypatch.setattr(inverse, "_KRYLOV_MAX", 1)
         with pytest.raises(NumericalError,
-                           match=r"GMRES did not converge in 1 iterations, block residual \d"):
+                           match=r"CG did not converge in 1 iterations, block residual \d"):
             recover_potential(S)
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 7, 101])
     @pytest.mark.parametrize("n", [256, 1024, 4096])
-    def test_gmres_matches_scipy(self, monkeypatch, seed, n):
-        # the same Krylov iteration as scipy's restarted GMRES at restart 80:
-        # the same step count and the same solution to 1e-13
+    def test_cg_matches_scipy(self, monkeypatch, seed, n):
+        # the same iteration as scipy's CG on W^(1/2) T W^(-1/2), where the
+        # trapezoid inner product becomes the Euclidean one: the same step
+        # count and the same solution to 1e-13
         S = potential_to_scattering(random_piecewise_potential(seed, n=n), BoundaryParam(0.3))
         seen = {}
-        own = inverse._gmres
+        own = inverse._cg
 
-        def spy(matvec, rhs):
-            seen.update(matvec=matvec, rhs=rhs, out=own(matvec, rhs))
+        def spy(matvec, rhs, w):
+            seen.update(matvec=matvec, rhs=rhs, w=w, out=own(matvec, rhs, w))
             return seen["out"]
 
-        monkeypatch.setattr(inverse, "_gmres", spy)
-        _, b, _ = _solve_glm_line0(omega_kernel(S))
+        monkeypatch.setattr(inverse, "_cg", spy)
+        _, b, _, _ = _solve_glm_line0(omega_kernel(S))
         _, its, converged = seen["out"]
+        root = np.sqrt(seen["w"])
         steps = []
-        op = spla.LinearOperator((n + 1, n + 1), matvec=seen["matvec"], dtype=complex)
-        ref, info = spla.gmres(op, seen["rhs"], rtol=1e-13, atol=0.0, maxiter=400, restart=80,
-                               callback=steps.append, callback_type="pr_norm")
+        op = spla.LinearOperator((n + 1, n + 1), dtype=complex,
+                                 matvec=lambda y: root * seen["matvec"](y / root))
+        ref, info = spla.cg(op, root * seen["rhs"], rtol=1e-13, atol=0.0, maxiter=400,
+                            callback=steps.append)
+        ref /= root
         assert converged and info == 0 and its == len(steps)
         assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["F x 4", "seed 11621"])
+    def test_out_of_class_raises(self, case):
+        # data whose GLM operator I - A conj(A) is not positive definite
+        # raise instead of returning a q: F scaled beyond the class, and a
+        # grid of three cells that does not resolve its potential
+        if case == "F x 4":
+            S = potential_to_scattering(random_piecewise_potential(1, n=256), BoundaryParam(0.3))
+            data = ScatteringRep(S.alpha, S.gamma, S.t_max,
+                                 SampledComplexFunction(S.F.grid, 4.0 * S.F.values))
+        else:
+            q = random_piecewise_potential(11621, n=3, n_pieces=3)
+            data = jost_kernel_direct(q, BoundaryParam(1.513))
+        with pytest.raises(NumericalError,
+                           match=r"GLM operator .* not positive definite.*`dirachl check`"):
+            recover_potential(data)
+
+    def test_scaled_kernel_still_positive_recovers(self):
+        # F x 2 leaves the class, but its GLM operator stays positive
+        # definite (least eigenvalue 0.077): CG recovers the q of the dense
+        # LU line solve, continued by the reference march
+        S = potential_to_scattering(random_piecewise_potential(1, n=256), BoundaryParam(0.3))
+        S2 = ScatteringRep(S.alpha, S.gamma, S.t_max,
+                           SampledComplexFunction(S.F.grid, 2.0 * S.F.values))
+        k = omega_kernel(S2)
+        rows = solve_glm(k, 0.0)
+        want = march_recovery_loop(k, rows.g11, rows.g12)
+        got = recover_potential(S2).samples.values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRecovery:
@@ -408,14 +439,16 @@ class TestRecoveryMarch:
         # Wiener inverse is about the pipeline's accuracy at small n
         with pytest.MonkeyPatch.context() as m:
             m.setattr(inverse, "_TAIL_TOL", 1.0)
-            om = omega_kernel(scattering_kernel(rep, invert_wiener(rep)))
-        a0, b0, _ = _solve_glm_line0(om)
-        want = march_recovery_loop(om, a0, b0)
-        got = inverse._march_recovery(om, a0, b0)
+            k = omega_kernel(scattering_kernel(rep, invert_wiener(rep)))
+        a0, b0, resid, its = _solve_glm_line0(k)
+        # the line solve itself, across the same layouts
+        assert its <= 20 and resid <= 1e-12, (its, resid)
+        want = march_recovery_loop(k, a0, b0)
+        got = inverse._march_recovery(k, a0, b0)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_peak_memory_bounded(self):
-        # the GLM line, its Krylov basis and two march lines: no (n + 1)^2
+        # the GLM line, the CG vectors and two march lines: no (n + 1)^2
         # triangle, which at n = 4096 would be 256 MiB per entry
         S = scattering_kernel(jost_kernel_direct(random_piecewise_potential(3, n=4096),
                                                  BoundaryParam(0.3)))
@@ -426,7 +459,7 @@ class TestRecoveryMarch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < 4 * 2 ** 20
 
 
 class TestUnimodularityTolerance:
