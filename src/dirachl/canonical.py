@@ -107,9 +107,6 @@ class FundamentalMatrix:
     grid: Grid
     values: np.ndarray
 
-    def at_edge(self) -> np.ndarray:
-        return self.values[-1]
-
     def det_drift(self) -> float:
         dets = (self.values[:, 0, 0] * self.values[:, 1, 1]
                 - self.values[:, 0, 1] * self.values[:, 1, 0])

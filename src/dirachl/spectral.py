@@ -13,11 +13,13 @@ centroid s_1/s_0.  Other boxes are split until each holds a pencil's
 worth or shrinks below the cluster radius.  One sweep of Newton
 iteration with differenced derivatives then polishes every start; a box
 whose pencil is rejected, before or after the polish, is split for the
-next sweep.  Each box carries psi on its boundary lattice: a split line
+next sweep.  Each box carries psi on its boundary lattice, so the box
+lattice, not a store of evaluated points, keeps each contour point to one
+evaluation: the region's boundary is one evaluator call, a split line
 runs along a lattice node, the two halves slice their outer sides from
-the box and share the line, and a side is refined by its midpoints, so
-no contour point is evaluated twice, a split costs one psi call and a
-Newton step one call for all boxes.  The located set feeds:
+the box and share the line, and a side is refined by its midpoints.  A
+split costs one psi call and a Newton step one call for all boxes.  The
+located set feeds:
 
   * sector counting functions and their linear-density ratio (the zero
     count along each half-axis grows like (gamma/pi) r),
@@ -81,13 +83,13 @@ class SearchRegion:
     im_max: float
 
     def __post_init__(self):
+        for v in (self.re_min, self.re_max, self.im_min, self.im_max):
+            if not math.isfinite(v):
+                raise ValidationError("region extents must be finite")
         if self.im_max > 0:
             raise ValidationError("search region must lie in the closed lower half-plane")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValidationError("empty search region")
-        for v in (self.re_min, self.re_max, self.im_min, self.im_max):
-            if not math.isfinite(v):
-                raise ValidationError("region extents must be finite")
 
 
 @dataclass(frozen=True)
@@ -137,42 +139,25 @@ class _Box(NamedTuple):
     right: np.ndarray
 
 
-class _Lattice:
-    """psi at the search's lattice nodes, each evaluated once.  A call looks
-    its points up in a dict of the nodes evaluated so far and passes the new
-    ones, in the order they first appear, to the evaluator in one call.
-    Most points of a split are new, but a doubled side may repeat the
-    midpoints that the box across it, or an earlier split attempt, has
-    doubled already, and a split line may cross the line of a failed
-    attempt."""
-
-    def __init__(self, ev):
-        self.ev, self.memo = ev, {}
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        points = z.tolist()
-        fresh = [w for w in dict.fromkeys(points) if w not in self.memo]
-        if fresh:
-            self.memo.update(zip(fresh, np.atleast_1d(self.ev(np.array(fresh))).tolist()))
-        return np.array([self.memo[w] for w in points], dtype=complex)
-
-
-def _fill(lattice: _Lattice, boxes) -> None:
-    """Evaluate every NaN side node of the boxes in one lattice call; a side
-    that two boxes share (a split line) is taken once."""
-    slots = []
+def _fill(ev, boxes) -> None:
+    """Evaluate every NaN side node of the boxes in one call of ev.  A side
+    whose NaN nodes another side holds too is taken once: a split line the
+    two halves share, also once both halves have doubled it."""
+    slots: dict[bytes, tuple[np.ndarray, list]] = {}     # by the holes' points
     for b in boxes:
         for vals, x, y in ((b.bottom, b.xs, b.ys[0]), (b.top, b.xs, b.ys[-1]),
                            (b.left, b.xs[0], b.ys), (b.right, b.xs[-1], b.ys)):
             hole = np.isnan(vals)
-            if hole.any() and not any(vals is v for v, *_ in slots):
-                slots.append((vals, hole, (x + 1j * y)[hole]))
+            if hole.any():
+                z = (x + 1j * y)[hole]
+                slots.setdefault(z.tobytes(), (z, []))[1].append((vals, hole))
     if not slots:
         return
-    got = lattice(np.concatenate([z for *_, z in slots]))
+    got = np.asarray(ev(np.concatenate([z for z, _ in slots.values()])))
     at = 0
-    for vals, hole, z in slots:
-        vals[hole] = got[at: at + z.size]
+    for z, sides in slots.values():
+        for vals, hole in sides:
+            vals[hole] = got[at: at + z.size]
         at += z.size
 
 
@@ -268,20 +253,19 @@ def _count(z: np.ndarray, vals: np.ndarray,
     return (n_unwrap, moments) if ok else None
 
 
-def _settle(lattice: _Lattice,
-            boxes: list[_Box]) -> tuple[list[tuple[int, np.ndarray] | None], list[_Box]]:
+def _settle(ev, boxes: list[_Box]) -> tuple[list[tuple[int, np.ndarray] | None], list[_Box]]:
     """`_count` of each box, (count, moments) or None, and the boxes at the
     lattices that gave them.
 
     A box whose count does not settle has its lattice doubled, at most
     `_REFINE_MAX` samplings in all; the new nodes of every box go into one
-    lattice call per round.  A box whose psi vanishes on its boundary, or
+    call of ev per round.  A box whose psi vanishes on its boundary, or
     whose count never settles, gets None, and then the others stop, so the
     caller can move the boxes."""
     counts: list[tuple[int, np.ndarray] | None] = [None] * len(boxes)
     live = list(range(len(boxes)))
     for attempt in range(_REFINE_MAX):
-        _fill(lattice, [boxes[i] for i in live])
+        _fill(ev, [boxes[i] for i in live])
         rings = {i: _ring(boxes[i]) for i in live}
         if any(_on_boundary(vals) for _, vals in rings.values()):
             break
@@ -395,7 +379,7 @@ _MERGE_TOL = 1e-7     # floor of the cluster and merge radii
 _SPLIT_FRACS = (0.51237346, 0.47621925, 0.54902211, 0.43812087, 0.57354779, 0.41752249)
 
 
-def _halves(lattice: _Lattice, box: _Box, cnt: int, depth: int) -> list:
+def _halves(ev, box: _Box, cnt: int, depth: int) -> list:
     """The halves of a box across its longer side, at the first split line
     whose counts add up to cnt, as (box, count, moments) triples."""
     if depth >= _MAX_DEPTH:
@@ -408,7 +392,7 @@ def _halves(lattice: _Lattice, box: _Box, cnt: int, depth: int) -> list:
         if m in tried:
             continue
         tried.add(m)
-        counts, kids = _settle(lattice, _split(box, horizontal, m))
+        counts, kids = _settle(ev, _split(box, horizontal, m))
         if None not in counts and sum(c for c, _ in counts) == cnt:
             return [(k, c, s) for k, (c, s) in zip(kids, counts)]
     raise NumericalError(
@@ -461,22 +445,34 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     boundary-ambiguous failure rather than being dropped.
 
     Each box carries psi on its boundary lattice (`_Box`), starting from
-    `_PER_EDGE` intervals per side of the region.  A split line sits on the
-    lattice node nearest its fraction of the side; the halves slice their
-    outer sides from the box and share the line, so a split evaluates only
-    the line and the midpoints that keep every side at `_PER_EDGE` // 2
-    intervals or more, in one call.  A count that does not settle doubles
-    the lattice by midpoints.  No contour point is evaluated twice, and no
-    Newton point is a contour point: a start lies inside its open box.
+    `_PER_EDGE` intervals per side of the region, all evaluated in one
+    evaluator call: the bottom side, the top side, then the interiors of
+    the left and right sides (the batch fixes the last bits of psi).  A
+    split line sits on the lattice node nearest its fraction of the side;
+    the halves slice their outer sides from the box and share the line, so
+    a split evaluates only the line and the midpoints that keep every side
+    at `_PER_EDGE` // 2 intervals or more, in one evaluator call.  A count
+    that does not settle doubles the lattice by midpoints.  No Newton point
+    is a contour point: a start lies inside its open box.  A contour point
+    is evaluated twice where sides that are not the same side take the same
+    midpoints, as when a split fraction that `_halves` retries doubles
+    outer sides whose midpoints the failed attempt evaluated, and where the
+    evaluator returns NaN on the region's boundary: the NaN reads as a hole
+    and is asked once more before the boundary-ambiguous failure.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     r = region
     n = _PER_EDGE + 1
-    root = _Box(np.linspace(r.re_min, r.re_max, n), np.linspace(r.im_min, r.im_max, n),
-                *(np.full(n, np.nan, dtype=complex) for _ in range(4)))
-    lattice = _Lattice(evaluator)
-    (settled,), (root,) = _settle(lattice, [root])
+    xs, ys = np.linspace(r.re_min, r.re_max, n), np.linspace(r.im_min, r.im_max, n)
+    # bottom, top, then the interiors of left and right: each node once
+    vals = np.asarray(evaluator(np.concatenate([
+        xs + 1j * ys[0], xs + 1j * ys[-1], xs[0] + 1j * ys[1:-1], xs[-1] + 1j * ys[1:-1]])),
+        dtype=complex)
+    bottom, top, left, right = np.split(vals, [n, 2 * n, 3 * n - 2])
+    root = _Box(xs, ys, bottom, top, np.concatenate([bottom[:1], left, top[:1]]),
+                np.concatenate([bottom[-1:], right, top[-1:]]))
+    (settled,), (root,) = _settle(evaluator, [root])
     if settled is None:
         raise NumericalError(
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
@@ -489,7 +485,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
 
     def split(box, cnt, depth, doubles):
         stack.extend((k, c, s, depth + 1, doubles)
-                     for k, c, s in _halves(lattice, box, cnt, depth))
+                     for k, c, s in _halves(evaluator, box, cnt, depth))
 
     while stack:
         # m-fold Newton polishes only an m-fold zero or a cluster: on
@@ -567,8 +563,8 @@ def count_in_sector(R: ResonanceSet, r: float, delta: float) -> tuple[int, int]:
 
 def levinson_ratio(R: ResonanceSet, gamma: float, r: float) -> tuple[float, float]:
     """N+-(r, 0) normalized by the linear density (gamma/pi) r."""
-    if r <= 0:
-        raise ValidationError("r must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValidationError(f"r must be finite and positive, got {r!r}")
     n_plus, n_minus = count_in_sector(R, r, 0.0)
     scale = gamma * r / np.pi
     return n_plus / scale, n_minus / scale
@@ -721,9 +717,10 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
     reported; a large spread flags an undersized r_cut, but the profile is
     still returned.
     """
+    for name, v in (("r_cut", r_cut), ("z_limit", z_limit)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {v!r}")
     alpha_v = float(getattr(alpha, "alpha", alpha))
-    if z_limit <= 0:
-        raise ValidationError("z_limit must be positive")
     zcal = min(z_limit, 0.9 * r_cut)
     located, mult = _truncated(R, r_cut)
     tail = _tail_zeros(R, gamma, r_cut)

@@ -77,7 +77,7 @@ def _cumulative_filon(g: SampledComplexFunction, z0: complex) -> np.ndarray:
 
 
 def blaschke_modify(rep: JostRep, moves):
-    """Apply the rational factors and return (evaluator, new JostRep).
+    """The JostRep whose psi is psi(., rep) times prod (z - z1)/(z - z0).
 
     Each move consumes one multiplicity unit of its source zero (a double
     zero moves entirely only with two identical moves).  Sources are
@@ -103,31 +103,20 @@ def blaschke_modify(rep: JostRep, moves):
                 f"move source {mv.source} is not a zero of the representation "
                 f"(within {tol:.1e})")
 
-    sources = np.array([mv.source for mv in moves])
-    targets = np.array([mv.target for mv in moves])
-
-    def evaluator(z):
-        z = np.asarray(z, dtype=complex)
-        fac = np.ones_like(z)
-        for z0, z1 in zip(sources, targets):
-            fac = fac * (z - z1) / (z - z0)
-        return rep.psi(z) * fac
-
     g = rep.g
-    for z0, z1 in zip(sources, targets):
+    for mv in moves:
+        z0, z1 = mv.source, mv.target
         G = np.exp(-2j * z0 * g.grid.nodes()) * (
             -2j * np.exp(-1j * rep.alpha.alpha)
             - 2j * _cumulative_filon(g, z0))
         g = SampledComplexFunction(g.grid, g.values + (z0 - z1) * G)
-    return evaluator, JostRep(rep.alpha, rep.gamma, g)
+    return JostRep(rep.alpha, rep.gamma, g)
 
 
 def move_resonances(q: Potential, alpha: BoundaryParam, moves) -> Potential:
     """Potential whose Jost function is psi(., q) times the move factors,
     recovered from the updated JostRep, which needs no horizon."""
-    rep = jost_kernel_direct(q, alpha)
-    _, new_rep = blaschke_modify(rep, moves)
-    return recover_potential(new_rep)
+    return recover_potential(blaschke_modify(jost_kernel_direct(q, alpha), moves))
 
 
 def shift_potential(q: Potential, k: float) -> Potential:

@@ -74,7 +74,7 @@ class TestFundamentalMatrix:
                 want = T_FRAME @ fg @ np.linalg.inv(f0) @ np.conj(T_FRAME).T
                 got = canonical_values(q, np.array([complex(z)]))[0]
                 assert np.max(np.abs(got - want)) < 1e-8
-                got4 = fundamental_matrix(q, z).at_edge()
+                got4 = fundamental_matrix(q, z).values[-1]
                 assert np.max(np.abs(got4 - want)) < 1e-8
 
     @settings(max_examples=30, deadline=None)
@@ -100,7 +100,7 @@ class TestFundamentalMatrix:
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert M.det_drift() < 1e-12
         edge = canonical_values(q, np.array([z]))[0]
-        assert np.max(np.abs(edge - M.at_edge())) <= 1e-10 * np.max(np.abs(M.at_edge()))
+        assert np.max(np.abs(edge - M.values[-1])) <= 1e-10 * np.max(np.abs(M.values[-1]))
 
     def test_determinant_drift(self):
         # M is a product of unit-determinant exponentials

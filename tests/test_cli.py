@@ -395,6 +395,10 @@ def probe(tmp_path_factory):
 _BAD_VALUES = [("check {p} --tmax -1", "t_max"), ("check {p} --tmax nan", "t_max"),
                ("synth --pieces 0", "piece count"),
                ("resonances {p} --tol nan", "tol"), ("resonances {p} --tol 0", "tol"),
+               ("resonances {p} --region=-3,3,-2,0 --rcut nan", "r_cut"),
+               ("resonances {p} --region=-3,3,-2,0 --rcut inf", "r_cut"),
+               ("resonances {p} --region=-3,3,-2,0 --rcut 0", "r_cut"),
+               ("resonances {p} --region=nan,3,-2,0", "finite"),
                ("forward {p} --zwindow nan", "z must be finite"),
                ("canonical hermite {p} --zwindow nan", "z must be finite")]
 
@@ -409,9 +413,11 @@ class TestBadValues:
     @pytest.mark.parametrize("line, names", _BAD_VALUES, ids=[line for line, _ in _BAD_VALUES])
     def test_refused_as_validation(self, probe, tmp_path, capsys, line, names):
         # values that once ended in a traceback (an IndexError for a
-        # negative --tmax) or in a misleading numerical error (a NaN --tol
-        # as "subdivision depth limit exceeded", a NaN --zwindow as an
-        # overflow) are refused by the library call that reads them
+        # negative --tmax, a LinAlgError for a NaN --rcut, an OverflowError
+        # for an infinite one) or in a misleading error (a NaN --tol as
+        # "subdivision depth limit exceeded", a NaN --zwindow as an
+        # overflow, a zero --rcut as "z_limit", a NaN region extent as an
+        # empty region) are refused by the library call that reads them
         out = tmp_path / "o"
         assert cli.main([*line.format(**probe).split(), "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]

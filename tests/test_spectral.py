@@ -17,7 +17,6 @@ from dirachl.inverse import recover_potential, scattering_kernel
 from dirachl.spectral import (
     _PER_EDGE,
     SearchRegion,
-    _Lattice,
     _polish,
     _truncated,
     _zero_sums,
@@ -142,16 +141,11 @@ class TestFindResonances:
         alpha = BoundaryParam(0.4)
         qp = random_piecewise_potential(101, n=96)
         ev = make_psi_evaluator(potential_from_values(qp.gamma, qp.samples.values), alpha)
-        work = {"calls": 0, "points": 0}
-
-        def counted(z):
-            work["calls"] += 1
-            work["points"] += np.size(z)
-            return ev(z)
-
+        counted, sizes, points = _counting(ev)
         box = SearchRegion(-6, 6, -3, 0)
         R = find_resonances(counted, box)
-        assert work == {"calls": 5, "points": 1060}
+        assert (len(sizes), sum(sizes)) == (5, 1060)
+        _each_point_once(sizes, points)
         assert R.total() == 3
         # the same potential recovered by the GLM march, which the
         # benchmark's cell-sampled search uses: its work follows rounding in
@@ -166,14 +160,10 @@ class TestFindResonances:
         # the search's work on exact pieces (synth seed 3): the contour
         # calls, then one polish sweep of the four zeros in three steps
         ev = make_psi_evaluator(random_piecewise_potential(3, n=1024), BoundaryParam(0.3))
-        sizes = []
-
-        def counted(z):
-            sizes.append(np.size(z))
-            return ev(z)
-
+        counted, sizes, points = _counting(ev)
         R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
         assert (len(sizes), sum(sizes)) == (5, 1565)
+        _each_point_once(sizes, points)
         assert sizes[-3:] == [12, 12, 12]
         assert R.multiplicities().tolist() == [1, 1, 1, 1]
 
@@ -231,8 +221,8 @@ class TestFindResonances:
     @pytest.mark.parametrize("case", ["pinned", "double"])
     def test_each_point_evaluated_once(self, case):
         # boxes take their outer sides from the parent and share split
-        # lines, and a doubled side looks its midpoints up: no point of any
-        # call repeats one evaluated before
+        # lines, and a doubled side is evaluated at its midpoints only: no
+        # point of any call repeats one evaluated before
         if case == "pinned":
             qp = random_piecewise_potential(101, n=96)
             ev = make_psi_evaluator(potential_from_values(qp.gamma, qp.samples.values),
@@ -251,6 +241,27 @@ class TestFindResonances:
         assert len(set(seen)) == len(seen)
         assert R.multiplicities().tolist() == mults
 
+    def test_doubled_split_line_taken_once(self):
+        # a zero 1e-5 right of the region's first split line keeps both
+        # halves' counts from settling, so both double the line they share
+        # in the same rounds: each call takes its midpoints once.  The
+        # split then moves to the next fraction, whose doubled outer sides
+        # repeat 244 midpoints of the failed attempt (past calls only)
+        line = np.linspace(0, 2, _PER_EDGE + 1)[131]
+        zs = (line + 1e-5 - 1j, 0.3 - 0.4j, 0.35 - 1.5j, 1.7 - 0.3j, 1.6 - 1.6j, 0.5 - 0.5j)
+        calls = []
+
+        def recording(z):
+            calls.append(np.atleast_1d(z).tolist())
+            return np.prod([z - w for w in zs], axis=0)
+
+        R = find_resonances(recording, SearchRegion(0, 2, -2, 0))
+        assert all(len(set(c)) == len(c) for c in calls)
+        assert sum(map(len, calls)) == 98475
+        assert R.multiplicities().tolist() == [1] * 6
+        for z in R.zeros():
+            assert min(abs(z - w) for w in zs) < 1e-8
+
     def test_zero_on_region_boundary_is_ambiguous(self):
         # the zero sits on a node of the region's bottom side
         ev = lambda z: z - (0.5 - 1j)
@@ -259,13 +270,21 @@ class TestFindResonances:
 
 
 def _counting(ev):
-    """ev, and the sizes of its calls."""
-    sizes = []
+    """ev, the sizes of its calls and the points they took."""
+    sizes, points = [], []
 
     def counted(z):
         sizes.append(np.size(z))
+        points.extend(np.atleast_1d(z).tolist())
         return ev(z)
-    return counted, sizes
+    return counted, sizes, points
+
+
+def _each_point_once(sizes, points):
+    """No point reached the evaluator twice over the search, and its first
+    call took the region's boundary, each of its nodes once."""
+    assert len(set(points)) == len(points)
+    assert sizes[0] == 4 * _PER_EDGE
 
 
 _THREE = lambda z: (z + 1.5j) * (z - 2 + 0.5j) * (z + 3 + 2.5j)
@@ -279,14 +298,15 @@ class TestMomentPencil:
     def test_double_zero_from_root_box(self):
         # the split route (_PENCIL_MAX = 1) takes 41 calls and 26,990
         # points here
-        counted, sizes = _counting(lambda z: (z - (1 - 1j)) ** 2)
+        counted, sizes, points = _counting(lambda z: (z - (1 - 1j)) ** 2)
         R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
         (z, m), = R.entries
         assert m == 2 and abs(z - (1 - 1j)) < 1e-14
         assert (len(sizes), sum(sizes)) == (2, 1027)
+        _each_point_once(sizes, points)
 
     def test_close_simple_pair(self):
-        counted, sizes = _counting(lambda z: (z - (1 - 1j)) * (z - (1.2 - 1j)))
+        counted, sizes, _ = _counting(lambda z: (z - (1 - 1j)) * (z - (1.2 - 1j)))
         R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
         assert R.multiplicities().tolist() == [1, 1]
         for z, w in zip(R.zeros(), (1 - 1j, 1.2 - 1j)):
@@ -294,7 +314,7 @@ class TestMomentPencil:
         assert sizes[0] == 4 * _PER_EDGE and set(sizes[1:]) == {6}
 
     def test_three_zero_box_unsplit(self):
-        counted, sizes = _counting(_THREE)
+        counted, sizes, _ = _counting(_THREE)
         R = find_resonances(counted, SearchRegion(-6, 6, -3, 0))
         assert R.multiplicities().tolist() == [1, 1, 1]
         for z, w in zip(R.zeros(), (-1.5j, 2 - 0.5j, -3 - 2.5j)):
@@ -304,7 +324,7 @@ class TestMomentPencil:
     def test_double_beside_simple(self):
         # one start per distinct zero, each with its multiplicity
         z1, z2 = 0.9731 - 1.0417j, 1.0731 - 1.0417j
-        counted, sizes = _counting(lambda z: (z - z1) ** 2 * (z - z2))
+        counted, sizes, _ = _counting(lambda z: (z - z1) ** 2 * (z - z2))
         R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
         assert R.entries[0][1] == 2 and R.entries[1][1] == 1
         assert abs(R.entries[0][0] - z1) < 1e-12 and abs(R.entries[1][0] - z2) < 1e-12
@@ -346,10 +366,10 @@ class TestMomentPencil:
         # every zero
         events = []
         real_settle, real_halves = spectral._settle, spectral._halves
-        monkeypatch.setattr(spectral, "_settle", lambda lattice, boxes: events.append(
-            ("count", [b.xs.size for b in boxes])) or real_settle(lattice, boxes))
-        monkeypatch.setattr(spectral, "_halves", lambda lattice, box, cnt, depth: events.append(
-            ("split", cnt)) or real_halves(lattice, box, cnt, depth))
+        monkeypatch.setattr(spectral, "_settle", lambda ev, boxes: events.append(
+            ("count", [b.xs.size for b in boxes])) or real_settle(ev, boxes))
+        monkeypatch.setattr(spectral, "_halves", lambda ev, box, cnt, depth: events.append(
+            ("split", cnt)) or real_halves(ev, box, cnt, depth))
         if where == "starts":
             real = spectral._pencil
 
@@ -395,12 +415,13 @@ class TestMomentPencil:
         # double from their pencils, and the pair comes apart in 102 calls
         # (1,622 when the halves may take a double again)
         a = 0.9731 - 1.0417j
-        counted, sizes = _counting(lambda z: (z - a) * (z - a - 1e-4j))
+        counted, sizes, points = _counting(lambda z: (z - a) * (z - a - 1e-4j))
         R = find_resonances(counted, SearchRegion(0, 2, -2, 0), tol=1e-11)
         assert R.multiplicities().tolist() == [1, 1]
         for z, w in zip(R.zeros(), (a + 1e-4j, a)):
             assert abs(z - w) < 1e-14
         assert len(sizes) == 102
+        _each_point_once(sizes, points)
 
     @pytest.mark.parametrize("case", [f"exact-{s}" for s in range(1, 7)]
                              + ["cell", "double", "double-simple", "pair"])
@@ -445,18 +466,6 @@ class TestMomentPencil:
             R = find_resonances(lambda z: (z - z0) ** 2, SearchRegion(0, 2, -2, 0), tol=1e-11)
             (z, m), = R.entries
             assert m == 2 and abs(z - z0) < 1e-12
-
-    def test_lattice_evaluates_new_points_once(self):
-        # a lattice call passes the points not seen before, each once, in
-        # the order they first appear
-        calls = []
-        lattice = _Lattice(lambda z: calls.append(z.tolist()) or 2.0 * z)
-        first = np.array([1 - 1j, 2 - 1j, 1 - 1j])
-        np.testing.assert_array_equal(lattice(first), 2.0 * first)
-        second = np.array([3 - 1j, 2 - 1j, 4 - 1j, 3 - 1j])
-        np.testing.assert_array_equal(lattice(second), 2.0 * second)
-        assert lattice(np.array([4 - 1j, 1 - 1j])).tolist() == [8 - 2j, 2 - 2j]
-        assert calls == [[1 - 1j, 2 - 1j], [3 - 1j, 4 - 1j]]
 
 
 class TestCounting:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -552,13 +553,23 @@ def _reads(tree):
 
 
 def test_public_names_have_callers():
-    # every name in an __all__ of dirachl is read by the library outside
-    # its own definition, by the benchmark or by the acceptance suite: a
-    # public name that only its unit tests read is API nobody uses
+    # every name in an __all__ of dirachl, and every public method and
+    # property of a class there, is read by the library outside its own
+    # definition, by the benchmark or by the acceptance suite: a public
+    # name that only its unit tests read is API nobody uses
     root = Path(__file__).parents[1]
     callers = [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py"),
                root / "tests" / "test_acceptance.py"]
     read = set().union(*(_reads(ast.parse(path.read_text())) for path in callers))
-    unread = [f"{name}.{n}" for name in MODULES
-              for n in getattr(importlib.import_module(name), "__all__", []) if n not in read]
+    public = []
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for n in getattr(mod, "__all__", []):
+            public.append((f"{name}.{n}", n))
+            obj = getattr(mod, n)
+            if isinstance(obj, type):
+                public += [(f"{name}.{n}.{m}", m) for m, v in vars(obj).items()
+                           if not m.startswith("_") and isinstance(
+                               v, (types.FunctionType, property, staticmethod, classmethod))]
+    unread = [full for full, n in public if n not in read]
     assert not unread, f"public names with no caller: {unread}"

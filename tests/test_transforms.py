@@ -18,6 +18,7 @@ from dirachl.transforms import (
 from dirachl.synth import constant_potential, random_piecewise_potential, sampled_from_pieces
 
 from conftest import rel_l2
+from oracles import moved_psi
 
 
 def _clear_region(ev, re0, re1, im0, im1, step=0.37):
@@ -48,27 +49,20 @@ class TestBlaschke:
     def test_identity_move(self, unit_setup):
         q, al, rep, R = unit_setup
         z0 = R.entries[0][0]
-        ev1, rep1 = blaschke_modify(rep, [ResonanceMove(z0, z0)])
+        moves = [ResonanceMove(z0, z0)]
+        rep1 = blaschke_modify(rep, moves)
         assert np.max(np.abs(rep1.g.values - rep.g.values)) < 1e-10
         z = np.array([1.3 + 0j, -2.0 - 0.5j])
-        assert np.max(np.abs(ev1(z) - rep.psi(z))) < 1e-12
-
-    def test_factor_is_algebraic(self, unit_setup):
-        q, al, rep, R = unit_setup
-        z0 = R.entries[0][0]
-        z1 = z0 + 0.3 - 0.1j
-        ev1, _ = blaschke_modify(rep, [ResonanceMove(z0, z1)])
-        z = np.array([0.5 - 0.25j, 3.0 + 0j, -1.0 - 1.0j])
-        expect = rep.psi(z) * (z - z1) / (z - z0)
-        # same arithmetic up to floating-point reassociation
-        assert np.max(np.abs(ev1(z) - expect)) < 1e-13 * np.max(np.abs(expect))
+        assert np.max(np.abs(moved_psi(rep.psi, moves)(z) - rep.psi(z))) < 1e-12
 
     def test_kernel_matches_evaluator(self, unit_setup):
+        # the updated kernel's psi against the rational factor applied to psi
         q, al, rep, R = unit_setup
         z0 = R.entries[0][0]
-        ev1, rep1 = blaschke_modify(rep, [ResonanceMove(z0, z0 + 0.3)])
+        moves = [ResonanceMove(z0, z0 + 0.3)]
+        rep1 = blaschke_modify(rep, moves)
         z = np.array([2.0 + 0j, -3.0 + 0j, 1.0 - 0.8j, 5.0 - 0.2j])
-        assert np.max(np.abs(ev1(z) - rep1.psi(z))) < 1e-6
+        assert np.max(np.abs(moved_psi(rep.psi, moves)(z) - rep1.psi(z))) < 1e-6
 
     def test_rejects_non_zero_source(self, unit_setup):
         q, al, rep, R = unit_setup
@@ -83,7 +77,7 @@ class TestBlaschke:
         q, al, rep, R = unit_setup
         z0 = R.entries[0][0]
         z1 = z0 + 0.25 - 0.15j
-        ev1, rep1 = blaschke_modify(rep, [ResonanceMove(z0, z1)])
+        rep1 = blaschke_modify(rep, [ResonanceMove(z0, z1)])
         R1 = find_resonances(lambda z: rep1.psi(z), SearchRegion(-8, 8, -3, 0), tol=1e-10)
         assert R1.total() == R.total()
         news = R1.zeros()
@@ -102,8 +96,9 @@ class TestBlaschke:
         z0 = R.entries[0][0]
         z1 = R.entries[1][0]
         mid = 0.5 * (z0 + z1)
-        ev1, rep1 = blaschke_modify(rep, [ResonanceMove(z0, mid), ResonanceMove(z1, mid)])
-        R1 = find_resonances(ev1, SearchRegion(-8, 8, -3, 0), tol=1e-10)
+        moves = [ResonanceMove(z0, mid), ResonanceMove(z1, mid)]
+        rep1 = blaschke_modify(rep, moves)
+        R1 = find_resonances(moved_psi(rep.psi, moves), SearchRegion(-8, 8, -3, 0), tol=1e-10)
         entry = min(R1.entries, key=lambda e: abs(e[0] - mid))
         assert entry[1] == 2
         assert abs(entry[0] - mid) < 1e-7
@@ -225,7 +220,7 @@ class TestClassClosure:
         for pot in (qk, qo):
             assert validate_class(pot).passed
         z0 = R.entries[0][0]
-        _, rep1 = blaschke_modify(rep, [ResonanceMove(z0, z0 - 0.2j)])
+        rep1 = blaschke_modify(rep, [ResonanceMove(z0, z0 - 0.2j)])
         assert validate_class(rep1).passed
 
 
@@ -268,6 +263,6 @@ class TestSweeps:
         R = find_resonances(ev, _clear_region(ev, -4.0, 4.0, -3.0, 0.0))
         z0 = R.entries[0][0]
         z1 = complex(z0.real + d_re, min(z0.imag + d_im, -0.1))
-        _, rep1 = blaschke_modify(jost_kernel_direct(q, al), [ResonanceMove(z0, z1)])
+        rep1 = blaschke_modify(jost_kernel_direct(q, al), [ResonanceMove(z0, z1)])
         report = validate_class(rep1)
         assert report.passed, report.lines()
