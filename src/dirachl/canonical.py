@@ -92,8 +92,7 @@ class Hamiltonian:
     @staticmethod
     def from_json(obj: dict) -> "Hamiltonian":
         gamma = float(obj["gamma"])
-        n = int(obj["n"])
-        return Hamiltonian(gamma, make_grid(0.0, gamma, n),
+        return Hamiltonian(gamma, make_grid(0.0, gamma, obj["n"]),
                            np.asarray(obj["a"], dtype=float),
                            np.asarray(obj["b"], dtype=float))
 
@@ -163,22 +162,13 @@ def hamiltonian_from_potential(q: Potential) -> Hamiltonian:
     return Hamiltonian(q.gamma, q.grid, a, b)
 
 
-def _derivative(vals: np.ndarray, h: float) -> np.ndarray:
-    """Central differences with second-order one-sided stencils at the ends."""
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return out
-
-
 def potential_from_hamiltonian(H: Hamiltonian) -> Potential:
-    """Differentiate the entries and rotate back to q = -q2 + i q1."""
+    """Differentiate the entries (central differences, second-order
+    one-sided stencils at the ends) and rotate back to q = -q2 + i q1."""
     if np.any(H.a <= 0):
         raise ValidationError("Hamiltonian outside the admissible class: a <= 0")
     h = H.grid.h
-    ap = _derivative(H.a, h)
-    bp = _derivative(H.b, h)
+    ap, bp = (np.gradient(v, h, edge_order=2) for v in (H.a, H.b))
     p = ap / H.a
     w = (H.a * bp - ap * H.b) / H.a
     rho = np.empty_like(w)

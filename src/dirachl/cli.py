@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -201,6 +202,8 @@ def cmd_resonances(args) -> int:
     q = _read_potential(args.potential)
     alpha = BoundaryParam(args.alpha)
     if args.region is None:
+        if not (args.rcut > 0 and math.isfinite(2.1 * args.rcut)):     # the region's width
+            raise ValidationError(f"--rcut must be positive with 2.1 --rcut finite, got {args.rcut!r}")
         depth = min(6.0, 0.9 * forward._growth_cap(q.gamma))
         region = spectral.SearchRegion(-args.rcut * 1.05, args.rcut * 1.05, -depth, 0.0)
     else:

@@ -93,6 +93,8 @@ class Grid:
 
 
 def make_grid(left: float, right: float, n: int) -> Grid:
+    if not float(n).is_integer():
+        raise ValidationError(f"grid cell count must be a whole number, got {n!r}")
     return Grid(float(left), float(right), int(n))
 
 
@@ -109,7 +111,7 @@ class SampledComplexFunction:
         if vals.shape != (self.grid.n + 1,):
             raise ValidationError(
                 f"expected {self.grid.n + 1} samples, got {vals.shape}")
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(vals)):
             raise ValidationError("samples must be finite")
 
     def norm_l2(self) -> float:
@@ -387,8 +389,8 @@ def _detect_jump_nodes(values: np.ndarray) -> list[int]:
     A jump stored with the midpoint convention shows up as a pair of large
     second differences straddling the jump node; isolated spikes mark
     one-sided storage.  Peaks are measured against a local median
-    background so smooth curvature never triggers, and each flagged
-    cluster is reduced to its central node.
+    background so smooth curvature never triggers; a cluster of flags at
+    most 2 nodes apart becomes the mean of its two largest (or lone) flags.
     """
     n = len(values) - 1
     if n < 16:
@@ -397,22 +399,9 @@ def _detect_jump_nodes(values: np.ndarray) -> list[int]:
     local = _running_median(d2)
     floor = 1e-8 * float(np.max(np.abs(values)) or 1.0)
     flags = d2 > np.maximum(30.0 * local, floor)
-    idx = np.nonzero(flags)[0] + 1
-    out: list[int] = []
-    i = 0
-    while i < len(idx):
-        j = i
-        while j + 1 < len(idx) and idx[j + 1] - idx[j] <= 2:
-            j += 1
-        cluster = idx[i: j + 1]
-        if len(cluster) == 1:
-            out.append(int(cluster[0]))
-        else:
-            mags = d2[cluster - 1]
-            top2 = cluster[np.argsort(mags)[-2:]]
-            out.append(int(round(top2.mean())))
-        i = j + 1
-    return out
+    idx = np.flatnonzero(flags) + 1
+    clusters = np.split(idx, np.flatnonzero(np.diff(idx) > 2) + 1)
+    return [int(round(c[np.argsort(d2[c - 1])[-2:]].mean())) for c in clusters if c.size]
 
 
 def _cut_nodes(values: np.ndarray, structural: Sequence[int] = ()) -> tuple[int, ...]:
@@ -428,23 +417,22 @@ def _cut_nodes(values: np.ndarray, structural: Sequence[int] = ()) -> tuple[int,
     return tuple(cuts)
 
 
-def support_supremum(f: SampledComplexFunction) -> float:
-    """Largest node with |f| above SUPPORT_FLOOR_REL max|f| (left end if none)."""
+def _support(f: SampledComplexFunction) -> np.ndarray:
+    """The nodes with |f| above SUPPORT_FLOOR_REL max|f|: none if f = 0."""
     mags = np.abs(f.values)
-    peak = mags.max()
-    if peak == 0.0:
-        return f.grid.left
-    idx = np.nonzero(mags > SUPPORT_FLOOR_REL * peak)[0]
-    return float(f.grid.nodes()[idx[-1]])
+    return f.grid.nodes()[mags > SUPPORT_FLOOR_REL * mags.max()]
+
+
+def support_supremum(f: SampledComplexFunction) -> float:
+    """Largest node of `_support` (left end if none)."""
+    s = _support(f)
+    return float(s[-1]) if s.size else f.grid.left
 
 
 def support_infimum(f: SampledComplexFunction) -> float:
-    mags = np.abs(f.values)
-    peak = mags.max()
-    if peak == 0.0:
-        return f.grid.right
-    idx = np.nonzero(mags > SUPPORT_FLOOR_REL * peak)[0]
-    return float(f.grid.nodes()[idx[0]])
+    """Smallest node of `_support` (right end if none)."""
+    s = _support(f)
+    return float(s[0]) if s.size else f.grid.right
 
 
 def _samples_to_json(f: SampledComplexFunction) -> dict:
@@ -460,7 +448,7 @@ def _samples_from_json(obj: dict, left: float, right: float) -> SampledComplexFu
         pairs = None
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError("parse: samples must be a list of [re, im] number pairs")
-    return SampledComplexFunction(make_grid(left, right, int(obj["n"])),
+    return SampledComplexFunction(make_grid(left, right, obj["n"]),
                                   np.ascontiguousarray(pairs).view(complex)[:, 0])
 
 
@@ -476,6 +464,36 @@ class Piece:
     hi: float
     amp: complex
     chirp: float = 0.0
+
+
+def _piece_cells(grid: Grid, pieces: Sequence[Piece]) -> tuple[np.ndarray, np.ndarray]:
+    """(amp, chirp) per cell of `grid` from pieces that tile it: each
+    piece spans at least one cell and each cell lies in exactly one piece.
+    The one place piece bounds become cell indices."""
+    amps, chirps, cover = np.zeros(grid.n, dtype=complex), np.zeros(grid.n), np.zeros(grid.n, int)
+    for p in pieces:
+        j0, j1 = grid.index_of(p.lo), grid.index_of(p.hi)
+        if j1 <= j0:
+            raise ValidationError(f"piece [{p.lo}, {p.hi}) spans no cell")
+        amps[j0:j1], chirps[j0:j1] = p.amp, p.chirp
+        cover[j0:j1] += 1
+    if np.any(cover != 1):
+        what = "overlap" if cover.max() > 1 else "leave a gap"
+        raise ValidationError(f"pieces must tile [{grid.left}, {grid.right}]; they {what}")
+    amps.flags.writeable = chirps.flags.writeable = False   # shared by every cell_values call
+    return amps, chirps
+
+
+def _node_values(grid: Grid, amps: np.ndarray, chirps: np.ndarray) -> np.ndarray:
+    """Node values of a potential with these per-cell (amp, chirp): the
+    one-sided cell limits averaged at interior nodes, inside limits at the
+    support edges.  Its users: `synth.sampled_from_pieces` (the stored
+    samples) and the kernel march of `forward.jost_kernel_direct` (the
+    boundary data G21(x, 0))."""
+    nodes = grid.nodes()
+    left = amps * np.exp(2j * chirps * nodes[:-1])    # value at cell's left node
+    right = amps * np.exp(2j * chirps * nodes[1:])    # value at cell's right node
+    return np.concatenate((left[:1], 0.5 * (right[:-1] + left[1:]), right[-1:]))
 
 
 @dataclass(frozen=True)
@@ -503,7 +521,7 @@ class Potential:
     recovery pipeline converge to).  When the potential is exactly piecewise
     (constant or linearly chirped pieces aligned to the grid), `pieces`
     carries that description and the integrators use it instead of the
-    sampled cell averages.
+    sampled cell averages; the pieces must tile [0, gamma] (`_piece_cells`).
     """
 
     gamma: float
@@ -517,9 +535,7 @@ class Potential:
         if abs(g.left) > 1e-12 or abs(g.right - self.gamma) > 1e-9 * self.gamma:
             raise ValidationError("potential samples must live on [0, gamma]")
         if self.pieces is not None:
-            for p in self.pieces:
-                g.index_of(p.lo)
-                g.index_of(p.hi)
+            object.__setattr__(self, "_cells", _piece_cells(g, self.pieces))
 
     @property
     def grid(self) -> Grid:
@@ -530,18 +546,11 @@ class Potential:
         return self.samples.grid.n
 
     def cell_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """(amplitude, chirp) per cell, using the exact pieces when present."""
-        g = self.grid
+        """(amplitude, chirp) per cell: of the exact pieces (read-only) when present."""
         if self.pieces is None:
             v = self.samples.values
-            return 0.5 * (v[:-1] + v[1:]), np.zeros(g.n)
-        amps = np.zeros(g.n, dtype=complex)
-        chirps = np.zeros(g.n)
-        for p in self.pieces:
-            j0, j1 = g.index_of(p.lo), g.index_of(p.hi)
-            amps[j0:j1] = p.amp
-            chirps[j0:j1] = p.chirp
-        return amps, chirps
+            return 0.5 * (v[:-1] + v[1:]), np.zeros(self.n)
+        return self._cells
 
     def norm_l2(self) -> float:
         return self.samples.norm_l2()

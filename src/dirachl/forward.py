@@ -60,7 +60,7 @@ from .core import (
     SampledComplexFunction,
     ValidationError,
 )
-from .core import _cut_nodes, _filon_weights, _linear_transform
+from .core import _cut_nodes, _filon_weights, _linear_transform, _node_values
 
 __all__ = [
     "integrate_jost",
@@ -442,20 +442,6 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, psi_samples=None) -> JostRep
 # transformation kernel by characteristics
 # ---------------------------------------------------------------------------
 
-def _node_values(q: Potential) -> np.ndarray:
-    """Potential at the nodes: one-sided cell limits averaged at interior
-    nodes, inside limits at the support edges."""
-    amps, chirps = q.cell_values()
-    nodes = q.grid.nodes()
-    left = amps * np.exp(2j * chirps * nodes[:-1])    # value at cell's left node
-    right = amps * np.exp(2j * chirps * nodes[1:])    # value at cell's right node
-    vals = np.empty(q.grid.n + 1, dtype=complex)
-    vals[0] = left[0]
-    vals[-1] = right[-1]
-    vals[1:-1] = 0.5 * (right[:-1] + left[1:])
-    return vals
-
-
 def _characteristic_step(d, o, d_sh, o_sh, a, b):
     """One trapezoid predictor-corrector step of the characteristic pair
 
@@ -554,7 +540,7 @@ def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
     cell_at = amps * np.exp(2j * chirps * 0.5 * (nodes[:-1] + nodes[1:]))  # cell mean value
     a_cell = -0.5 * h * cell_at
     b_cell = np.conj(a_cell)
-    o_edge = -np.conj(_node_values(q))          # G21(x, 0)
+    o_edge = -np.conj(_node_values(q.grid, amps, chirps))     # G21(x, 0)
     a_list, o_list = a_cell.tolist(), o_edge.tolist()
     d_list = [0j] * (n + 1)                     # G11(x, 0), summed from x = gamma down
     for i in range(n - 1, -1, -1):

@@ -143,14 +143,13 @@ def invert_wiener(rep: JostRep, t_h: float | None = None) -> WienerInverse:
         t_h = _HORIZON * rep.gamma
     h_step = rep.g.grid.h
     n_g = rep.g.grid.n
+    if not (math.isfinite(t_h) and round(t_h / h_step) >= n_g):
+        raise ValidationError(f"t_h must be finite and cover at least [0, gamma], got {t_h!r}")
     n_h = int(round(t_h / h_step))
-    if n_h < n_g:
-        raise ValidationError("T_h must cover at least [0, gamma]")
     g = rep.g.values
     ea = np.exp(1j * rep.alpha.alpha)
     h0 = -ea * ea * g[0]
-    c = h_step * g
-    c[[0, n_g]] *= 0.5
+    c = _trapezoid_weights(rep.g.grid) * g
     c[0] += np.conj(ea)
     if abs(c[0]) < 1e-12:
         raise NumericalError("Wiener recursion pivot vanished; kernel is singular")

@@ -168,15 +168,17 @@ def _doubled(c: np.ndarray, mid) -> np.ndarray:
     return out
 
 
+def _swapped(b: _Box) -> _Box:
+    """The box with x and y exchanged (its own inverse)."""
+    return _Box(b.ys, b.xs, b.left, b.right, b.bottom, b.top)
+
+
 def _refined(b: _Box, along_x: bool, along_y: bool) -> _Box:
     """The box with its xs and/or ys lattice doubled; the new nodes are NaN."""
     if along_x:
         b = b._replace(xs=_doubled(b.xs, 0.5 * (b.xs[:-1] + b.xs[1:])),
                        bottom=_doubled(b.bottom, np.nan), top=_doubled(b.top, np.nan))
-    if along_y:
-        b = b._replace(ys=_doubled(b.ys, 0.5 * (b.ys[:-1] + b.ys[1:])),
-                       left=_doubled(b.left, np.nan), right=_doubled(b.right, np.nan))
-    return b
+    return _swapped(_refined(_swapped(b), True, False)) if along_y else b
 
 
 def _split(b: _Box, horizontal: bool, m: int) -> list[_Box]:
@@ -184,16 +186,12 @@ def _split(b: _Box, horizontal: bool, m: int) -> list[_Box]:
     (horizontal) or y node.  They slice their outer sides from the box and
     share the split line, whose interior is NaN; a side with fewer than
     `_PER_EDGE` // 2 intervals is doubled until it has that many."""
-    if horizontal:
-        line = np.full(b.ys.size, np.nan, dtype=complex)
-        line[0], line[-1] = b.bottom[m], b.top[m]
-        kids = [_Box(b.xs[:m + 1], b.ys, b.bottom[:m + 1], b.top[:m + 1], b.left, line),
-                _Box(b.xs[m:], b.ys, b.bottom[m:], b.top[m:], line, b.right)]
-    else:
-        line = np.full(b.xs.size, np.nan, dtype=complex)
-        line[0], line[-1] = b.left[m], b.right[m]
-        kids = [_Box(b.xs, b.ys[:m + 1], b.bottom, line, b.left[:m + 1], b.right[:m + 1]),
-                _Box(b.xs, b.ys[m:], line, b.top, b.left[m:], b.right[m:])]
+    if not horizontal:
+        return [_swapped(k) for k in _split(_swapped(b), True, m)]
+    line = np.full(b.ys.size, np.nan, dtype=complex)
+    line[0], line[-1] = b.bottom[m], b.top[m]
+    kids = [_Box(b.xs[:m + 1], b.ys, b.bottom[:m + 1], b.top[:m + 1], b.left, line),
+            _Box(b.xs[m:], b.ys, b.bottom[m:], b.top[m:], line, b.right)]
     for i, k in enumerate(kids):
         while min(k.xs.size, k.ys.size) - 1 < _PER_EDGE // 2:
             k = _refined(k, k.xs.size - 1 < _PER_EDGE // 2, k.ys.size - 1 < _PER_EDGE // 2)
@@ -210,10 +208,12 @@ def _ring(b: _Box) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _on_boundary(vals: np.ndarray) -> bool:
-    """psi (numerically) vanishes, at the scale of its largest value, or is
-    not finite on the contour."""
+    """psi (numerically) vanishes at a contour node, below 1e-12 of the
+    larger of its two ring neighbours, or is not finite there: a local scale,
+    as |psi| grows like e^{2 gamma |Im z|} down a long contour."""
     mags = np.abs(vals)
-    return not np.all(np.isfinite(vals.view(float))) or float(np.min(mags)) < 1e-12 * float(np.max(mags))
+    mc = np.concatenate((mags[-1:], mags, mags[:1]))     # padded as in `_count`
+    return not np.all(np.isfinite(mags)) or bool(np.any(mags < 1e-12 * np.maximum(mc[:-2], mc[2:])))
 
 
 def _frame(b: _Box) -> tuple[complex, float]:

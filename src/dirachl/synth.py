@@ -5,31 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Piece, Potential, SampledComplexFunction, ValidationError, make_grid
+from .core import _node_values, _piece_cells
 
 __all__ = ["random_piecewise_potential", "constant_potential", "sampled_from_pieces"]
 
 
 def sampled_from_pieces(gamma: float, n: int, pieces: tuple[Piece, ...]) -> Potential:
-    """Node samples of an exactly piecewise potential.
-
-    Interior junction nodes carry the mean of the one-sided limits (the
-    value second-order quadratures and the recovery pipeline converge to);
-    the support edges carry the inside limits.
+    """Node samples of an exactly piecewise potential, by the node rule
+    `core._node_values`: interior junction nodes carry the mean of the
+    one-sided limits (the value second-order quadratures and the recovery
+    pipeline converge to), the support edges the inside limits.
     """
     grid = make_grid(0.0, gamma, n)
-    nodes = grid.nodes()
-    vals = np.zeros(n + 1, dtype=complex)
-    counts = np.zeros(n + 1)
-    for p in pieces:
-        j0, j1 = grid.index_of(p.lo), grid.index_of(p.hi)
-        if j1 <= j0:
-            raise ValidationError("pieces must span at least one cell")
-        seg = p.amp * np.exp(2j * p.chirp * nodes[j0:j1 + 1])
-        vals[j0:j1 + 1] += seg
-        counts[j0:j1 + 1] += 1.0
-    if np.any(counts == 0) or np.any(counts > 2):
-        raise ValidationError("pieces must tile [0, gamma] without gaps")
-    vals /= counts
+    vals = _node_values(grid, *_piece_cells(grid, pieces))
     return Potential(gamma, SampledComplexFunction(grid, vals), tuple(pieces))
 
 

@@ -392,7 +392,8 @@ def march_kernel_loop(q, alpha: float, dtype=complex) -> np.ndarray:
     and boundary data are formed in float64; with dtype=np.clongdouble the
     march itself runs in extended precision, which measures the rounding
     of the float64 march."""
-    from dirachl.forward import _characteristic_step, _node_values
+    from dirachl.core import _node_values
+    from dirachl.forward import _characteristic_step
 
     n, h = q.grid.n, q.grid.h
     amps, chirps = q.cell_values()
@@ -400,7 +401,7 @@ def march_kernel_loop(q, alpha: float, dtype=complex) -> np.ndarray:
     cell_at = amps * np.exp(2j * chirps * 0.5 * (nodes[:-1] + nodes[1:]))
     a_cell = (-0.5 * h * cell_at).astype(dtype)
     b_cell = np.conj(a_cell)
-    o_edge = (-np.conj(_node_values(q))).astype(dtype)
+    o_edge = (-np.conj(_node_values(q.grid, amps, chirps))).astype(dtype)
 
     d = np.zeros(1, dtype=dtype)
     o = o_edge[-1:]

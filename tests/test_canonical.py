@@ -156,6 +156,12 @@ class TestHamiltonian:
         dist = np.max(np.abs(h1.a - h2.a)) + np.max(np.abs(h1.b - h2.b))
         assert dist > 1e-2
 
+    def test_json_cell_count_whole(self):
+        obj = {"gamma": 1.0, "n": 2.5, "a": [1.0] * 3, "b": [0.0] * 3}
+        with pytest.raises(ValidationError, match="whole number"):
+            Hamiltonian.from_json(obj)
+        assert Hamiltonian.from_json({**obj, "n": 2}).grid.n == 2
+
 
 class TestInverseDirection:
     def test_identity_gives_zero(self):

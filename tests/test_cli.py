@@ -88,6 +88,19 @@ class TestForward:
         assert err["kind"] == "validation"
         assert "z out of range" in err["message"]
 
+    def test_untiled_pieces_exit_2(self, workdir, tmp_path, capsys):
+        # a potential.json whose pieces overlap is refused before any work
+        obj = json.loads((workdir / "potential.json").read_text())
+        obj["pieces"].append([0.0, 0.5, 1.0, 0.0, 0.0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "x"
+        assert cli.main(["forward", str(bad), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert "pieces must tile" in err["message"]
+        assert not out.exists()
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad_pair = {"gamma": 1.0, "n": 2, "samples": [[0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0]]}
         for text in ("{nope", json.dumps(bad_pair)):
@@ -398,6 +411,8 @@ _BAD_VALUES = [("check {p} --tmax -1", "t_max"), ("check {p} --tmax nan", "t_max
                ("resonances {p} --region=-3,3,-2,0 --rcut nan", "r_cut"),
                ("resonances {p} --region=-3,3,-2,0 --rcut inf", "r_cut"),
                ("resonances {p} --region=-3,3,-2,0 --rcut 0", "r_cut"),
+               ("resonances {p} --rcut 0", "--rcut"), ("resonances {p} --rcut nan", "--rcut"),
+               ("resonances {p} --rcut 1e308", "--rcut"),
                ("resonances {p} --region=nan,3,-2,0", "finite"),
                ("forward {p} --zwindow nan", "z must be finite"),
                ("canonical hermite {p} --zwindow nan", "z must be finite")]

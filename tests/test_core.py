@@ -16,6 +16,7 @@ from dirachl.core import (
     BoundaryParam,
     Grid,
     JostRep,
+    Piece,
     Potential,
     ResonanceSet,
     SampledComplexFunction,
@@ -52,6 +53,24 @@ class TestGrid:
             make_grid(0, np.inf, 4)
         with pytest.raises(ValidationError):
             make_grid(1, 0, 4)
+
+    def test_rejects_fractional_cell_count(self):
+        # int() would cut 2.5 cells to 2, also in a file's "n"
+        for n in (2.5, np.nan):
+            with pytest.raises(ValidationError, match="whole number"):
+                make_grid(0, 1, n)
+        with pytest.raises(ValidationError, match="whole number"):
+            Potential.from_json({"gamma": 1.0, "n": 2.5, "samples": [[0, 0], [1, 0], [0, 0]]})
+        assert make_grid(0, 1, 4.0).n == 4
+
+    def test_strided_samples(self):
+        # a strided complex array is as good as a contiguous one, and
+        # non-finite values in it are still refused
+        x = np.arange(10, dtype=complex) * (1 - 1j)
+        assert np.array_equal(SampledComplexFunction(make_grid(0, 1, 4), x[::2]).values, x[::2])
+        x[4] = complex(0.0, np.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            SampledComplexFunction(make_grid(0, 1, 4), x[::2])
 
 
 def quadrature(f):
@@ -437,6 +456,32 @@ class TestDomainObjects:
         q2 = Potential.from_json(json.loads(json.dumps(obj)))
         assert np.array_equal(q2.samples.values, q.samples.values)
         assert q2.pieces == q.pieces
+
+    # pieces of synth seed 1 at n = 64 that fail to tile [0, 1]: one extra
+    # piece over the first four, the first piece left out, an empty piece.
+    # With the extra piece psi_values and jost_kernel_direct(...).psi once
+    # differed by 2.8 on [-10, 10], each route reading its own q
+    _UNTILED = {"overlap": lambda ps: ps + [[0.0, 0.5, 1.0, 0.0, 0.0]],
+                "leave a gap": lambda ps: ps[1:],
+                "spans no cell": lambda ps: ps + [[0.5, 0.5, 1.0, 0.0, 0.0]]}
+
+    @pytest.mark.parametrize("what", sorted(_UNTILED))
+    def test_pieces_must_tile(self, what):
+        obj = random_piecewise_potential(1, n=64).to_json()
+        obj["pieces"] = self._UNTILED[what](obj["pieces"])
+        with pytest.raises(ValidationError, match=what):
+            Potential.from_json(obj)
+        q = random_piecewise_potential(1, n=64)
+        pieces = tuple(Piece(lo, hi, complex(ar, ai), ch) for lo, hi, ar, ai, ch in obj["pieces"])
+        with pytest.raises(ValidationError, match=what):
+            Potential(q.gamma, q.samples, pieces)
+
+    def test_cell_values_of_pieces_read_only(self):
+        # the cells are expanded once, in Potential, and shared
+        q = random_piecewise_potential(1, n=64)
+        amps, chirps = q.cell_values()
+        assert q.cell_values()[0] is amps
+        assert not (amps.flags.writeable or chirps.flags.writeable)
 
     def test_support_supremum_floor(self):
         g = make_grid(0, 1, 100)

@@ -120,6 +120,11 @@ class TestWiener:
         smooth = (s > 1.2) & (s < 7.0)
         assert np.max(np.abs(hv[smooth] - wi.h.values[smooth])) < 1e-4
 
+    @pytest.mark.parametrize("t_h", [np.nan, np.inf, 0.5])
+    def test_horizon_refused(self, t_h):
+        with pytest.raises(ValidationError, match="t_h"):
+            invert_wiener(zero_rep(), t_h)
+
     def test_tail_guard(self, monkeypatch):
         q = constant_potential(1.0, n=512)
         rep = jost_kernel_direct(q, BoundaryParam(0.0))

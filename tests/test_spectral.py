@@ -268,6 +268,18 @@ class TestFindResonances:
         with pytest.raises(NumericalError, match="boundary-ambiguous"):
             find_resonances(ev, SearchRegion(0, 1, -1, 0))
 
+    def test_deep_region_of_long_support(self):
+        # at gamma = 3 |psi| grows like e^(6 |Im z|) down the region, so its
+        # contour spans 13 decades: a zero test at 1e-12 of the contour's
+        # largest value took the O(1) values on the real axis for zeros on
+        # the boundary, and the search stopped as boundary-ambiguous
+        ev = make_psi_evaluator(random_piecewise_potential(1, gamma=3.0, n=1024),
+                                BoundaryParam(0.0))
+        R = find_resonances(ev, SearchRegion(-20, 20, -5, 0))
+        assert R.total() == 37                  # (gamma / pi) 40 = 38.2 by the counting law
+        z = R.zeros()
+        assert np.all(np.abs(ev(z)) <= 1e-11 * np.abs(ev(z + 1e-3)))
+
 
 def _counting(ev):
     """ev, the sizes of its calls and the points they took."""

@@ -84,6 +84,23 @@ def test_one_segment_propagator():
     assert not found, f"segment propagators outside forward._segment_factors: {sorted(set(found))}"
 
 
+def test_one_piece_expansion():
+    # piece bounds become cell indices only in core._piece_cells, which
+    # checks that the pieces tile the grid; a second expansion could accept
+    # pieces that the first refuses
+    found = []
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (name, fn.name) == ("dirachl.core", "_piece_cells"):
+                continue
+            found += [f"{name}.{fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "index_of"
+                      and any(_names(a) & _ENDS for a in node.args)]
+    assert not found, f"piece bounds expanded outside core._piece_cells: {sorted(set(found))}"
+
+
 def _zero_sum_terms(fn):
     """Kinds of phase-sum term that a function forms: np.angle of a
     difference z - z_n, or a division by |z - z_n|**2, with the difference
