@@ -56,7 +56,8 @@ class Hamiltonian:
     """Positive unit-determinant Hamiltonian ((a, b), (b, (1+b^2)/a)).
 
     Stored through (a, b) so the determinant is one identically; constant
-    continuation beyond gamma is implied.
+    continuation beyond gamma is implied.  a and b are read-only copies of
+    the arrays given, so a > 0 holds for the object's whole life.
     """
 
     gamma: float
@@ -65,13 +66,13 @@ class Hamiltonian:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a.shape != (self.grid.n + 1,) or b.shape != (self.grid.n + 1,):
+        for name in ("a", "b"):
+            v = np.array(getattr(self, name), dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        if self.a.shape != (self.grid.n + 1,) or self.b.shape != (self.grid.n + 1,):
             raise ValidationError("entry arrays must match the grid")
-        if np.any(a <= 0):
+        if np.any(self.a <= 0):
             raise ValidationError("the (1,1) entry must stay positive")
 
     def h22(self) -> np.ndarray:
@@ -165,8 +166,6 @@ def hamiltonian_from_potential(q: Potential) -> Hamiltonian:
 def potential_from_hamiltonian(H: Hamiltonian) -> Potential:
     """Differentiate the entries (central differences, second-order
     one-sided stencils at the ends) and rotate back to q = -q2 + i q1."""
-    if np.any(H.a <= 0):
-        raise ValidationError("Hamiltonian outside the admissible class: a <= 0")
     h = H.grid.h
     ap, bp = (np.gradient(v, h, edge_order=2) for v in (H.a, H.b))
     p = ap / H.a

@@ -72,7 +72,7 @@ def _read_input(path, decode):
     try:
         return decode(core.load_json(path))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"parse: cannot read {path}: {exc}") from exc
+        raise core.ParseError(f"parse: cannot read {path}: {exc}") from exc
 
 
 def _read_potential(path) -> Potential:
@@ -326,8 +326,9 @@ def _parse(argv) -> argparse.Namespace:
 
 
 # exit kind and code per error class, most specific first
-_FAILURES = ((_UsageError, "usage", 2), (ValidationError, "validation", 2),
-             (NumericalError, "numerical", 1), (DirachlError, "error", 1))
+_FAILURES = ((_UsageError, "usage", 2), (core.ParseError, "parse", 2),
+             (ValidationError, "validation", 2), (NumericalError, "numerical", 1),
+             (DirachlError, "error", 1))
 
 
 def main(argv=None) -> int:
@@ -336,8 +337,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DirachlError as exc:
         kind, code = next((kind, code) for cls, kind, code in _FAILURES if isinstance(exc, cls))
-        if kind == "validation" and str(exc).startswith("parse:"):
-            kind = "parse"
         print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
         return code
 

@@ -53,8 +53,24 @@ class ValidationError(DirachlError):
     """Input violates a precondition or a class constraint."""
 
 
+class ParseError(ValidationError):
+    """An input file or record cannot be read as the format it claims."""
+
+
 class NumericalError(DirachlError):
     """A computation failed (overflow, non-convergence, singular system)."""
+
+
+def _check_positive(name: str, v) -> None:
+    """The one check of an argument that must be a finite positive number."""
+    if not (math.isfinite(v) and v > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {v!r}")
+
+
+def _check_finite_z(z) -> None:
+    """The one check that evaluation points are finite."""
+    if not np.isfinite(z).all():
+        raise ValidationError("z must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +378,7 @@ def _transform(f: SampledComplexFunction, z, cuts: Sequence[int]) -> np.ndarray 
     """`_linear_transform` at arbitrary z, from `_plain_sum`: a complex for
     a scalar z, else an array of z's shape."""
     zz = np.asarray(z, dtype=complex)
+    _check_finite_z(zz)
     flat = zz.ravel()
     plain = _plain_sum(f, flat)     # before the Filon weights: the two peaks do not add
     out = _linear_transform(f.grid, flat, cuts)(f.values, plain)
@@ -447,7 +464,7 @@ def _samples_from_json(obj: dict, left: float, right: float) -> SampledComplexFu
     except (TypeError, ValueError):
         pairs = None
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("parse: samples must be a list of [re, im] number pairs")
+        raise ParseError("parse: samples must be a list of [re, im] number pairs")
     return SampledComplexFunction(make_grid(left, right, obj["n"]),
                                   np.ascontiguousarray(pairs).view(complex)[:, 0])
 
@@ -468,13 +485,16 @@ class Piece:
 
 def _piece_cells(grid: Grid, pieces: Sequence[Piece]) -> tuple[np.ndarray, np.ndarray]:
     """(amp, chirp) per cell of `grid` from pieces that tile it: each
-    piece spans at least one cell and each cell lies in exactly one piece.
+    piece spans at least one cell with a finite amp and chirp, and each
+    cell lies in exactly one piece.
     The one place piece bounds become cell indices."""
     amps, chirps, cover = np.zeros(grid.n, dtype=complex), np.zeros(grid.n), np.zeros(grid.n, int)
     for p in pieces:
         j0, j1 = grid.index_of(p.lo), grid.index_of(p.hi)
         if j1 <= j0:
             raise ValidationError(f"piece [{p.lo}, {p.hi}) spans no cell")
+        if not np.isfinite((p.amp, p.chirp)).all():
+            raise ValidationError(f"piece [{p.lo}, {p.hi}) must have a finite amp and chirp")
         amps[j0:j1], chirps[j0:j1] = p.amp, p.chirp
         cover[j0:j1] += 1
     if np.any(cover != 1):
@@ -529,8 +549,7 @@ class Potential:
     pieces: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValidationError("gamma must be positive and finite")
+        _check_positive("gamma", self.gamma)
         g = self.samples.grid
         if abs(g.left) > 1e-12 or abs(g.right - self.gamma) > 1e-9 * self.gamma:
             raise ValidationError("potential samples must live on [0, gamma]")

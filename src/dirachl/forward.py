@@ -60,7 +60,7 @@ from .core import (
     SampledComplexFunction,
     ValidationError,
 )
-from .core import _cut_nodes, _filon_weights, _linear_transform, _node_values
+from .core import _check_finite_z, _cut_nodes, _filon_weights, _linear_transform, _node_values
 
 __all__ = [
     "integrate_jost",
@@ -81,8 +81,7 @@ def _growth_cap(gamma: float) -> float:
 
 
 def _check_im_cap(gamma: float, z) -> None:
-    if not np.isfinite(z).all():
-        raise ValidationError("z must be finite")
+    _check_finite_z(z)
     if (big := float(np.max(np.abs(z), initial=0.0))) > _ABS_Z_MAX:
         raise ValidationError(f"z out of range: |z| = {big:.3g} exceeds {_ABS_Z_MAX:.0e}")
     cap = _growth_cap(gamma)
@@ -287,7 +286,7 @@ def integrate_jost(q: Potential, z: complex) -> np.ndarray:
 
 
 def _psi_from_f(f: np.ndarray, alpha: BoundaryParam) -> np.ndarray:
-    ea = np.exp(-1j * alpha.alpha)
+    ea = alpha.phase
     return ea * f[..., 0, 0] - np.conj(ea) * f[..., 1, 0]
 
 
@@ -391,7 +390,7 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, psi_samples=None) -> JostRep
         psi = np.asarray(psi_samples, dtype=complex)
         if psi.shape != zs.shape:
             raise ValidationError(f"psi_samples must have shape {zs.shape}")
-    ghat = psi - np.exp(-1j * alpha.alpha)
+    ghat = psi - alpha.phase
 
     w = np.ones(zs.size)
     outer = np.abs(zs) > 0.9 * z_use
@@ -576,6 +575,6 @@ def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
             new[:, :grow + 1] += t[2]
             new[:, m - 1:] += t[3]
             line = new
-    ea = np.exp(-1j * alpha.alpha)
+    ea = alpha.phase
     g = ea * line[0] - np.conj(ea) * line[1]
     return JostRep(alpha, q.gamma, SampledComplexFunction(q.grid, g))

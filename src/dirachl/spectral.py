@@ -56,8 +56,8 @@ from .core import (
     NumericalError,
     ResonanceSet,
     ValidationError,
-    _winding_from_samples,
 )
+from .core import _check_finite_z, _check_positive, _winding_from_samples
 from .forward import _growth_cap
 
 __all__ = [
@@ -83,9 +83,8 @@ class SearchRegion:
     im_max: float
 
     def __post_init__(self):
-        for v in (self.re_min, self.re_max, self.im_min, self.im_max):
-            if not math.isfinite(v):
-                raise ValidationError("region extents must be finite")
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValidationError("region extents must be finite")
         if self.im_max > 0:
             raise ValidationError("search region must lie in the closed lower half-plane")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
@@ -113,8 +112,8 @@ def winding_number(values: np.ndarray) -> int:
     vals = np.asarray(values, dtype=complex)
     if vals.size < 2:
         raise ValidationError("need at least two samples")
-    if np.any(np.abs(vals) < 1e-13):
-        raise ValidationError("samples must be nonzero")
+    if not np.all(np.isfinite(vals) & (np.abs(vals) >= 1e-13)):
+        raise ValidationError("values must be finite and nonzero")
     wind, jump = _winding_from_samples(vals)
     if jump > np.pi * (1.0 - 1e-9):
         raise NumericalError("phase jump >= pi between neighbors: grid too coarse")
@@ -460,8 +459,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     evaluator returns NaN on the region's boundary: the NaN reads as a hole
     and is asked once more before the boundary-ambiguous failure.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+    _check_positive("tol", tol)
     r = region
     n = _PER_EDGE + 1
     xs, ys = np.linspace(r.re_min, r.re_max, n), np.linspace(r.im_min, r.im_max, n)
@@ -547,12 +545,10 @@ def count_in_sector(R: ResonanceSet, r: float, delta: float) -> tuple[int, int]:
     multiplicities included."""
     if not (0.0 <= delta <= 0.5 * np.pi):
         raise ValidationError("delta must lie in [0, pi/2]")
+    _check_positive("r", r)
     n_plus = n_minus = 0
     for z, m in R.entries:
-        if abs(z) > r:
-            continue
-        a = abs(np.angle(z))
-        if not (delta < a < np.pi - delta):
+        if abs(z) > r or not (delta < abs(np.angle(z)) < np.pi - delta):
             continue
         if z.real >= 0:
             n_plus += m
@@ -563,8 +559,6 @@ def count_in_sector(R: ResonanceSet, r: float, delta: float) -> tuple[int, int]:
 
 def levinson_ratio(R: ResonanceSet, gamma: float, r: float) -> tuple[float, float]:
     """N+-(r, 0) normalized by the linear density (gamma/pi) r."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValidationError(f"r must be finite and positive, got {r!r}")
     n_plus, n_minus = count_in_sector(R, r, 0.0)
     scale = gamma * r / np.pi
     return n_plus / scale, n_minus / scale
@@ -585,8 +579,7 @@ def forbidden_domain_check(R: ResonanceSet, gamma: float, eps: float,
     """Smallest C >= 0 with 2 gamma Im z_n <= ln(eps + C/|z_n|) for every
     zero, the per-zero slack at that C, and the count in the strip
     Im z > -strip_depth (finite for any depth)."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _check_positive("eps", eps)
     if not R.entries:
         return ForbiddenDomainReport(eps, 0.0, True, (), strip_depth, 0)
     cs = [abs(z) * (math.exp(2.0 * gamma * z.imag) - eps) for z, _ in R.entries]
@@ -621,6 +614,7 @@ def hadamard_evaluate(R: ResonanceSet, psi0: complex, gamma: float, z: complex,
     if psi0 == 0:
         raise ValidationError("psi(0) must be nonzero")
     z = complex(z)
+    _check_finite_z(z)
     zeros, mult = _truncated(R, r_cut)
     if np.any(np.abs(z - zeros) < _COLLIDE_TOL):
         raise ValidationError("evaluation point collides with a zero")
@@ -717,9 +711,8 @@ def phase_profile(R: ResonanceSet, gamma: float, alpha, grid: Grid,
     reported; a large spread flags an undersized r_cut, but the profile is
     still returned.
     """
-    for name, v in (("r_cut", r_cut), ("z_limit", z_limit)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValidationError(f"{name} must be finite and positive, got {v!r}")
+    _check_positive("r_cut", r_cut)
+    _check_positive("z_limit", z_limit)
     alpha_v = float(getattr(alpha, "alpha", alpha))
     zcal = min(z_limit, 0.9 * r_cut)
     located, mult = _truncated(R, r_cut)
@@ -761,6 +754,7 @@ def cartwright_type(evaluator, gamma: float) -> tuple[float, float]:
     for a kernel supported on [0, gamma].  On overflow the ladder is
     shortened (with fewer than 4 usable points the call fails).
     """
+    _check_positive("gamma", gamma)
     cap = 0.9 * _growth_cap(gamma)
     ys = np.geomspace(max(2.0 / gamma, cap / 128.0), cap, 14)
     taus = []

@@ -107,7 +107,7 @@ def blaschke_modify(rep: JostRep, moves):
     for mv in moves:
         z0, z1 = mv.source, mv.target
         G = np.exp(-2j * z0 * g.grid.nodes()) * (
-            -2j * np.exp(-1j * rep.alpha.alpha)
+            -2j * rep.alpha.phase
             - 2j * _cumulative_filon(g, z0))
         g = SampledComplexFunction(g.grid, g.values + (z0 - z1) * G)
     return JostRep(rep.alpha, rep.gamma, g)

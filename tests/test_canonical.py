@@ -156,6 +156,18 @@ class TestHamiltonian:
         dist = np.max(np.abs(h1.a - h2.a)) + np.max(np.abs(h1.b - h2.b))
         assert dist > 1e-2
 
+    def test_entries_are_read_only_copies(self):
+        # the a > 0 check in the constructor holds for the object's life:
+        # the inputs can change afterwards, the entries cannot
+        a, b = np.ones(5), np.zeros(5)
+        H = Hamiltonian(1.0, make_grid(0.0, 1.0, 4), a, b)
+        a[0], b[0] = -1.0, 3.0
+        assert np.array_equal(H.a, np.ones(5)) and np.array_equal(H.b, np.zeros(5))
+        with pytest.raises(ValueError, match="read-only"):
+            H.a[0] = -1
+        with pytest.raises(ValidationError, match="positive"):
+            Hamiltonian(1.0, make_grid(0.0, 1.0, 4), a, b)
+
     def test_json_cell_count_whole(self):
         obj = {"gamma": 1.0, "n": 2.5, "a": [1.0] * 3, "b": [0.0] * 3}
         with pytest.raises(ValidationError, match="whole number"):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import dirachl
 from dirachl import cli, core, inverse
 from dirachl.core import JostRep
+from dirachl.synth import constant_potential
 
 # the child process imports the same dirachl as the tests, installed or not
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -87,6 +89,19 @@ class TestForward:
         err = json.loads(r.stderr.strip().splitlines()[-1])["error"]
         assert err["kind"] == "validation"
         assert "z out of range" in err["message"]
+
+    def test_nonfinite_piece_exit_2(self, tmp_path, capsys):
+        # a NaN amplitude once loaded and failed later as an overflow
+        obj = constant_potential(1.0, n=16).to_json()
+        obj["pieces"][0][2] = math.nan
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "x"
+        assert cli.main(["forward", str(bad), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert "piece [0.0, 1.0) must have a finite" in err["message"]
+        assert not out.exists()
 
     def test_untiled_pieces_exit_2(self, workdir, tmp_path, capsys):
         # a potential.json whose pieces overlap is refused before any work

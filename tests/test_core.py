@@ -476,6 +476,23 @@ class TestDomainObjects:
         with pytest.raises(ValidationError, match=what):
             Potential(q.gamma, q.samples, pieces)
 
+    @pytest.mark.parametrize("field", ["amp_re", "chirp"])
+    def test_pieces_must_be_finite(self, field):
+        # a NaN amplitude once loaded, and psi_values at z = 1 then raised
+        # the misleading "Jost propagation overflowed; reduce |Im z|"
+        obj = constant_potential(1.0, n=16).to_json()
+        obj["pieces"][0][{"amp_re": 2, "chirp": 4}[field]] = math.nan
+        with pytest.raises(ValidationError, match=r"piece \[0\.0, 1\.0\) must have a finite"):
+            Potential.from_json(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, [0.5, complex(0.0, math.nan)]])
+    def test_transforms_refuse_nonfinite_z(self, z):
+        # both once returned NaN with numpy warnings
+        rep, S = _kernels(1, 256, 0.3)
+        for transform in (rep.psi, S.s_values):
+            with pytest.raises(ValidationError, match="z must be finite"):
+                transform(z)
+
     def test_cell_values_of_pieces_read_only(self):
         # the cells are expanded once, in Potential, and shared
         q = random_piecewise_potential(1, n=64)

@@ -1,5 +1,4 @@
 import itertools
-import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from dirachl import core, inverse
 from dirachl.core import (
     BoundaryParam,
+    JostRep,
     NumericalError,
     Potential,
     SampledComplexFunction,
@@ -157,13 +157,24 @@ class TestScatteringKernel:
             assert np.max(np.abs(S.s_values(z) - np.conj(psi) / psi)) < 1e-5
 
     @pytest.mark.parametrize("differs, n, seed, alpha", [
-        ("grid step", 512, 1, 0.3), ("alpha", 1024, 1, 1.1), ("h(0)", 1024, 2, 0.3)])
+        ("grid step", 512, 1, 0.3), ("alpha", 1024, 1, 1.1), ("h(0)", 1024, 2, 0.3),
+        ("interior", 1024, 2, 0.3)])
     def test_rejects_inverse_of_another_kernel(self, differs, n, seed, alpha):
-        # an inverse of another kernel gave an F off by order one
+        # an inverse of another kernel gave an F off by order one.  The
+        # interior case shares the grid step, alpha and g(0) of rep, so
+        # h(0) agrees too, and only seed 2's g at the other nodes differs:
+        # it once gave an F off by 2.6 and max ||S| - 1| = 0.65 on [-10, 10]
         rep = jost_kernel_direct(random_piecewise_potential(1, n=1024), BoundaryParam(0.3))
         other = jost_kernel_direct(random_piecewise_potential(seed, n=n), BoundaryParam(alpha))
-        with pytest.raises(ValidationError, match=re.escape(differs)):
+        if differs == "interior":
+            other = JostRep(rep.alpha, rep.gamma, SampledComplexFunction(
+                rep.g.grid, np.concatenate((rep.g.values[:1], other.g.values[1:]))))
+        with pytest.raises(ValidationError, match="belongs to another Jost kernel"):
             scattering_kernel(rep, invert_wiener(other))
+        # an equal copy of rep is another object, so its inverse is refused too
+        twin = JostRep(rep.alpha, rep.gamma, rep.g)
+        with pytest.raises(ValidationError, match="belongs to another Jost kernel"):
+            scattering_kernel(rep, invert_wiener(twin))
         scattering_kernel(rep, invert_wiener(rep))
 
     def test_winding_zero(self):

@@ -509,6 +509,36 @@ class TestCounting:
             assert abs(r60[pm] - 1.0) < abs(r30[pm] - 1.0)
 
 
+_ONE_ZERO = ResonanceSet(((1 - 1j, 1),))
+
+# calls that once returned quietly or raised something other than a
+# ValidationError, with the argument their message names: count_in_sector
+# with r = nan counted every zero, forbidden_domain_check with eps = nan
+# returned a report, hadamard_evaluate at z = nan returned NaN,
+# winding_number of a NaN raised ValueError and cartwright_type at
+# gamma = 0 ZeroDivisionError
+_REFUSED = {
+    "count_in_sector r=nan": (lambda: count_in_sector(_ONE_ZERO, np.nan, 0.0), "r must"),
+    "levinson_ratio r=0": (lambda: levinson_ratio(_ONE_ZERO, 1.0, 0.0), "r must"),
+    "forbidden_domain_check eps=nan": (lambda: forbidden_domain_check(_ONE_ZERO, 1.0, np.nan),
+                                       "eps must"),
+    "forbidden_domain_check eps=0": (lambda: forbidden_domain_check(_ONE_ZERO, 1.0, 0.0),
+                                     "eps must"),
+    "hadamard_evaluate z=nan": (lambda: hadamard_evaluate(_ONE_ZERO, 1.0, 1.0, np.nan, 10.0),
+                                "z must be finite"),
+    "winding_number nan": (lambda: winding_number([1.0, np.nan]), "values must"),
+    "cartwright_type gamma=0": (lambda: cartwright_type(lambda z: np.exp(-1j * z), 0.0),
+                                "gamma must"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_REFUSED))
+def test_refused_arguments(call):
+    fn, names = _REFUSED[call]
+    with pytest.raises(ValidationError, match=names):
+        fn()
+
+
 class TestForbiddenDomain:
     def test_empty(self):
         rep = forbidden_domain_check(ResonanceSet(()), 1.0, 0.1)

@@ -101,6 +101,43 @@ def test_one_piece_expansion():
     assert not found, f"piece bounds expanded outside core._piece_cells: {sorted(set(found))}"
 
 
+def _strings(node):
+    """The literal text in a node: its string constants, f-string parts included."""
+    return [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _message_branches(handler):
+    """Tests in an except clause that read the caught exception's text,
+    str(exc) or repr(exc): an if, while or assert test, a conditional
+    expression or a comparison."""
+    reads = [n for n in ast.walk(handler) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+             and n.func.id in ("str", "repr")
+             and any(isinstance(a, ast.Name) and a.id == handler.name for a in n.args)]
+    tests = [node.test if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)) else node
+             for node in ast.walk(handler)
+             if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert, ast.Compare))]
+    return [t for t in tests if any(r in ast.walk(t) for r in reads)]
+
+
+def test_one_check_each():
+    # an argument that must be a finite positive number is checked only by
+    # core._check_positive (copies had let NaN through), and the kind of an
+    # error comes from its class: no code branches on exception message
+    # text, as cli.main once did with str(exc).startswith("parse:")
+    found = []
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) != ("dirachl.core",
+                                                                         "_check_positive"):
+                found += [f"{name}.{node.name} writes its own positivity check"
+                          for r in ast.walk(node) if isinstance(r, ast.Raise) and r.exc is not None
+                          and any("must be finite and positive" in t for t in _strings(r.exc))]
+            if isinstance(node, ast.ExceptHandler) and node.name and _message_branches(node):
+                found.append(f"{name} branches on the message of {node.name}")
+    assert not found, f"checks outside their one place: {sorted(set(found))}"
+
+
 def _zero_sum_terms(fn):
     """Kinds of phase-sum term that a function forms: np.angle of a
     difference z - z_n, or a division by |z - z_n|**2, with the difference
