@@ -56,8 +56,9 @@ class Hamiltonian:
     """Positive unit-determinant Hamiltonian ((a, b), (b, (1+b^2)/a)).
 
     Stored through (a, b) so the determinant is one identically; constant
-    continuation beyond gamma is implied.  a and b are read-only copies of
-    the arrays given, so a > 0 holds for the object's whole life.
+    continuation beyond gamma is implied.  The grid must be [0, gamma]
+    exactly.  a and b are read-only copies of the arrays given, so a > 0
+    holds for the object's whole life.
     """
 
     gamma: float
@@ -66,6 +67,8 @@ class Hamiltonian:
     b: np.ndarray
 
     def __post_init__(self):
+        if (self.grid.left, self.grid.right) != (0.0, self.gamma):
+            raise ValidationError(f"the grid {self.grid} must be [0, gamma] = [0, {self.gamma}]")
         for name in ("a", "b"):
             v = np.array(getattr(self, name), dtype=float)
             v.flags.writeable = False
@@ -176,7 +179,7 @@ def potential_from_hamiltonian(H: Hamiltonian) -> Potential:
     q1 = -0.5 * (w * np.cos(rho) + p * np.sin(rho))
     q2 = 0.5 * (p * np.cos(rho) - w * np.sin(rho))
     vals = -q2 + 1j * q1
-    return Potential(H.gamma, SampledComplexFunction(H.grid, vals))
+    return Potential(SampledComplexFunction(H.grid, vals))
 
 
 def boundary_solution(q: Potential, alpha: BoundaryParam, z: complex) -> tuple[complex, complex]:
@@ -201,6 +204,6 @@ def make_hermite_evaluator(q: Potential):
     def ev(z):
         scalar = np.isscalar(z)
         M = canonical_values(q, np.atleast_1d(np.asarray(z, dtype=complex)))
-        vals = M[:, 0, 1] - 1j * M[:, 1, 1]
+        vals = M[..., 0, 1] - 1j * M[..., 1, 1]
         return complex(vals[0]) if scalar else vals
     return ev

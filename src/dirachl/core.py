@@ -534,27 +534,35 @@ class BoundaryParam:
 
 @dataclass(frozen=True)
 class Potential:
-    """Compactly supported complex potential sampled on [0, gamma].
+    """Compactly supported complex potential sampled on [0, gamma]; gamma
+    is the right end of the samples' grid, which must start at 0.
 
     samples[j] holds q(x_j); at a jump node the stored value is the mean of
     the one-sided limits (the value every second-order quadrature and the
     recovery pipeline converge to).  When the potential is exactly piecewise
     (constant or linearly chirped pieces aligned to the grid), `pieces`
     carries that description and the integrators use it instead of the
-    sampled cell averages; the pieces must tile [0, gamma] (`_piece_cells`).
+    sampled cell averages; the pieces must tile [0, gamma] (`_piece_cells`),
+    and the samples must be their `_node_values` within 1e-12 of the
+    largest node value.
     """
 
-    gamma: float
     samples: SampledComplexFunction
     pieces: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
-        _check_positive("gamma", self.gamma)
         g = self.samples.grid
-        if abs(g.left) > 1e-12 or abs(g.right - self.gamma) > 1e-9 * self.gamma:
+        if abs(g.left) > 1e-12:
             raise ValidationError("potential samples must live on [0, gamma]")
         if self.pieces is not None:
             object.__setattr__(self, "_cells", _piece_cells(g, self.pieces))
+            ref = _node_values(g, *self._cells)
+            if np.max(np.abs(self.samples.values - ref)) > 1e-12 * np.max(np.abs(ref)):
+                raise ValidationError("potential samples differ from the node values of its pieces")
+
+    @property
+    def gamma(self) -> float:
+        return self.samples.grid.right
 
     @property
     def grid(self) -> Grid:
@@ -583,35 +591,36 @@ class Potential:
 
     @staticmethod
     def from_json(obj: dict) -> "Potential":
-        gamma = float(obj["gamma"])
         pieces = None
         if obj.get("pieces"):
             pieces = tuple(Piece(float(lo), float(hi), complex(ar, ai), float(ch))
                            for lo, hi, ar, ai, ch in obj["pieces"])
-        return Potential(gamma, _samples_from_json(obj, 0.0, gamma), pieces)
+        return Potential(_samples_from_json(obj, 0.0, float(obj["gamma"])), pieces)
 
 
 def potential_from_values(gamma: float, values: Sequence[complex] | np.ndarray) -> Potential:
     vals = np.asarray(values, dtype=complex)
-    return Potential(float(gamma),
-                     SampledComplexFunction(make_grid(0.0, float(gamma), len(vals) - 1), vals))
+    return Potential(SampledComplexFunction(make_grid(0.0, float(gamma), len(vals) - 1), vals))
 
 
 @dataclass(frozen=True)
 class JostRep:
     """Boundary parameter plus Fourier kernel g of the Jost function.
 
-    Represents psi(z) = e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds.
+    Represents psi(z) = e^{-i alpha} + int_0^gamma g(s) e^{2izs} ds; gamma
+    is the right end of g's grid, which must start at 0.
     """
 
     alpha: BoundaryParam
-    gamma: float
     g: SampledComplexFunction
 
     def __post_init__(self):
-        gr = self.g.grid
-        if abs(gr.left) > 1e-12 or abs(gr.right - self.gamma) > 1e-9 * self.gamma:
+        if abs(self.g.grid.left) > 1e-12:
             raise ValidationError("Jost kernel must live on [0, gamma]")
+
+    @property
+    def gamma(self) -> float:
+        return self.g.grid.right
 
     @cached_property
     def _cuts(self) -> tuple[int, ...]:
@@ -627,9 +636,8 @@ class JostRep:
 
     @staticmethod
     def from_json(obj: dict) -> "JostRep":
-        gamma = float(obj["gamma"])
-        return JostRep(BoundaryParam(float(obj["alpha"])), gamma,
-                       _samples_from_json(obj, 0.0, gamma))
+        return JostRep(BoundaryParam(float(obj["alpha"])),
+                       _samples_from_json(obj, 0.0, float(obj["gamma"])))
 
 
 def _check_t_max(t_max: float) -> None:
@@ -642,25 +650,29 @@ def _check_t_max(t_max: float) -> None:
 class ScatteringRep:
     """Scattering matrix as e^{2i alpha} plus the Fourier transform of F.
 
-    F lives on [-gamma, t_max]; the matrix itself is S(z) = e^{2i alpha} +
-    int F(s) e^{2izs} ds, unimodular on the real axis with zero winding.
+    F lives on [-gamma, t_max], the ends of its grid; the matrix itself is
+    S(z) = e^{2i alpha} + int F(s) e^{2izs} ds, unimodular on the real axis
+    with zero winding.  s = 0, where F jumps, must be a node of the grid
+    (its index is `zero_node`), so gamma n / (gamma + t_max) is a whole number.
     """
 
     alpha: BoundaryParam
-    gamma: float
-    t_max: float
     F: SampledComplexFunction
 
     def __post_init__(self):
-        _check_t_max(self.t_max)
-        gr = self.F.grid
-        if abs(gr.left + self.gamma) > 1e-9 * self.gamma or abs(gr.right - self.t_max) > 1e-9 * max(1.0, self.t_max):
-            raise ValidationError("scattering kernel must live on [-gamma, t_max]")
+        object.__setattr__(self, "zero_node", self.F.grid.index_of(0.0))    # raises if off-grid
+
+    @property
+    def gamma(self) -> float:
+        return -self.F.grid.left
+
+    @property
+    def t_max(self) -> float:
+        return self.F.grid.right
 
     @cached_property
     def _cuts(self) -> tuple[int, ...]:
-        n_g = int(round(self.gamma / self.F.grid.h))
-        return _cut_nodes(self.F.values, (n_g, 2 * n_g))
+        return _cut_nodes(self.F.values, (self.zero_node, 2 * self.zero_node))
 
     def s_values(self, z) -> np.ndarray | complex:
         """e^{2i alpha} plus the transform of F, split at its cut nodes.
@@ -676,10 +688,9 @@ class ScatteringRep:
 
     @staticmethod
     def from_json(obj: dict) -> "ScatteringRep":
-        gamma = float(obj["gamma"])
-        t_max = float(obj["t_max"])
+        gamma, t_max = float(obj["gamma"]), float(obj["t_max"])
         _check_t_max(t_max)     # before its grid, which a bad t_max can break
-        return ScatteringRep(BoundaryParam(float(obj["alpha"])), gamma, t_max,
+        return ScatteringRep(BoundaryParam(float(obj["alpha"])),
                              _samples_from_json(obj, -gamma, t_max))
 
 

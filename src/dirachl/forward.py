@@ -426,7 +426,7 @@ def jost_kernel(q: Potential, alpha: BoundaryParam, psi_samples=None) -> JostRep
             f"kernel jump nodes did not settle in 4 rounds: fitted with "
             f"cuts at {list(fitted)}, the result shows {list(found)}; refine n")
 
-    rep = JostRep(alpha, gamma, SampledComplexFunction(q.grid, g_vals))
+    rep = JostRep(alpha, SampledComplexFunction(q.grid, g_vals))
     if psi_samples is None:
         held = (np.arange(-120, 121) + 0.5) * (z_use / 241.0)
         resid = float(np.max(np.abs(rep.psi(held) - psi_values(q, alpha, held.astype(complex)))))
@@ -577,4 +577,4 @@ def jost_kernel_direct(q: Potential, alpha: BoundaryParam) -> JostRep:
             line = new
     ea = alpha.phase
     g = ea * line[0] - np.conj(ea) * line[1]
-    return JostRep(alpha, q.gamma, SampledComplexFunction(q.grid, g))
+    return JostRep(alpha, SampledComplexFunction(q.grid, g))

@@ -214,8 +214,7 @@ def scattering_kernel(rep: JostRep, wi: WienerInverse | None = None,
     F[n_g] -= 0.5 * ea * (rv[-1] + hv[0])      # midpoint convention at the s = 0 jump
     F += conv
 
-    return ScatteringRep(rep.alpha, gamma, n_t * hstep,
-                         SampledComplexFunction(make_grid(-gamma, n_t * hstep, total), F))
+    return ScatteringRep(rep.alpha, SampledComplexFunction(make_grid(-gamma, n_t * hstep, total), F))
 
 
 def unimodularity_tolerance(S: ScatteringRep) -> tuple[float, bool]:
@@ -250,7 +249,7 @@ def omega_kernel(S: ScatteringRep) -> SampledComplexFunction:
     follows the jump-midpoint convention and is replaced by a short
     extrapolation from inside (-gamma, 0).
     """
-    n_g = int(round(S.gamma / S.F.grid.h))
+    n_g = S.zero_node
     kv = S.F.values[: n_g + 1][::-1].copy()    # F(-u) for u = 0..gamma
     if n_g >= 3:
         kv[0] = 3.0 * kv[1] - 3.0 * kv[2] + kv[3]
@@ -405,7 +404,7 @@ def recover_potential(S: ScatteringRep | JostRep, with_report: bool = False):
         qv = qv.copy()
         qv[mask] = 0.0
         sf = SampledComplexFunction(sf.grid, qv)
-    pot = Potential(S.gamma, sf)
+    pot = Potential(sf)
     if with_report:
         return pot, RecoveryReport(sup, clamp, resid, its)
     return pot

@@ -459,18 +459,24 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
     evaluator returns NaN on the region's boundary: the NaN reads as a hole
     and is asked once more before the boundary-ambiguous failure.
     """
+    def ev(z):      # the one check of the evaluator's output, seen by every call below
+        if np.shape(out := evaluator(z)) != z.shape:
+            raise ValidationError(f"evaluator {evaluator!r} returned shape {np.shape(out)} for "
+                                  f"z of shape {z.shape}; it must give one complex value per point")
+        return out
+
     _check_positive("tol", tol)
     r = region
     n = _PER_EDGE + 1
     xs, ys = np.linspace(r.re_min, r.re_max, n), np.linspace(r.im_min, r.im_max, n)
     # bottom, top, then the interiors of left and right: each node once
-    vals = np.asarray(evaluator(np.concatenate([
+    vals = np.asarray(ev(np.concatenate([
         xs + 1j * ys[0], xs + 1j * ys[-1], xs[0] + 1j * ys[1:-1], xs[-1] + 1j * ys[1:-1]])),
         dtype=complex)
     bottom, top, left, right = np.split(vals, [n, 2 * n, 3 * n - 2])
     root = _Box(xs, ys, bottom, top, np.concatenate([bottom[:1], left, top[:1]]),
                 np.concatenate([bottom[-1:], right, top[-1:]]))
-    (settled,), (root,) = _settle(evaluator, [root])
+    (settled,), (root,) = _settle(ev, [root])
     if settled is None:
         raise NumericalError(
             "boundary-ambiguous: a zero sits on (or numerically near) the outer "
@@ -483,7 +489,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
 
     def split(box, cnt, depth, doubles):
         stack.extend((k, c, s, depth + 1, doubles)
-                     for k, c, s in _halves(evaluator, box, cnt, depth))
+                     for k, c, s in _halves(ev, box, cnt, depth))
 
     while stack:
         # m-fold Newton polishes only an m-fold zero or a cluster: on
@@ -507,7 +513,7 @@ def find_resonances(evaluator, region: SearchRegion, tol: float = 1e-9) -> Reson
                 split(box, cnt, depth, doubles)
         if not waiting:
             break
-        roots = _polish(evaluator, [z for _, starts, _ in waiting for z in starts], tol,
+        roots = _polish(ev, [z for _, starts, _ in waiting for z in starts], tol,
                         [m for *_, mults in waiting for m in mults],
                         [4.0 * _frame(e[0])[1] for e, starts, _ in waiting for _ in starts])
         at = 0

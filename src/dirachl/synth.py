@@ -18,7 +18,7 @@ def sampled_from_pieces(gamma: float, n: int, pieces: tuple[Piece, ...]) -> Pote
     """
     grid = make_grid(0.0, gamma, n)
     vals = _node_values(grid, *_piece_cells(grid, pieces))
-    return Potential(gamma, SampledComplexFunction(grid, vals), tuple(pieces))
+    return Potential(SampledComplexFunction(grid, vals), tuple(pieces))
 
 
 def constant_potential(c: complex, n: int = 1024) -> Potential:

@@ -110,7 +110,7 @@ def blaschke_modify(rep: JostRep, moves):
             -2j * rep.alpha.phase
             - 2j * _cumulative_filon(g, z0))
         g = SampledComplexFunction(g.grid, g.values + (z0 - z1) * G)
-    return JostRep(rep.alpha, rep.gamma, g)
+    return JostRep(rep.alpha, g)
 
 
 def move_resonances(q: Potential, alpha: BoundaryParam, moves) -> Potential:
@@ -127,7 +127,7 @@ def shift_potential(q: Potential, k: float) -> Potential:
     pieces = None
     if q.pieces is not None:
         pieces = tuple(Piece(p.lo, p.hi, p.amp, p.chirp + k) for p in q.pieces)
-    return Potential(q.gamma, SampledComplexFunction(q.grid, vals), pieces)
+    return Potential(SampledComplexFunction(q.grid, vals), pieces)
 
 
 def reflect_potential(q: Potential, alpha: BoundaryParam) -> Potential:
@@ -139,7 +139,7 @@ def reflect_potential(q: Potential, alpha: BoundaryParam) -> Potential:
     if q.pieces is not None:
         pieces = tuple(Piece(p.lo, p.hi, phase * np.conj(p.amp), -p.chirp)
                        for p in q.pieces)
-    return Potential(q.gamma, SampledComplexFunction(q.grid, vals), pieces)
+    return Potential(SampledComplexFunction(q.grid, vals), pieces)
 
 
 def shift_identity_residual(q: Potential, alpha: BoundaryParam, k: float,

@@ -168,6 +168,14 @@ class TestHamiltonian:
         with pytest.raises(ValidationError, match="positive"):
             Hamiltonian(1.0, make_grid(0.0, 1.0, 4), a, b)
 
+    @pytest.mark.parametrize("gamma, left, right", [(2.0, 0.0, 1.0), (np.nan, 0.0, 1.0),
+                                                    (1.0, -0.5, 1.0)])
+    def test_grid_must_be_zero_to_gamma(self, gamma, left, right):
+        # a [0, 1] grid under gamma = 2 was once accepted, and its JSON round
+        # trip came back on [0, 2]
+        with pytest.raises(ValidationError, match=r"must be \[0, gamma\]"):
+            Hamiltonian(gamma, make_grid(left, right, 8), np.ones(9), np.zeros(9))
+
     def test_json_cell_count_whole(self):
         obj = {"gamma": 1.0, "n": 2.5, "a": [1.0] * 3, "b": [0.0] * 3}
         with pytest.raises(ValidationError, match="whole number"):
@@ -241,6 +249,16 @@ class TestHermiteBiehler:
             E = hermite_biehler(q, z)
             psi0 = complex(psi_values(q, BoundaryParam(0.0), complex(z)))
             assert abs(E + 1j * np.exp(-1j * z) * psi0) < 1e-8
+
+    def test_identity_on_a_lattice(self, unit_potential):
+        # a (2, 3) z once gave a (2, 2) array: the entries were read as
+        # M[:, 0, 1] and M[:, 1, 1]
+        q = unit_potential
+        z = np.array([-3.0, 0.5, 2.0]) + 1j * np.array([[0.2], [-0.4]])
+        E = make_hermite_evaluator(q)(z)
+        psi0 = psi_values(q, BoundaryParam(0.0), z)
+        assert E.shape == z.shape
+        assert np.max(np.abs(E + 1j * np.exp(-1j * q.gamma * z) * psi0)) < 1e-8
 
     def test_modulus_inequality(self, unit_potential):
         ev = make_hermite_evaluator(unit_potential)

@@ -11,7 +11,7 @@ import pytest
 import dirachl
 from dirachl import cli, core, inverse
 from dirachl.core import JostRep
-from dirachl.synth import constant_potential
+from dirachl.synth import constant_potential, random_piecewise_potential
 
 # the child process imports the same dirachl as the tests, installed or not
 _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -116,6 +116,19 @@ class TestForward:
         assert "pieces must tile" in err["message"]
         assert not out.exists()
 
+    def test_samples_off_their_pieces_exit_2(self, tmp_path, capsys):
+        # zero samples under synth seed 1's pieces were once accepted
+        obj = random_piecewise_potential(1, n=64).to_json()
+        obj["samples"] = [[0.0, 0.0]] * len(obj["samples"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "x"
+        assert cli.main(["forward", str(bad), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert "node values of its pieces" in err["message"]
+        assert not out.exists()
+
     def test_malformed_input_exit_2(self, tmp_path):
         bad_pair = {"gamma": 1.0, "n": 2, "samples": [[0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0]]}
         for text in ("{nope", json.dumps(bad_pair)):
@@ -189,6 +202,18 @@ class TestPipelines:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err["kind"] == "validation"
         assert "t_max" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_invert_refuses_kernel_without_node_at_zero(self, probe, tmp_path, capsys):
+        # t_max = 8.1 puts s = 0 between nodes (step 9.1 / 1152); such a file
+        # once inverted to a wrong potential with exit code 0
+        obj = {**core.load_json(probe["scat"]), "t_max": 8.1}
+        src = tmp_path / "off.json"
+        src.write_text(json.dumps(obj))
+        assert cli.main(["invert", str(src), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "validation"
+        assert "0.0 is not a node" in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_invert_jost_input_matches_library(self, probe, tmp_path):

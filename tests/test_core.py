@@ -20,6 +20,7 @@ from dirachl.core import (
     Potential,
     ResonanceSet,
     SampledComplexFunction,
+    ScatteringRep,
     ValidationError,
     make_grid,
     support_supremum,
@@ -393,15 +394,14 @@ class TestChirpSums:
 
 class TestValidators:
     def test_zero_potential_fails_strict_support(self):
-        q = Potential(1.0, SampledComplexFunction(make_grid(0, 1, 64),
-                                                  np.zeros(65, dtype=complex)))
+        q = Potential(SampledComplexFunction(make_grid(0, 1, 64), np.zeros(65, dtype=complex)))
         report = validate_class(q)
         assert not report.passed
         names = {c.name: c.passed for c in report.checks}
         assert names["sup supp q = gamma"] is False
 
     def test_constant_kernel_rep_passes(self):
-        rep = JostRep(BoundaryParam(0.3), 1.0,
+        rep = JostRep(BoundaryParam(0.3),
                       SampledComplexFunction(make_grid(0, 1, 64),
                                              np.zeros(65, dtype=complex)))
         names = {c.name: c.passed for c in validate_class(rep).checks}
@@ -474,7 +474,25 @@ class TestDomainObjects:
         q = random_piecewise_potential(1, n=64)
         pieces = tuple(Piece(lo, hi, complex(ar, ai), ch) for lo, hi, ar, ai, ch in obj["pieces"])
         with pytest.raises(ValidationError, match=what):
-            Potential(q.gamma, q.samples, pieces)
+            Potential(q.samples, pieces)
+
+    def test_samples_must_be_node_values_of_pieces(self):
+        # zero samples under seed 1's pieces once loaded: psi came from the
+        # pieces, norm_l2 (0.0) and validate_class from the zeros
+        obj = random_piecewise_potential(1, n=64).to_json()
+        obj["samples"] = [[0.0, 0.0]] * len(obj["samples"])
+        with pytest.raises(ValidationError, match="node values of its pieces"):
+            Potential.from_json(obj)
+
+    def test_scattering_grid_has_a_node_at_zero(self):
+        # with t_max = 8.1 the step is 9.1 / 576 and s = 0 falls between
+        # nodes; such a file once inverted to a wrong potential, quietly
+        rep = jost_kernel_direct(random_piecewise_potential(1, n=64), BoundaryParam(0.3))
+        obj = scattering_kernel(rep).to_json()
+        S = ScatteringRep.from_json(obj)
+        assert (S.gamma, S.t_max, S.F.grid.nodes()[S.zero_node]) == (1.0, 8.0, 0.0)
+        with pytest.raises(ValidationError, match="0.0 is not a node"):
+            ScatteringRep.from_json({**obj, "t_max": 8.1})
 
     @pytest.mark.parametrize("field", ["amp_re", "chirp"])
     def test_pieces_must_be_finite(self, field):

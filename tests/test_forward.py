@@ -115,7 +115,7 @@ def _cells(seed, n):
     """The node samples of a synth potential without its exact pieces: one
     propagator segment per cell."""
     qp = random_piecewise_potential(seed, n=n)
-    return Potential(qp.gamma, qp.samples)
+    return Potential(qp.samples)
 
 
 def _tree_error(q, z) -> float:
@@ -168,7 +168,7 @@ class TestTreePropagator:
             q = shift_potential(q, chirp)
         z = np.asarray(re) + 1j * im
         assert _tree_error(q, z) < 1e-12
-        assert _tree_error(Potential(q.gamma, q.samples), z) < 1e-12
+        assert _tree_error(Potential(q.samples), z) < 1e-12
 
     def test_keeps_the_shape_of_z(self):
         q = random_piecewise_potential(1, n=64)
@@ -290,7 +290,7 @@ class TestSegmentExponential:
         # OverflowError
         qp = random_piecewise_potential(1, n=64)
         zz = np.array([0.5, z, -0.5j])
-        for q in (qp, Potential(qp.gamma, qp.samples)):
+        for q in (qp, Potential(qp.samples)):
             for call in (lambda: psi_values(q, BoundaryParam(0.3), zz),
                          lambda: make_psi_evaluator(q, BoundaryParam(0.3))(z),
                          lambda: canonical_values(q, zz)):
@@ -302,7 +302,7 @@ class TestSegmentExponential:
         # the halvings
         qp = random_piecewise_potential(1, n=64)
         zz = np.array([1e150, -1e150 + 0.5j, 3.0 - 1.0j])
-        for q in (qp, Potential(qp.gamma, qp.samples)):
+        for q in (qp, Potential(qp.samples)):
             got = psi_values(q, BoundaryParam(0.3), zz), canonical_values(q, zz)
             monkeypatch.setattr(forward, "_expm_traceless", expm_traceless_one_step)
             want = psi_values(q, BoundaryParam(0.3), zz), canonical_values(q, zz)
@@ -496,7 +496,7 @@ class TestDirectKernel:
         if chirp:
             q = shift_potential(q, chirp)
         if sampled:
-            q = Potential(q.gamma, q.samples)
+            q = Potential(q.samples)
         g = jost_kernel_direct(q, BoundaryParam(alpha)).g.values
         exact = march_kernel_loop(q, alpha, np.clongdouble)
         loop = march_kernel_loop(q, alpha)

@@ -40,7 +40,7 @@ from oracles import march_recovery_loop, recover_dense, solve_glm, wiener_loop
 
 def zero_rep(alpha=0.3, n=512):
     from dirachl.core import JostRep
-    return JostRep(BoundaryParam(alpha), 1.0,
+    return JostRep(BoundaryParam(alpha),
                    SampledComplexFunction(make_grid(0, 1, n), np.zeros(n + 1, dtype=complex)))
 
 
@@ -167,12 +167,12 @@ class TestScatteringKernel:
         rep = jost_kernel_direct(random_piecewise_potential(1, n=1024), BoundaryParam(0.3))
         other = jost_kernel_direct(random_piecewise_potential(seed, n=n), BoundaryParam(alpha))
         if differs == "interior":
-            other = JostRep(rep.alpha, rep.gamma, SampledComplexFunction(
+            other = JostRep(rep.alpha, SampledComplexFunction(
                 rep.g.grid, np.concatenate((rep.g.values[:1], other.g.values[1:]))))
         with pytest.raises(ValidationError, match="belongs to another Jost kernel"):
             scattering_kernel(rep, invert_wiener(other))
         # an equal copy of rep is another object, so its inverse is refused too
-        twin = JostRep(rep.alpha, rep.gamma, rep.g)
+        twin = JostRep(rep.alpha, rep.g)
         with pytest.raises(ValidationError, match="belongs to another Jost kernel"):
             scattering_kernel(rep, invert_wiener(twin))
         scattering_kernel(rep, invert_wiener(rep))
@@ -303,8 +303,7 @@ class TestGlm:
         # grid of three cells that does not resolve its potential
         if case == "F x 4":
             S = potential_to_scattering(random_piecewise_potential(1, n=256), BoundaryParam(0.3))
-            data = ScatteringRep(S.alpha, S.gamma, S.t_max,
-                                 SampledComplexFunction(S.F.grid, 4.0 * S.F.values))
+            data = ScatteringRep(S.alpha, SampledComplexFunction(S.F.grid, 4.0 * S.F.values))
         else:
             q = random_piecewise_potential(11621, n=3, n_pieces=3)
             data = jost_kernel_direct(q, BoundaryParam(1.513))
@@ -317,8 +316,7 @@ class TestGlm:
         # definite (least eigenvalue 0.077): CG recovers the q of the dense
         # LU line solve, continued by the reference march
         S = potential_to_scattering(random_piecewise_potential(1, n=256), BoundaryParam(0.3))
-        S2 = ScatteringRep(S.alpha, S.gamma, S.t_max,
-                           SampledComplexFunction(S.F.grid, 2.0 * S.F.values))
+        S2 = ScatteringRep(S.alpha, SampledComplexFunction(S.F.grid, 2.0 * S.F.values))
         k = omega_kernel(S2)
         rows = solve_glm(k, 0.0)
         want = march_recovery_loop(k, rows.g11, rows.g12)
@@ -449,7 +447,7 @@ class TestRecoveryMarch:
         if chirp:
             q = shift_potential(q, chirp * min(8.0, n / 4))
         if sampled:
-            q = Potential(q.gamma, q.samples)
+            q = Potential(q.samples)
         rep = jost_kernel_direct(q, BoundaryParam(alpha))
         # any scattering kernel serves the comparison: the tail guard of the
         # Wiener inverse is about the pipeline's accuracy at small n
@@ -489,7 +487,7 @@ class TestUnimodularityTolerance:
 
         assert unimodular(S)
         assert unimodularity_tolerance(S)[1]
-        assert not unimodular(ScatteringRep(S.alpha, S.gamma, S.t_max, SampledComplexFunction(
+        assert not unimodular(ScatteringRep(S.alpha, SampledComplexFunction(
             S.F.grid, 1.5 * S.F.values)))
 
     def test_free_kernel_is_floor(self):

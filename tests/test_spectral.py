@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -537,6 +538,31 @@ def test_refused_arguments(call):
     fn, names = _REFUSED[call]
     with pytest.raises(ValidationError, match=names):
         fn()
+
+
+def three_values(z):
+    return np.ones(3, dtype=complex)
+
+
+def no_values(z):
+    return None
+
+
+def two_columns(z):
+    return np.ones((z.size, 2), dtype=complex)
+
+
+_BAD_OUTPUTS = {three_values: (3,), no_values: (), two_columns: (4 * _PER_EDGE, 2)}
+
+
+@pytest.mark.parametrize("evaluator", list(_BAD_OUTPUTS), ids=lambda ev: ev.__name__)
+def test_evaluator_gives_one_value_per_point(evaluator):
+    # these once raised ValueError, IndexError and ValueError from inside
+    # the search; the message names the evaluator and both shapes
+    want = (f"evaluator .*{evaluator.__name__}.* returned shape "
+            f"{re.escape(str(_BAD_OUTPUTS[evaluator]))} for z of shape \\({4 * _PER_EDGE},\\)")
+    with pytest.raises(ValidationError, match=want):
+        find_resonances(evaluator, SearchRegion(-2, 2, -2, 0))
 
 
 class TestForbiddenDomain:

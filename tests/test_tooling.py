@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -534,7 +535,7 @@ def _defaulted(fn):
 # the functions and classes of dirachl that take a horizon; the GLM reads F
 # on [-gamma, 0] only, so recovery, surgery, invert and move take none
 _HORIZON_TAKERS = {"inverse.invert_wiener", "inverse.scattering_kernel",
-                   "inverse.potential_to_scattering", "core.ScatteringRep", "core._check_t_max"}
+                   "inverse.potential_to_scattering", "core._check_t_max"}
 
 
 def test_horizon_only_where_it_changes_the_answer():
@@ -553,6 +554,14 @@ def test_horizon_only_where_it_changes_the_answer():
                 found.add(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
     assert found == _HORIZON_TAKERS, sorted(found ^ _HORIZON_TAKERS)
     assert [cmd for cmd, row in cli.COMMANDS.items() if "tmax" in row[3]] == ["check"]
+
+
+def test_containers_hold_no_copy_of_their_grid():
+    # gamma and t_max are where the samples' grid starts or ends, so the
+    # containers read them from the grid instead of storing them beside it
+    for cls in (core.Potential, core.JostRep, core.ScatteringRep):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert not names & {"gamma", "t_max"}, (cls.__name__, sorted(names))
 
 
 def test_defaults_have_callers():
